@@ -6,6 +6,9 @@ For each stored minimal separation x _||_ y | Z, any node w adjacent to
 cannot be an ancestor of {x, y} union Z union the selection set, so an
 arrowhead is placed at w on every edge joining w to that set. Arrowheads
 only accumulate; placing one over a committed tail is a model violation.
+
+The marks serve only to detect candidate links for the deep search; the
+PAG is oriented from the bare final skeleton.
 """
 
 from .graphs import ARROW
@@ -14,9 +17,9 @@ from .graphs import ARROW
 def augment_graph(g, sepsets, oracle):
     """Add all invariant arrowheads derivable from sepsets to g.
 
-    Candidate nodes are taken from the current graph's adjacency, so
-    re-augmenting after edge removals only shrinks the tested set. The pass
-    is idempotent: augmenting an already-augmented graph changes nothing.
+    Candidate nodes are taken from the current graph's adjacency, so after
+    edge removals a set's tested nodes only shrink. The pass is idempotent:
+    augmenting an already-augmented graph changes nothing.
     """
     builder = g.builder()
     with oracle.stage("augment"):

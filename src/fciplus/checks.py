@@ -11,7 +11,6 @@ from itertools import combinations
 
 from .graphs import ARROW, TAIL, d_separated, latent_project
 from .dsep_search import hie
-from .orientation import apply_fci_rules, orient_v_structures
 
 
 def _obs_to_dag(dag):
@@ -168,19 +167,6 @@ def check_query_bounds(stats, n, k):
     return ok, "pc %d <= %d, total %d <= %d" % (pc_q, pc_budget, algo_q, total_budget)
 
 
-def check_orientation_agreement(skeleton, gplus_final, sepsets, pag):
-    """Orienting from the retained augmented marks and orienting from a
-    blank copy of the final skeleton must agree."""
-    blank = skeleton.builder()
-    for a, b in skeleton.edge_pairs():
-        if not gplus_final.has_edge(a, b):
-            blank.remove_edge(a, b)
-    fresh = apply_fci_rules(orient_v_structures(blank.build(), sepsets), sepsets)
-    ok = fresh == pag
-    return ok, "both orientation paths agree" if ok else \
-        "orientation paths disagree"
-
-
 def run_invariant_checks(dag, result):
     """Full suite over a finished pipeline result; returns {name: {ok, detail}}."""
     out = {}
@@ -205,8 +191,4 @@ def run_invariant_checks(dag, result):
     add("query_bounds",
         check_query_bounds(result.stats_snapshot, result.oracle.n_vars,
                            result.k))
-    if result.skeleton is not None and result.gplus is not None:
-        add("orientation_agreement",
-            check_orientation_agreement(result.skeleton, result.gplus_final,
-                                        result.sepsets, result.pag))
     return out

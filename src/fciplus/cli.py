@@ -62,13 +62,11 @@ def generate(n, k, latents, selection, density, seed, plant_dsep, out):
 @click.option("--alpha", default=0.01, type=float, show_default=True)
 @click.option("--k", default=None, type=int, help="degree bound for the search")
 @click.option("--seed", default=None, type=int)
-@click.option("--intersect-pdsep", is_flag=True, default=False,
-              help="intersect hierarchy candidates with the reachability superset")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               help="append the run report to this JSON-lines file")
 @click.option("--no-checks", is_flag=True, default=False)
-def run(algorithm, graph_path, data_path, alpha, k, seed, intersect_pdsep,
-        report_path, no_checks):
+def run(algorithm, graph_path, data_path, alpha, k, seed, report_path,
+        no_checks):
     """Run a pipeline against an exact or a sample-data oracle."""
     if (graph_path is None) == (data_path is None):
         _fail_input("provide exactly one of --graph or --data")
@@ -85,7 +83,6 @@ def run(algorithm, graph_path, data_path, alpha, k, seed, intersect_pdsep,
         k = max(latent_project(oracle.dag).max_degree(), 1)
     try:
         report = run_pipeline(algorithm, oracle, k=k, seed=seed,
-                              intersect_pdsep=intersect_pdsep,
                               with_checks=not no_checks)
     except ModelViolationError as exc:
         # inconsistent test answers (sample data); not an input error

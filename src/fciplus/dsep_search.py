@@ -6,16 +6,19 @@ bi-directed edge x <-> y flanked by bi-directed edges u <-> x and y <-> v
 with u, v distinct and nonadjacent. For each candidate, conditioning-set
 candidates are built by closing {x, y} plus small adjacent "base" sets under
 the stored separating sets (the hierarchy); a successful candidate is
-minimalized, stored, and the edge removed, after which the augmented
-skeleton and the candidate list are recomputed and previously failed
-candidates are retried.
+minimalized, stored, and the edge removed; the arrowheads derived from
+the new set are added, the candidate list is recomputed, and previously
+failed candidates are retried.
+
+The augmented skeleton only detects candidates: the PAG is oriented from
+the final skeleton and the stored separating sets alone.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .augment import augment_graph
-from .reference import possible_dsep
+from .sepsets import SepsetMap
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,11 @@ def hie(seed, sepsets):
     the closure, until stable.
     """
     closure = set(seed)
+    stored = sepsets.items()
     changed = True
     while changed:
         changed = False
-        for (a, b), zs, _level in sepsets.items():
+        for (a, b), zs, _level in stored:
             if a in closure and b in closure and not zs <= closure:
                 closure |= zs
                 changed = True
@@ -136,19 +140,20 @@ def _base_combinations(base_x, base_y, k):
                     yield frozenset(zx), frozenset(zy)
 
 
-def dsep_search(gplus, sepsets, oracle, k, intersect_pdsep=False, log=None):
+def dsep_search(gplus, sepsets, oracle, k, log=None):
     """Resolve every candidate link in the augmented skeleton.
 
     Pops pending candidates in lexicographic order. For each candidate
     {x, y}, tries conditioning sets hie({x, y} + Zx + Zy) \\ {x, y} over all
     base pairs Zx from Adj(x), Zy from Adj(y) with at most k nodes per side.
     On success the separating set is minimalized and stored, the edge is
-    removed, the graph re-augmented, and every previously failed candidate
-    is reactivated. Terminates when no pending candidate remains.
+    removed, the arrowheads derived from the new set alone are added, and
+    every previously failed candidate is reactivated. Terminates when no
+    pending candidate remains.
 
-    With intersect_pdsep, each hierarchy candidate is intersected with the
-    classic reachability superset of the target separating set before
-    querying (optional query-saving variant; identical output expected).
+    Augmenting with the new set alone is exact: arrowheads only accumulate,
+    and an older set's candidate nodes and edges can only shrink as edges
+    are removed, so repeating an older set would add nothing.
 
     Returns (gplus, sepsets, log).
     """
@@ -166,16 +171,11 @@ def dsep_search(gplus, sepsets, oracle, k, intersect_pdsep=False, log=None):
         x, y = pending[0]
         base_x = sorted(gplus.adj(x) - {y})
         base_y = sorted(gplus.adj(y) - {x})
-        pdsep = None
-        if intersect_pdsep:
-            pdsep = possible_dsep(gplus, x, y) | possible_dsep(gplus, y, x)
         found = None
         combos = 0
         for zx, zy in _base_combinations(base_x, base_y, k):
             combos += 1
             zstar = hie({x, y} | zx | zy, sepsets).closure - {x, y}
-            if pdsep is not None:
-                zstar = zstar & pdsep
             with oracle.stage("dsep_search"):
                 independent = oracle.query(x, y, zstar)
             if independent:
@@ -190,8 +190,9 @@ def dsep_search(gplus, sepsets, oracle, k, intersect_pdsep=False, log=None):
             raise RuntimeError("candidate link (%d, %d) resolved twice" % (x, y))
         zmin = minimal_dsep(x, y, zstar, oracle)
         sepsets.set(x, y, zmin, len(zmin))
-        gplus = gplus.without_edge(x, y)
-        gplus = augment_graph(gplus, sepsets, oracle)
+        new = SepsetMap()
+        new.set(x, y, zmin, len(zmin))
+        gplus = augment_graph(gplus.without_edge(x, y), new, oracle)
         resolved.add((x, y))
         log.resolutions.append({
             "pair": (x, y), "sepset": zmin, "base_x": zx, "base_y": zy,

@@ -328,17 +328,13 @@ def _r10(s, sepsets):
         for a in s.adj(c):
             if not (s.mark(a, c) == CIRCLE and s.mark(c, a) == ARROW):
                 continue
-            done = False
             for b, d in combinations(parent_list, 2):
                 mus = _uncovered_pd_second_vertices(s, a, b)
                 omegas = _uncovered_pd_second_vertices(s, a, d)
                 if any(mu != om and not s.has_edge(mu, om)
                        for mu in mus for om in omegas):
                     changed |= s.set_mark(a, c, TAIL)
-                    done = True
                     break
-            if done:
-                continue
     return changed
 
 

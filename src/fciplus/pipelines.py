@@ -4,7 +4,8 @@ Three pipelines share the adjacency search and orientation machinery:
 
   pc       adjacency search -> collider orientation -> rule set
   fciplus  adjacency search -> augmented skeleton -> hierarchy-based
-           candidate-link search -> collider orientation -> rule set
+           candidate-link search -> collider orientation of the final
+           skeleton -> rule set
   fci      adjacency search -> collider orientation -> exhaustive subset
            search over reachability supersets -> re-orientation -> rule set
 
@@ -28,17 +29,14 @@ ALGORITHMS = ("pc", "fci", "fciplus")
 class PipelineResult:
     """Everything a pipeline produced, for reporting and checking."""
 
-    def __init__(self, algorithm, oracle, k, pag, sepsets, skeleton=None,
-                 gplus=None, gplus_final=None, dsep_log=None, timings=None,
-                 edges_removed=None):
+    def __init__(self, algorithm, oracle, k, pag, sepsets, gplus=None,
+                 dsep_log=None, timings=None, edges_removed=None):
         self.algorithm = algorithm
         self.oracle = oracle
         self.k = k
         self.pag = pag
         self.sepsets = sepsets
-        self.skeleton = skeleton
         self.gplus = gplus
-        self.gplus_final = gplus_final
         self.dsep_log = dsep_log
         self.timings = timings or {}
         self.edges_removed = edges_removed or {}
@@ -64,44 +62,43 @@ def run_pc(oracle, k=None):
                  lambda: apply_fci_rules(orient_v_structures(skeleton, sepsets),
                                          sepsets))
     removed = {"pc_search": _all_pairs(oracle.n_vars) - skeleton.n_edges}
-    return PipelineResult("pc", oracle, k, pag, sepsets, skeleton=skeleton,
-                          timings=timings, edges_removed=removed)
+    return PipelineResult("pc", oracle, k, pag, sepsets, timings=timings,
+                          edges_removed=removed)
 
 
-def run_fciplus(oracle, k, intersect_pdsep=False):
+def run_fciplus(oracle, k):
     timings = {}
     skeleton, sepsets = _timed(timings, "pc_search",
                                lambda: pc_adjacency_search(oracle, k=k))
     gplus = _timed(timings, "augment",
                    lambda: augment_graph(skeleton, sepsets, oracle))
-    gplus_final, sepsets, log = _timed(
-        timings, "dsep_search",
-        lambda: dsep_search(gplus, sepsets, oracle, k,
-                            intersect_pdsep=intersect_pdsep))
+    _, sepsets, log = _timed(timings, "dsep_search",
+                             lambda: dsep_search(gplus, sepsets, oracle, k))
+    final = skeleton.builder()
+    for r in log.resolutions:
+        final.remove_edge(*r["pair"])
+
     def orient():
         with oracle.stage("orientation"):
-            pag = orient_v_structures(gplus_final, sepsets)
+            pag = orient_v_structures(final.build(), sepsets)
             return apply_fci_rules(pag, sepsets)
     pag = _timed(timings, "orientation", orient)
     removed = {"pc_search": _all_pairs(oracle.n_vars) - skeleton.n_edges,
                "dsep_search": len(log.resolutions)}
-    return PipelineResult("fciplus", oracle, k, pag, sepsets,
-                          skeleton=skeleton, gplus=gplus,
-                          gplus_final=gplus_final,
+    return PipelineResult("fciplus", oracle, k, pag, sepsets, gplus=gplus,
                           dsep_log=log.to_json_dict(), timings=timings,
                           edges_removed=removed)
 
 
 def run_fci(oracle, k=None):
     timings = {}
-    pag, skeleton, sepsets, removed = _timed(
+    pag, _, sepsets, removed = _timed(
         timings, "reference", lambda: fci_reference(oracle, k=k))
-    return PipelineResult("fci", oracle, k, pag, sepsets, skeleton=skeleton,
-                          timings=timings, edges_removed=removed)
+    return PipelineResult("fci", oracle, k, pag, sepsets, timings=timings,
+                          edges_removed=removed)
 
 
-def run_pipeline(algorithm, oracle, k=None, seed=None, intersect_pdsep=False,
-                 with_checks=True):
+def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
     """Execute one pipeline and wrap it into a RunReport.
 
     Invariant checks run when the oracle exposes a ground-truth DAG
@@ -113,7 +110,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, intersect_pdsep=False,
     if algorithm == "pc":
         result = run_pc(oracle, k=k)
     elif algorithm == "fciplus":
-        result = run_fciplus(oracle, k, intersect_pdsep=intersect_pdsep)
+        result = run_fciplus(oracle, k)
     else:
         result = run_fci(oracle, k=k)
 
@@ -124,8 +121,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, intersect_pdsep=False,
         result.stats_snapshot = oracle.stats.snapshot()
 
     input_hash = graph_hash(dag) if dag is not None else None
-    config = {"k": k, "intersect_pdsep": bool(intersect_pdsep),
-              "algorithm": algorithm}
+    config = {"k": k, "algorithm": algorithm}
     if hasattr(oracle, "alpha"):
         config["alpha"] = oracle.alpha
     return RunReport(

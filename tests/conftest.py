@@ -80,9 +80,6 @@ class RunBundle:
         self.fci = run_pipeline("fci", DsepOracle(instance.dag),
                                 k=CORPUS_K, seed=instance.seed,
                                 with_checks=False)
-        self.fciplus_intersect = run_pipeline(
-            "fciplus", DsepOracle(instance.dag), k=CORPUS_K,
-            seed=instance.seed, intersect_pdsep=True, with_checks=False)
 
 
 @pytest.fixture(scope="session")

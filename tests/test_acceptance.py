@@ -142,13 +142,6 @@ def test_criterion_6_micro_orientation_completeness(micro_catalog):
             ok, "%d projected graphs checked, %d mismatches" % (len(dags), bad))
 
 
-def test_criterion_7_intersection_flag_equivalence(corpus_runs):
-    diffs = [b.instance.seed for b in corpus_runs
-             if not compare_runs(b.fciplus, b.fciplus_intersect)["identical"]]
-    _report(7, "candidate-intersection variant yields identical output",
-            not diffs, "%d instances differ" % len(diffs))
-
-
 def _deep_queries(report):
     if report.algorithm == "fciplus":
         return sum(report.stats[s]["queries"]

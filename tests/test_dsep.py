@@ -9,7 +9,7 @@ import pytest
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
     augment_graph, dsep_search, find_possible_dsep_links, hie, latent_project,
-    minimal_dsep, pc_adjacency_search,
+    minimal_dsep, pc_adjacency_search, run_pipeline,
 )
 from fciplus.oracles import OracleStats
 from fciplus.generators import canonical_examples, random_sparse_dag
@@ -19,6 +19,14 @@ from .brute import bf_separable
 
 def bidirected(n, pairs):
     return MixedGraph(n, [(a, b, ARROW, ARROW) for a, b in pairs])
+
+
+def planted_dag(seed):
+    rng = random.Random(seed)
+    return random_sparse_dag(rng.choice([8, 9, 10]), 3, n_latent=2,
+                             n_selection=rng.choice([0, 1]),
+                             edge_density=0.08, seed=seed + 5000,
+                             plant_dsep=True)
 
 
 class TestPatternDetection:
@@ -161,11 +169,7 @@ class TestDsepSearch:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_final_skeleton_matches_truth(self, seed):
-        rng = random.Random(seed)
-        dag = random_sparse_dag(rng.choice([8, 9, 10]), 3, n_latent=2,
-                                n_selection=rng.choice([0, 1]),
-                                edge_density=0.08, seed=seed + 5000,
-                                plant_dsep=True)
+        dag = planted_dag(seed)
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle, k=3)
         gplus = augment_graph(skel, seps, oracle)
@@ -196,6 +200,31 @@ class TestDsepSearch:
         assert len(log.resolutions) == 2
         assert len(log.resolutions) <= gplus.n_edges
         assert log.failed_final == []
+
+    @pytest.mark.parametrize("source", [
+        "five_node_deep_link", "hierarchical_links", "transitive_hierarchy",
+        0, 1, 2, 3, 4, 5])
+    def test_each_stored_set_augments_once(self, source):
+        # the incremental augment after each resolution must give the graph
+        # a from-scratch augment of the final skeleton gives, without ever
+        # repeating an augment query
+        if isinstance(source, str):
+            ex = canonical_examples()[source]
+            dag, k = ex.dag, ex.k
+        else:
+            dag, k = planted_dag(source), 3
+        report = run_pipeline("fciplus", DsepOracle(dag), k=k,
+                              with_checks=False)
+        augment = report.stats["augment"]
+        assert augment["queries"] == augment["distinct"]
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=k)
+        g2, seps2, log = dsep_search(augment_graph(skel, seps, oracle), seps,
+                                     oracle, k=k)
+        bare = skel.builder()
+        for r in log.resolutions:
+            bare.remove_edge(*r["pair"])
+        assert g2 == augment_graph(bare.build(), seps2, oracle)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reactivations_bounded(self, seed):

@@ -171,19 +171,6 @@ class TestCli:
         assert res.exit_code == 1
         assert "differ" in res.output
 
-    def test_run_intersect_flag(self, tmp_path):
-        runner = CliRunner()
-        ex = canonical_examples()["five_node_deep_link"]
-        g = tmp_path / "g.json"
-        g.write_text(ex.dag.to_json())
-        r1, r2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        base = ["run", "--alg", "fciplus", "--graph", str(g), "--k", "3"]
-        assert runner.invoke(main, base + ["--report", str(r1)]).exit_code == 0
-        assert runner.invoke(main, base + ["--intersect-pdsep", "--report",
-                                           str(r2)]).exit_code == 0
-        res = runner.invoke(main, ["compare", "--a", str(r1), "--b", str(r2)])
-        assert res.exit_code == 0, res.output
-
     def test_run_rejects_bad_input(self, tmp_path):
         runner = CliRunner()
         res = runner.invoke(main, ["run", "--alg", "fciplus"])
