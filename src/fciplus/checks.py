@@ -35,6 +35,44 @@ def check_arrowhead_soundness(dag, graph):
     return not bad, "unsound arrowheads: %r" % bad if bad else "all arrowheads sound"
 
 
+def _candidates(skeleton, core):
+    """Nodes outside core adjacent to some member of it."""
+    return set().union(*(skeleton.adj(v) for v in core)) - core
+
+
+def check_arrowhead_soundness_augmented(dag, skeleton, sepsets, oracle):
+    """Every arrowhead the stored sets imply on the adjacency-search
+    skeleton is sound, whether or not the search evaluated it.
+
+    Stored set (x, y, Z) places an arrowhead at w on the edge to a core
+    member v iff x is dependent on y given Z + {w}. Such an arrowhead can
+    only be unsound where w is an ancestor of v or of the selection set in
+    the truth, so only those (set, w) pairs are queried, per the oracle
+    under the reference stage; a dependence there is an unsound arrowhead.
+    """
+    back = _obs_to_dag(dag)
+    sel = list(dag.selection)
+    an = [dag.ancestors([back[v]] + sel) for v in range(skeleton.n)]
+    bad = []
+    with oracle.stage("reference"):
+        for (x, y), zs, _lvl in sepsets.items():
+            core = {x, y} | zs
+            for w in sorted(_candidates(skeleton, core)):
+                heads = [v for v in sorted(core & skeleton.adj(w))
+                         if back[w] in an[v]]
+                if heads and not oracle.query(x, y, zs | {w}):
+                    bad.extend((w, v) for v in heads)
+    return not bad, "unsound arrowheads: %r" % bad if bad else \
+        "all arrowheads of %d stored sets sound" % len(sepsets)
+
+
+def augment_budget(skeleton, sepsets):
+    """Most augment queries a run may ask: one per (stored set, candidate)
+    pair, candidates taken from the adjacency-search skeleton."""
+    return sum(len(_candidates(skeleton, {x, y} | zs))
+               for (x, y), zs, _lvl in sepsets.items())
+
+
 def check_tail_soundness(dag, graph):
     """Every tail at w on an edge to v means w is an ancestor of v or of the
     selection set in the truth."""
@@ -152,19 +190,29 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
         "hierarchy separates all %d true candidate links" % len(links)
 
 
-def check_query_bounds(stats, n, k):
-    """Counted queries stay within the polynomial budget: the adjacency
-    stage within 4 * N^(k+2), the whole search within N^(2(k+2))."""
+def check_query_bounds(stats, n, k, augment_cap=None):
+    """Counted queries stay within their budgets: the adjacency stage within
+    4 * N^(k+2), the whole search within N^(2(k+2)), and, when augment_cap
+    is given, the augment stage within it (see augment_budget)."""
+    parts = []
+    ok = True
+    if augment_cap is not None:
+        aug_q = stats["augment"]["queries"]
+        ok = aug_q <= augment_cap
+        parts.append("augment %d <= %d" % (aug_q, augment_cap))
     if k is None:
-        return True, "no degree bound supplied; budget not applicable"
+        parts.append("no degree bound supplied; polynomial budget not applicable")
+        return ok, ", ".join(parts)
     pc_q = stats["pc_search"]["queries"]
     algo_q = sum(stats[s]["queries"]
                  for s in ("pc_search", "augment", "dsep_search",
                            "minimal_dsep", "orientation"))
     pc_budget = 4 * n ** (k + 2)
     total_budget = n ** (2 * (k + 2))
-    ok = pc_q <= pc_budget and algo_q <= total_budget
-    return ok, "pc %d <= %d, total %d <= %d" % (pc_q, pc_budget, algo_q, total_budget)
+    ok = ok and pc_q <= pc_budget and algo_q <= total_budget
+    parts.append("pc %d <= %d, total %d <= %d"
+                 % (pc_q, pc_budget, algo_q, total_budget))
+    return ok, ", ".join(parts)
 
 
 def run_invariant_checks(dag, result):
@@ -178,9 +226,12 @@ def run_invariant_checks(dag, result):
 
     add("arrowhead_soundness_pag", check_arrowhead_soundness(dag, result.pag))
     add("tail_soundness_pag", check_tail_soundness(dag, result.pag))
-    if result.gplus is not None:
+    augment_cap = None
+    if result.skeleton is not None:
         add("arrowhead_soundness_augmented",
-            check_arrowhead_soundness(dag, result.gplus))
+            check_arrowhead_soundness_augmented(dag, result.skeleton,
+                                                result.sepsets, result.oracle))
+        augment_cap = augment_budget(result.skeleton, result.sepsets)
     add("sepsets_minimal", check_sepsets(result.sepsets, result.oracle))
     add("hierarchy_ancestry", check_hierarchy_ancestry(dag, result.sepsets))
     if result.dsep_log is not None:
@@ -190,5 +241,5 @@ def run_invariant_checks(dag, result):
                                             result.oracle))
     add("query_bounds",
         check_query_bounds(result.stats_snapshot, result.oracle.n_vars,
-                           result.k))
+                           result.k, augment_cap))
     return out

@@ -3,12 +3,14 @@ endpoints, using hierarchies of stored minimal separating sets.
 
 Candidate edges are recognized by a pattern in the augmented skeleton: a
 bi-directed edge x <-> y flanked by bi-directed edges u <-> x and y <-> v
-with u, v distinct and nonadjacent. For each candidate, conditioning-set
-candidates are built by closing {x, y} plus small adjacent "base" sets under
-the stored separating sets (the hierarchy); a successful candidate is
-minimalized, stored, and the edge removed; the arrowheads derived from
-the new set are added, the candidate list is recomputed, and previously
-failed candidates are retried.
+with u, v distinct and nonadjacent. The search starts from the bare
+adjacency-search skeleton and evaluates the arrowheads of the augmented
+skeleton on demand (augment.AugmentedSkeleton), only on edges whose flanks
+already fit the pattern. For each candidate, conditioning-set candidates
+are built by closing {x, y} plus small adjacent "base" sets under the
+stored separating sets (the hierarchy); a successful candidate is
+minimalized, stored, and the edge removed; the candidate list is recomputed
+and previously failed candidates are retried.
 
 The augmented skeleton only detects candidates: the PAG is oriented from
 the final skeleton and the stored separating sets alone.
@@ -17,8 +19,7 @@ the final skeleton and the stored separating sets alone.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .augment import augment_graph
-from .sepsets import SepsetMap
+from .augment import AugmentedSkeleton
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class DsepLog:
         }
 
 
-def find_possible_dsep_links(gplus):
-    """Ordered list of edges matching the candidate pattern in gplus.
+def find_possible_dsep_links(g):
+    """Ordered list of edges matching the candidate pattern in g.
 
     An edge {x, y} qualifies iff it is bi-directed and there are nodes
     u, v outside {x, y} with u <-> x and y <-> v bi-directed, u != v, and
@@ -66,24 +67,20 @@ def find_possible_dsep_links(gplus):
     edges: the directional path conditions that could prune it further are
     deliberately not checked (extra candidates cost queries, never
     correctness).
+
+    g is a MixedGraph or an AugmentedSkeleton. The structural part of the
+    pattern (distinct nonadjacent flanks) is checked before any arrowhead
+    is read, and the arrowhead test stops at the first matching flank pair,
+    so an on-demand graph evaluates only the arrowheads the answer needs.
     """
     links = []
-    for x, y in gplus.edge_pairs():
-        if not gplus.is_bidirected(x, y):
-            continue
-        flanks_x = [u for u in sorted(gplus.adj(x))
-                    if u != y and gplus.is_bidirected(u, x)]
-        flanks_y = [v for v in sorted(gplus.adj(y))
-                    if v != x and gplus.is_bidirected(v, y)]
-        found = False
-        for u in flanks_x:
-            for v in flanks_y:
-                if u != v and not gplus.has_edge(u, v):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
+    for x, y in g.edge_pairs():
+        flanks = [(u, v) for u in sorted(g.adj(x)) if u != y
+                  for v in sorted(g.adj(y))
+                  if v != x and u != v and not g.has_edge(u, v)]
+        if flanks and g.is_bidirected(x, y) and any(
+                g.is_bidirected(u, x) and g.is_bidirected(y, v)
+                for u, v in flanks):
             links.append((x, y))
     return links
 
@@ -91,18 +88,20 @@ def find_possible_dsep_links(gplus):
 def hie(seed, sepsets):
     """Least fixpoint closure of seed under the stored separating sets.
 
-    Repeatedly adds the members of every stored set whose pair lies inside
-    the closure, until stable.
+    Adds the members of every stored set whose pair lies inside the
+    closure, until stable. Each node entering the closure is visited once
+    and looks up its stored partners, so a pair is closed over as soon as
+    its second endpoint arrives.
     """
     closure = set(seed)
-    stored = sepsets.items()
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), zs, _level in stored:
-            if a in closure and b in closure and not zs <= closure:
-                closure |= zs
-                changed = True
+    work = list(closure)
+    while work:
+        a = work.pop()
+        for b, zs in sepsets.partners(a).items():
+            if b in closure:
+                new = zs - closure
+                closure |= new
+                work.extend(new)
     return Hierarchy(seed=frozenset(seed), closure=frozenset(closure))
 
 
@@ -140,37 +139,37 @@ def _base_combinations(base_x, base_y, k):
                     yield frozenset(zx), frozenset(zy)
 
 
-def dsep_search(gplus, sepsets, oracle, k, log=None):
-    """Resolve every candidate link in the augmented skeleton.
+def dsep_search(skeleton, sepsets, oracle, k, log=None):
+    """Resolve every candidate link of the augmented skeleton over skeleton.
 
     Pops pending candidates in lexicographic order. For each candidate
     {x, y}, tries conditioning sets hie({x, y} + Zx + Zy) \\ {x, y} over all
     base pairs Zx from Adj(x), Zy from Adj(y) with at most k nodes per side.
     On success the separating set is minimalized and stored, the edge is
-    removed, the arrowheads derived from the new set alone are added, and
-    every previously failed candidate is reactivated. Terminates when no
-    pending candidate remains.
+    removed, and every previously failed candidate is reactivated.
+    Terminates when no pending candidate remains.
 
-    Augmenting with the new set alone is exact: arrowheads only accumulate,
-    and an older set's candidate nodes and edges can only shrink as edges
-    are removed, so repeating an older set would add nothing.
+    The arrowheads that detect candidates are evaluated on demand over the
+    stored sets (AugmentedSkeleton); arrowheads skeleton already carries
+    are kept.
 
-    Returns (gplus, sepsets, log).
+    Returns (final skeleton, sepsets, log).
     """
     if log is None:
         log = DsepLog()
     sepsets = sepsets.copy()
+    g = AugmentedSkeleton(skeleton, sepsets, oracle)
     resolved = set()
     tried_failed = set()
-    links = find_possible_dsep_links(gplus)
+    links = find_possible_dsep_links(g)
     log.detected.append(list(links))
     while True:
         pending = [p for p in links if p not in tried_failed and p not in resolved]
         if not pending:
             break
         x, y = pending[0]
-        base_x = sorted(gplus.adj(x) - {y})
-        base_y = sorted(gplus.adj(y) - {x})
+        base_x = sorted(g.adj(x) - {y})
+        base_y = sorted(g.adj(y) - {x})
         found = None
         combos = 0
         for zx, zy in _base_combinations(base_x, base_y, k):
@@ -190,9 +189,7 @@ def dsep_search(gplus, sepsets, oracle, k, log=None):
             raise RuntimeError("candidate link (%d, %d) resolved twice" % (x, y))
         zmin = minimal_dsep(x, y, zstar, oracle)
         sepsets.set(x, y, zmin, len(zmin))
-        new = SepsetMap()
-        new.set(x, y, zmin, len(zmin))
-        gplus = augment_graph(gplus.without_edge(x, y), new, oracle)
+        g.remove_edge(x, y, zmin)
         resolved.add((x, y))
         log.resolutions.append({
             "pair": (x, y), "sepset": zmin, "base_x": zx, "base_y": zy,
@@ -200,7 +197,7 @@ def dsep_search(gplus, sepsets, oracle, k, log=None):
         })
         log.reactivations += len(tried_failed)
         tried_failed.clear()
-        links = find_possible_dsep_links(gplus)
+        links = find_possible_dsep_links(g)
         log.detected.append(list(links))
     log.failed_final = sorted(tried_failed)
-    return gplus, sepsets, log
+    return g.graph, sepsets, log

@@ -87,6 +87,7 @@ class IndependenceOracle:
         self.memo_enabled = memo
         self._memo = {}
         self.stats = OracleStats()
+        self.n_test_errors = 0   # answers from a degenerate test (sample data)
         self._stage = "reference"
 
     @contextmanager
@@ -203,7 +204,6 @@ class GaussOracle(IndependenceOracle):
         self.n_samples = data.shape[0]
         self.cov = np.cov(data, rowvar=False)
         self.alpha = alpha
-        self.n_test_errors = 0
         super().__init__(data.shape[1], names=names, memo=memo)
 
     @classmethod

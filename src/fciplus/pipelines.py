@@ -3,9 +3,9 @@
 Three pipelines share the adjacency search and orientation machinery:
 
   pc       adjacency search -> collider orientation -> rule set
-  fciplus  adjacency search -> augmented skeleton -> hierarchy-based
-           candidate-link search -> collider orientation of the final
-           skeleton -> rule set
+  fciplus  adjacency search -> hierarchy-based candidate-link search, with
+           the augmented skeleton's arrowheads evaluated on demand ->
+           collider orientation of the final skeleton -> rule set
   fci      adjacency search -> collider orientation -> exhaustive subset
            search over reachability supersets -> re-orientation -> rule set
 
@@ -15,7 +15,6 @@ the oracle carries a ground-truth DAG, the embedded invariant-check suite.
 
 import time
 
-from .augment import augment_graph
 from .dsep_search import dsep_search
 from .orientation import apply_fci_rules, orient_v_structures
 from .pc import pc_adjacency_search
@@ -29,14 +28,14 @@ ALGORITHMS = ("pc", "fci", "fciplus")
 class PipelineResult:
     """Everything a pipeline produced, for reporting and checking."""
 
-    def __init__(self, algorithm, oracle, k, pag, sepsets, gplus=None,
+    def __init__(self, algorithm, oracle, k, pag, sepsets, skeleton=None,
                  dsep_log=None, timings=None, edges_removed=None):
         self.algorithm = algorithm
         self.oracle = oracle
         self.k = k
         self.pag = pag
         self.sepsets = sepsets
-        self.gplus = gplus
+        self.skeleton = skeleton   # fciplus: the adjacency-search skeleton
         self.dsep_log = dsep_log
         self.timings = timings or {}
         self.edges_removed = edges_removed or {}
@@ -70,22 +69,17 @@ def run_fciplus(oracle, k):
     timings = {}
     skeleton, sepsets = _timed(timings, "pc_search",
                                lambda: pc_adjacency_search(oracle, k=k))
-    gplus = _timed(timings, "augment",
-                   lambda: augment_graph(skeleton, sepsets, oracle))
-    _, sepsets, log = _timed(timings, "dsep_search",
-                             lambda: dsep_search(gplus, sepsets, oracle, k))
-    final = skeleton.builder()
-    for r in log.resolutions:
-        final.remove_edge(*r["pair"])
+    final, sepsets, log = _timed(timings, "dsep_search",
+                                 lambda: dsep_search(skeleton, sepsets, oracle, k))
 
     def orient():
         with oracle.stage("orientation"):
-            pag = orient_v_structures(final.build(), sepsets)
+            pag = orient_v_structures(final, sepsets)
             return apply_fci_rules(pag, sepsets)
     pag = _timed(timings, "orientation", orient)
     removed = {"pc_search": _all_pairs(oracle.n_vars) - skeleton.n_edges,
                "dsep_search": len(log.resolutions)}
-    return PipelineResult("fciplus", oracle, k, pag, sepsets, gplus=gplus,
+    return PipelineResult("fciplus", oracle, k, pag, sepsets, skeleton=skeleton,
                           dsep_log=log.to_json_dict(), timings=timings,
                           edges_removed=removed)
 
@@ -131,5 +125,5 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
         pag=result.pag, stats=result.stats_snapshot, config=config,
         seed=seed, input_hash=input_hash, timings=result.timings,
         dsep_log=result.dsep_log, checks=checks,
-        edges_removed=result.edges_removed,
+        edges_removed=result.edges_removed, test_errors=oracle.n_test_errors,
     )

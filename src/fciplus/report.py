@@ -2,9 +2,11 @@
 
 A RunReport captures everything needed to audit and replay a run: the
 output graph, per-stage query counters, stage timings, the candidate-link
-log, and the results of the built-in invariant checks. Reports serialize to
-one JSON object per line; replaying the same seed and configuration must
-reproduce the report bit-identically up to the timing fields.
+log, the results of the built-in invariant checks, and the number of
+sample-data tests answered from a degenerate covariance (always 0 for an
+exact oracle). Reports serialize to one JSON object per line; replaying the
+same seed and configuration must reproduce the report bit-identically up to
+the timing fields.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ class RunReport:
     dsep_log: dict = None
     checks: dict = field(default_factory=dict)
     edges_removed: dict = field(default_factory=dict)
+    test_errors: int = 0
 
     def checks_ok(self):
         return all(c.get("ok", True) for c in self.checks.values())
@@ -52,6 +55,7 @@ class RunReport:
             "dsep_log": self.dsep_log,
             "checks": self.checks,
             "edges_removed": self.edges_removed,
+            "test_errors": self.test_errors,
         }
 
     def to_json_line(self):
@@ -66,6 +70,7 @@ class RunReport:
             input_hash=d.get("input_hash"), timings=d.get("timings", {}),
             dsep_log=d.get("dsep_log"), checks=d.get("checks", {}),
             edges_removed=d.get("edges_removed", {}),
+            test_errors=d.get("test_errors", 0),
         )
 
     @classmethod

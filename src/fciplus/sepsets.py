@@ -13,6 +13,7 @@ class SepsetMap:
 
     def __init__(self):
         self._sets = {}
+        self._partners = {}   # node -> {partner: stored set}
 
     @staticmethod
     def _key(x, y):
@@ -21,7 +22,10 @@ class SepsetMap:
         return (x, y) if x < y else (y, x)
 
     def set(self, x, y, zs, level):
-        self._sets[self._key(x, y)] = (frozenset(zs), level)
+        zs = frozenset(zs)
+        self._sets[self._key(x, y)] = (zs, level)
+        self._partners.setdefault(x, {})[y] = zs
+        self._partners.setdefault(y, {})[x] = zs
 
     def has(self, x, y):
         return self._key(x, y) in self._sets
@@ -35,6 +39,10 @@ class SepsetMap:
         entry = self._sets.get(self._key(x, y))
         return entry[1] if entry is not None else None
 
+    def partners(self, v):
+        """{w: stored set of the pair {v, w}} over the pairs containing v."""
+        return self._partners.get(v, {})
+
     def pairs(self):
         return sorted(self._sets)
 
@@ -45,6 +53,7 @@ class SepsetMap:
     def copy(self):
         out = SepsetMap()
         out._sets = dict(self._sets)
+        out._partners = {v: dict(p) for v, p in self._partners.items()}
         return out
 
     def __len__(self):

@@ -6,9 +6,11 @@ import pytest
 
 from fciplus import (
     ARROW, CIRCLE, CausalDag, DsepOracle, augment_graph,
-    orient_v_structures, pc_adjacency_search,
+    orient_v_structures, pc_adjacency_search, run_pipeline,
 )
 from fciplus.generators import canonical_examples, random_sparse_dag
+
+from .test_dsep import planted_dag
 
 
 def run_to_gplus(dag, k=None):
@@ -80,3 +82,35 @@ class TestAugment:
                 assert gplus.mark(a, b) == ARROW
             if mb == ARROW:
                 assert gplus.mark(b, a) == ARROW
+
+
+class _FlippedOracle(DsepOracle):
+    """Exact oracle that answers one independence query "dependent"."""
+
+    def __init__(self, dag, flipped):
+        super().__init__(dag)
+        self.flipped = flipped
+
+    def _decide(self, x, y, zkey):
+        return (x, y, zkey) != self.flipped and super()._decide(x, y, zkey)
+
+
+class TestAugmentedSoundnessCheck:
+    @pytest.mark.parametrize("source, flipped", [
+        # 0 -> 1 -> 2 and 3 -> 1: the adjacency search stores
+        # sep(0, 2) = {1}, and candidate 3 is an ancestor of core member 1
+        ("star", (0, 2, frozenset({1, 3}))),
+        # the deep search stores sep(2, 6) = {3, 5, 7}, and candidate 1
+        # is an ancestor of core member 6
+        (3, (2, 6, frozenset({1, 3, 5, 7}))),
+    ])
+    def test_flipped_ancestral_candidate_fails(self, source, flipped):
+        if source == "star":
+            dag = CausalDag(4, [(0, 1), (1, 2), (3, 1)], observed=range(4))
+        else:
+            dag = planted_dag(source)
+        assert DsepOracle(dag).query(*flipped)
+        clean = run_pipeline("fciplus", DsepOracle(dag), k=3)
+        assert clean.checks["arrowhead_soundness_augmented"]["ok"]
+        mutated = run_pipeline("fciplus", _FlippedOracle(dag, flipped), k=3)
+        assert not mutated.checks["arrowhead_soundness_augmented"]["ok"]

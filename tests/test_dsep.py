@@ -103,6 +103,41 @@ class TestHierarchy:
         assert m["Z3"] in hie(seed, seps).closure
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_naive_fixpoint(self, seed):
+        # random maps, overwritten entries and copies updated after the
+        # copy: the partner index must follow every change
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randint(2, 9)
+            seps = SepsetMap()
+            for a, b in itertools.combinations(range(n), 2):
+                for _ in range(rng.choice([0, 0, 1, 2])):
+                    rest = [v for v in range(n) if v not in (a, b)]
+                    zs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
+                    seps.set(a, b, zs, len(zs))
+            maps = [seps]
+            if n > 2:
+                grown = seps.copy()
+                grown.set(0, 1, {2}, 1)
+                maps.append(grown)
+            for m in maps:
+                seed_set = set(rng.sample(range(n), rng.randint(0, n)))
+                assert hie(seed_set, m).closure == naive_closure(seed_set, m)
+
+
+def naive_closure(seed, sepsets):
+    closure = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), zs, _level in sepsets.items():
+            if a in closure and b in closure and not zs <= closure:
+                closure |= zs
+                changed = True
+    return closure
+
+
 class TestMinimalDsep:
     def test_already_minimal_unchanged(self):
         dag = CausalDag(3, [(0, 1), (1, 2)], observed=range(3))
@@ -205,9 +240,10 @@ class TestDsepSearch:
         "five_node_deep_link", "hierarchical_links", "transitive_hierarchy",
         0, 1, 2, 3, 4, 5])
     def test_each_stored_set_augments_once(self, source):
-        # the incremental augment after each resolution must give the graph
-        # a from-scratch augment of the final skeleton gives, without ever
-        # repeating an augment query
+        # the on-demand arrowheads never repeat an augment query, and each
+        # pass detects exactly the candidates of the fully materialized
+        # augmented skeleton: the adjacency-search skeleton minus the pairs
+        # resolved so far, under the stored sets known at that point
         if isinstance(source, str):
             ex = canonical_examples()[source]
             dag, k = ex.dag, ex.k
@@ -219,12 +255,16 @@ class TestDsepSearch:
         assert augment["queries"] == augment["distinct"]
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle, k=k)
-        g2, seps2, log = dsep_search(augment_graph(skel, seps, oracle), seps,
-                                     oracle, k=k)
-        bare = skel.builder()
-        for r in log.resolutions:
-            bare.remove_edge(*r["pair"])
-        assert g2 == augment_graph(bare.build(), seps2, oracle)
+        bare, stored = skel.builder(), seps.copy()
+        log = report.dsep_log
+        assert len(log["detected"]) == len(log["resolutions"]) + 1
+        for i, batch in enumerate(log["detected"]):
+            gplus = augment_graph(bare.build(), stored, oracle)
+            assert [tuple(p) for p in batch] == find_possible_dsep_links(gplus)
+            if i < len(log["resolutions"]):
+                r = log["resolutions"][i]
+                bare.remove_edge(*r["pair"])
+                stored.set(*r["pair"], r["sepset"], len(r["sepset"]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reactivations_bounded(self, seed):
@@ -296,3 +336,25 @@ class TestWorkListSemantics:
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(1, 2)
         assert len(log.resolutions) == 1
+
+    def test_resolution_set_exposes_new_candidate(self):
+        # Bare circle chains 0-1-2-3 and 4-5-6-7; every augment query not
+        # in the table answers dependent. Before the search no stored core
+        # holds 1 without 0, so 0 *-> 1 is missing and only (5, 6) fits
+        # the pattern. (5, 6) resolves through the hierarchy of {4, 7}
+        # with Zmin = {1, 4, 7}, whose augment query for candidate 0 places
+        # 0 *-> 1 and makes (1, 2) a candidate in the next pass.
+        g = MixedGraph(8, [(a, b, CIRCLE, CIRCLE) for a, b in
+                           [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]])
+        seps = SepsetMap()
+        for a, b, zs in [(0, 2, ()), (0, 3, (1,)), (4, 6, ()), (5, 7, ()),
+                         (4, 7, (0, 3))]:
+            seps.set(a, b, zs, len(zs))
+        table = {(5, 6, frozenset(zs)): True
+                 for zs in [{0, 1, 3, 4, 7}, {1, 3, 4, 7}, {1, 4, 7}]}
+        oracle = _ScriptedOracle(table, 8)
+        _, seps2, log = dsep_search(g, seps, oracle, k=1)
+        assert seps2.get(5, 6) == {1, 4, 7}
+        assert log.detected == [[(5, 6)], [(1, 2)]]
+        augment = oracle.stats.stages["augment"]
+        assert augment.queries == augment.distinct

@@ -1,5 +1,6 @@
 """Oracles: d-separation delegation, stage accounting, Fisher z testing."""
 
+from dataclasses import replace
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from fciplus import (
     CausalDag, DsepOracle, GaussOracle, OracleError, d_separated,
     fisher_z_test, run_pipeline,
 )
+from fciplus.report import RunReport
 
 
 def fork_dag():
@@ -199,3 +201,20 @@ class TestGaussOracle:
         assert report.pag.mark(1, 0) == ARROW
         assert report.pag.mark(1, 2) == ARROW
         assert not report.pag.has_edge(0, 2)
+
+    def test_degenerate_tests_reach_the_report(self):
+        # two collinear columns make every covariance submatrix holding
+        # both singular; each such answer is counted in the report
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((2, 300))
+        data = np.column_stack([a, 2 * a, b])
+        report = run_pipeline("fciplus", GaussOracle(data), k=2)
+        assert report.test_errors > 0
+        back = RunReport.from_json_line(report.to_json_line())
+        assert back.test_errors == report.test_errors
+        assert back.replay_key() != replace(back, test_errors=0).replay_key()
+        old = report.to_json_dict()
+        del old["test_errors"]
+        assert RunReport.from_json_dict(old).test_errors == 0
+        exact = run_pipeline("fciplus", DsepOracle(fork_dag()), k=2)
+        assert exact.test_errors == 0
