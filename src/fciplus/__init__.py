@@ -5,11 +5,11 @@ nonadjacent to both endpoints, plus the reference algorithms to verify it."""
 from .graphs import (
     ARROW, CIRCLE, TAIL,
     CausalDag, GraphError, MixedGraph, MixedGraphBuilder, ModelViolationError,
-    ancestors, d_separated, latent_project, m_separated,
+    d_separated, latent_project, m_separated,
 )
 from .oracles import (
-    STAGES, DsepOracle, GaussOracle, IndependenceOracle, OracleError,
-    OracleStats, fisher_z_test,
+    ALGORITHM_STAGES, STAGES, DsepOracle, GaussOracle, IndependenceOracle,
+    OracleError, OracleStats, fisher_z_test,
 )
 from .sepsets import SepsetMap
 from .pc import pc_adjacency_search
@@ -26,7 +26,7 @@ from .generators import (
     CanonicalExample, ExampleValidationError, GenerationError,
     canonical_examples, has_dsep_link, random_sparse_dag,
 )
-from .pipelines import run_fci, run_fciplus, run_pc, run_pipeline
+from .pipelines import run_pipeline
 from .report import RunReport, compare_runs
 
 __version__ = "0.1.0"

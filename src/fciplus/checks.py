@@ -9,8 +9,9 @@ clean.
 
 from itertools import combinations
 
-from .graphs import ARROW, TAIL, d_separated, latent_project
+from .graphs import ARROW, TAIL, dsep_walk, latent_project
 from .dsep_search import hie
+from .oracles import ALGORITHM_STAGES
 
 
 def _obs_to_dag(dag):
@@ -160,8 +161,8 @@ def _true_dsep_links(dag, mag):
         separable_adjacent = False
         for r in range(len(pool) + 1):
             for zs in combinations(pool, r):
-                if d_separated(dag, back[x], back[y],
-                               {back[v] for v in zs} | sel):
+                if dsep_walk(dag, back[x], back[y],
+                             {back[v] for v in zs} | sel):
                     separable_adjacent = True
                     break
             if separable_adjacent:
@@ -204,9 +205,7 @@ def check_query_bounds(stats, n, k, augment_cap=None):
         parts.append("no degree bound supplied; polynomial budget not applicable")
         return ok, ", ".join(parts)
     pc_q = stats["pc_search"]["queries"]
-    algo_q = sum(stats[s]["queries"]
-                 for s in ("pc_search", "augment", "dsep_search",
-                           "minimal_dsep", "orientation"))
+    algo_q = sum(stats[s]["queries"] for s in ALGORITHM_STAGES)
     pc_budget = 4 * n ** (k + 2)
     total_budget = n ** (2 * (k + 2))
     ok = ok and pc_q <= pc_budget and algo_q <= total_budget
@@ -215,8 +214,11 @@ def check_query_bounds(stats, n, k, augment_cap=None):
     return ok, ", ".join(parts)
 
 
-def run_invariant_checks(dag, result):
-    """Full suite over a finished pipeline result; returns {name: {ok, detail}}."""
+def run_invariant_checks(dag, oracle, k, pag, sepsets, skeleton=None,
+                         dsep_log=None):
+    """Full suite over a finished run: its PAG and stored sets and, for
+    fciplus, the adjacency-search skeleton and the deep-search log. Returns
+    {name: {ok, detail}}."""
     out = {}
     mag = latent_project(dag)
 
@@ -224,22 +226,20 @@ def run_invariant_checks(dag, result):
         ok, detail = pair
         out[name] = {"ok": bool(ok), "detail": detail}
 
-    add("arrowhead_soundness_pag", check_arrowhead_soundness(dag, result.pag))
-    add("tail_soundness_pag", check_tail_soundness(dag, result.pag))
+    add("arrowhead_soundness_pag", check_arrowhead_soundness(dag, pag))
+    add("tail_soundness_pag", check_tail_soundness(dag, pag))
     augment_cap = None
-    if result.skeleton is not None:
+    if skeleton is not None:
         add("arrowhead_soundness_augmented",
-            check_arrowhead_soundness_augmented(dag, result.skeleton,
-                                                result.sepsets, result.oracle))
-        augment_cap = augment_budget(result.skeleton, result.sepsets)
-    add("sepsets_minimal", check_sepsets(result.sepsets, result.oracle))
-    add("hierarchy_ancestry", check_hierarchy_ancestry(dag, result.sepsets))
-    if result.dsep_log is not None:
-        add("resolved_links", check_resolved_links(dag, result.dsep_log))
+            check_arrowhead_soundness_augmented(dag, skeleton, sepsets, oracle))
+        augment_cap = augment_budget(skeleton, sepsets)
+    add("sepsets_minimal", check_sepsets(sepsets, oracle))
+    add("hierarchy_ancestry", check_hierarchy_ancestry(dag, sepsets))
+    if dsep_log is not None:
+        add("resolved_links", check_resolved_links(dag, dsep_log))
         add("hierarchy_separates_links",
-            check_hierarchy_separates_links(dag, mag, result.sepsets,
-                                            result.oracle))
+            check_hierarchy_separates_links(dag, mag, sepsets, oracle))
     add("query_bounds",
-        check_query_bounds(result.stats_snapshot, result.oracle.n_vars,
-                           result.k, augment_cap))
+        check_query_bounds(oracle.stats.to_dict(), oracle.n_vars, k,
+                           augment_cap))
     return out

@@ -15,7 +15,7 @@ from .generators import GenerationError, has_dsep_link, random_sparse_dag
 from .graphs import (
     CausalDag, GraphError, MixedGraph, ModelViolationError, latent_project,
 )
-from .oracles import DsepOracle, GaussOracle, OracleError
+from .oracles import ALGORITHM_STAGES, DsepOracle, GaussOracle, OracleError
 from .pipelines import ALGORITHMS, run_pipeline
 from .report import RunReport, compare_runs, format_diff
 
@@ -158,10 +158,8 @@ def bench(corpus, algs, k, out_path):
         for a in algorithms:
             report = run_pipeline(a, DsepOracle(dag), k=k)
             reports.append(report)
-            algo_stages = ("pc_search", "augment", "dsep_search",
-                           "minimal_dsep", "orientation")
             q = sum(report.stats[s]["queries"] for s in
-                    (algo_stages if a != "fci" else report.stats))
+                    (ALGORITHM_STAGES if a != "fci" else report.stats))
             totals[a] += q
             if report.checks and not report.checks_ok():
                 failures += 1

@@ -2,8 +2,12 @@
 
 Variables are dense integer ids 0..n-1; iteration is always in ascending id
 order so that every run is reproducible. Graphs are immutable values: edits
-go through MixedGraphBuilder or the with_*/without_* helpers, which return
-new graphs.
+go through MixedGraphBuilder (or `without_edge`), which returns a new graph.
+MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
+adjacent pair. Variable ids are checked once at the boundary: by the
+constructors, `MixedGraphBuilder.add_edge`, `d_separated`, `m_separated`
+and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`) and
+`dsep_walk` trust their callers.
 
 Edge mark conventions: an edge {a, b} carries one mark per endpoint. A
 directed edge a -> b has TAIL at a and ARROW at b; a <-> b has ARROW at both
@@ -11,8 +15,8 @@ ends; a -- b has TAIL at both ends. An arrowhead at a on the edge to b reads
 "a is not an ancestor of b (or of the selection set)".
 """
 
+from bisect import insort
 from collections import deque
-from itertools import combinations
 import json
 
 TAIL = "tail"
@@ -32,10 +36,6 @@ class ModelViolationError(GraphError):
     """
 
 
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def _check_var(v, n):
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
         raise GraphError("unknown variable id %r (graph has %d variables)" % (v, n))
@@ -45,7 +45,43 @@ def default_names(n, prefix="X"):
     return tuple("%s%d" % (prefix, i) for i in range(n))
 
 
-class MixedGraph:
+class _MarkTable:
+    """Read methods over a mark table: a dict from each ordered adjacent
+    pair (x, y) to the mark at x on the edge {x, y}, both orders stored."""
+
+    __slots__ = ()
+
+    def has_edge(self, x, y):
+        return (x, y) in self._marks
+
+    def mark(self, x, y):
+        """Mark at x on the edge {x, y}, or None when x, y are nonadjacent."""
+        return self._marks.get((x, y))
+
+    def is_directed_edge(self, x, y):
+        """True iff the edge x -> y exists (tail at x, arrow at y)."""
+        marks = self._marks
+        return marks.get((x, y)) == TAIL and marks.get((y, x)) == ARROW
+
+    def is_bidirected(self, x, y):
+        marks = self._marks
+        return marks.get((x, y)) == ARROW and marks.get((y, x)) == ARROW
+
+    def is_undirected(self, x, y):
+        marks = self._marks
+        return marks.get((x, y)) == TAIL and marks.get((y, x)) == TAIL
+
+    def edge_pairs(self):
+        """Sorted (a, b) pairs with a < b."""
+        return sorted(p for p in self._marks if p[0] < p[1])
+
+    def edges(self):
+        """Sorted list of (a, b, mark_at_a, mark_at_b) with a < b."""
+        marks = self._marks
+        return [(a, b, marks[(a, b)], marks[(b, a)]) for a, b in self.edge_pairs()]
+
+
+class MixedGraph(_MarkTable):
     """Immutable graph with per-endpoint marks (tail / arrow / circle).
 
     Represents skeletons, augmented skeletons, MAGs and PAGs. At most one
@@ -58,12 +94,10 @@ class MixedGraph:
     def __init__(self, n, edges=(), names=None):
         if n < 0:
             raise GraphError("variable count must be >= 0")
-        self.n = n
-        self.names = tuple(names) if names is not None else default_names(n)
-        if len(self.names) != n:
-            raise GraphError("expected %d names, got %d" % (n, len(self.names)))
+        names = tuple(names) if names is not None else default_names(n)
+        if len(names) != n:
+            raise GraphError("expected %d names, got %d" % (n, len(names)))
         marks = {}
-        adj = [set() for _ in range(n)]
         for a, b, ma, mb in edges:
             _check_var(a, n)
             _check_var(b, n)
@@ -71,72 +105,41 @@ class MixedGraph:
                 raise GraphError("self loop at %d" % a)
             if ma not in MARKS or mb not in MARKS:
                 raise GraphError("bad endpoint mark %r/%r" % (ma, mb))
-            if a > b:
-                a, b, ma, mb = b, a, mb, ma
             if (a, b) in marks:
-                raise GraphError("duplicate edge {%d,%d}" % (a, b))
-            marks[(a, b)] = (ma, mb)
-            adj[a].add(b)
-            adj[b].add(a)
+                raise GraphError("duplicate edge {%d,%d}" % (min(a, b), max(a, b)))
+            marks[(a, b)] = ma
+            marks[(b, a)] = mb
+        self._init(n, names, marks)
+
+    def _init(self, n, names, marks):
+        self.n = n
+        self.names = names
         self._marks = marks
+        adj = [set() for _ in range(n)]
+        for a, b in marks:
+            adj[a].add(b)
         self._adj = tuple(frozenset(s) for s in adj)
         self._hash = None
         self._cache = {}
 
+    @classmethod
+    def _from_table(cls, n, names, marks):
+        """A graph over an already validated mark table."""
+        g = cls.__new__(cls)
+        g._init(n, names, marks)
+        return g
+
     # -- basic queries ----------------------------------------------------
-
-    def edges(self):
-        """Sorted list of (a, b, mark_at_a, mark_at_b) with a < b."""
-        return [(a, b) + self._marks[(a, b)] for a, b in sorted(self._marks)]
-
-    def edge_pairs(self):
-        return sorted(self._marks)
 
     @property
     def n_edges(self):
-        return len(self._marks)
+        return len(self._marks) // 2
 
     def adj(self, x):
-        _check_var(x, self.n)
         return self._adj[x]
-
-    def degree(self, x):
-        return len(self.adj(x))
 
     def max_degree(self):
         return max((len(s) for s in self._adj), default=0)
-
-    def has_edge(self, x, y):
-        _check_var(x, self.n)
-        _check_var(y, self.n)
-        return _pair(x, y) in self._marks
-
-    def mark(self, x, y):
-        """Mark at x on the edge {x, y}."""
-        key = _pair(x, y)
-        if key not in self._marks:
-            raise GraphError("no edge {%d,%d}" % (x, y))
-        ma, mb = self._marks[key]
-        return ma if x == key[0] else mb
-
-    def is_directed_edge(self, x, y):
-        """True iff the edge x -> y exists (tail at x, arrow at y)."""
-        key = _pair(x, y)
-        if key not in self._marks:
-            return False
-        return self.mark(x, y) == TAIL and self.mark(y, x) == ARROW
-
-    def is_bidirected(self, x, y):
-        key = _pair(x, y)
-        if key not in self._marks:
-            return False
-        return self._marks[key] == (ARROW, ARROW)
-
-    def parents(self, x):
-        return frozenset(v for v in self.adj(x) if self.is_directed_edge(v, x))
-
-    def children(self, x):
-        return frozenset(v for v in self.adj(x) if self.is_directed_edge(x, v))
 
     # -- ancestry ----------------------------------------------------------
 
@@ -146,33 +149,20 @@ class MixedGraph:
         Directed path means every edge is traversed tail-at-source,
         arrowhead-at-target.
         """
-        seed = set()
-        for v in xs:
+        seed = set(xs)
+        for v in seed:
             _check_var(v, self.n)
-            seed.add(v)
-        out = set(seed)
-        stack = list(seed)
+        return self._ancestors(seed)
+
+    def _ancestors(self, xs):
+        out = set(xs)
+        stack = list(out)
         while stack:
             v = stack.pop()
-            for p in self.adj(v):
+            for p in self._adj[v]:
                 if p not in out and self.is_directed_edge(p, v):
                     out.add(p)
                     stack.append(p)
-        return frozenset(out)
-
-    def descendants(self, xs):
-        seed = set()
-        for v in xs:
-            _check_var(v, self.n)
-            seed.add(v)
-        out = set(seed)
-        stack = list(seed)
-        while stack:
-            v = stack.pop()
-            for c in self.adj(v):
-                if c not in out and self.is_directed_edge(v, c):
-                    out.add(c)
-                    stack.append(c)
         return frozenset(out)
 
     # -- ancestral / MAG checks ---------------------------------------------
@@ -185,20 +175,23 @@ class MixedGraph:
         return self._cache["ancestral"]
 
     def _compute_ancestral(self):
-        undirected_nodes = set()
-        for (a, b), (ma, mb) in self._marks.items():
-            if ma == TAIL and mb == TAIL:
-                undirected_nodes.add(a)
-                undirected_nodes.add(b)
-        for (a, b), (ma, mb) in self._marks.items():
-            if ma == ARROW and (a in self.ancestors([b]) - {b} or a in undirected_nodes):
+        marks = self._marks
+        undirected_nodes = {a for (a, b), m in marks.items()
+                            if m == TAIL and marks[(b, a)] == TAIL}
+        an = {}   # node -> its ancestor set, each walked at most once
+        for (a, b), m in marks.items():
+            if m != ARROW:
+                continue
+            if a in undirected_nodes:
                 return False
-            if mb == ARROW and (b in self.ancestors([a]) - {a} or b in undirected_nodes):
+            if b not in an:
+                an[b] = self._ancestors((b,))
+            if a in an[b]:
                 return False
         return True
 
     def has_circles(self):
-        return any(CIRCLE in ms for ms in self._marks.values())
+        return CIRCLE in self._marks.values()
 
     def require_mag(self):
         if self.has_circles():
@@ -210,11 +203,6 @@ class MixedGraph:
 
     def builder(self):
         return MixedGraphBuilder(self)
-
-    def with_edge(self, a, b, ma, mb):
-        b_ = self.builder()
-        b_.add_edge(a, b, ma, mb)
-        return b_.build()
 
     def without_edge(self, a, b):
         b_ = self.builder()
@@ -286,76 +274,66 @@ class MixedGraph:
         return "MixedGraph(n=%d, edges=%d)" % (self.n, self.n_edges)
 
 
-class MixedGraphBuilder:
-    """Mutable editor producing new MixedGraph values.
+class MixedGraphBuilder(_MarkTable):
+    """Mutable copy of a graph's mark table; `build` returns a new MixedGraph.
 
-    Mark updates are monotone: CIRCLE may become ARROW or TAIL; overwriting
-    a committed ARROW with TAIL (or vice versa) raises ModelViolationError.
+    `adj(v)` lists v's neighbours in ascending order. Mark updates are
+    monotone: CIRCLE may become ARROW or TAIL; overwriting a committed ARROW
+    with TAIL (or vice versa) raises ModelViolationError.
     """
 
-    def __init__(self, graph=None, n=None, names=None):
-        if graph is not None:
-            self.n = graph.n
-            self.names = graph.names
-            self._marks = dict(graph._marks)
-        else:
-            self.n = n
-            self.names = tuple(names) if names is not None else default_names(n)
-            self._marks = {}
+    def __init__(self, graph):
+        self.n = graph.n
+        self.names = graph.names
+        self._marks = dict(graph._marks)
+        self._adj = [sorted(s) for s in graph._adj]
 
-    def has_edge(self, x, y):
-        return _pair(x, y) in self._marks
-
-    def mark(self, x, y):
-        key = _pair(x, y)
-        ma, mb = self._marks[key]
-        return ma if x == key[0] else mb
+    def adj(self, v):
+        return self._adj[v]
 
     def add_edge(self, a, b, ma, mb):
-        if a > b:
-            a, b, ma, mb = b, a, mb, ma
+        _check_var(a, self.n)
+        _check_var(b, self.n)
+        if a == b:
+            raise GraphError("self loop at %d" % a)
+        if ma not in MARKS or mb not in MARKS:
+            raise GraphError("bad endpoint mark %r/%r" % (ma, mb))
         if (a, b) in self._marks:
-            raise GraphError("edge {%d,%d} already present" % (a, b))
-        self._marks[(a, b)] = (ma, mb)
+            raise GraphError("edge {%d,%d} already present" % (min(a, b), max(a, b)))
+        self._marks[(a, b)] = ma
+        self._marks[(b, a)] = mb
+        insort(self._adj[a], b)
+        insort(self._adj[b], a)
 
     def remove_edge(self, a, b):
-        key = _pair(a, b)
-        if key not in self._marks:
-            raise GraphError("no edge {%d,%d} to remove" % (a, b))
-        del self._marks[key]
+        if (a, b) not in self._marks:
+            raise GraphError("no edge {%r,%r} to remove" % (a, b))
+        del self._marks[(a, b)]
+        del self._marks[(b, a)]
+        self._adj[a].remove(b)
+        self._adj[b].remove(a)
 
     def set_mark(self, x, y, new_mark):
         """Set the mark at x on edge {x, y}; returns True if it changed."""
-        key = _pair(x, y)
-        if key not in self._marks:
-            raise GraphError("no edge {%d,%d}" % (x, y))
-        ma, mb = self._marks[key]
-        cur = ma if x == key[0] else mb
+        cur = self._marks.get((x, y))
+        if cur is None:
+            raise GraphError("no edge {%r,%r}" % (x, y))
         if cur == new_mark:
             return False
         if cur != CIRCLE:
             raise ModelViolationError(
                 "mark conflict at %d on edge {%d,%d}: %s -> %s"
-                % (x, key[0], key[1], cur, new_mark)
+                % (x, min(x, y), max(x, y), cur, new_mark)
             )
-        if x == key[0]:
-            self._marks[key] = (new_mark, mb)
-        else:
-            self._marks[key] = (ma, new_mark)
+        if new_mark not in MARKS:
+            raise GraphError("bad endpoint mark %r" % (new_mark,))
+        self._marks[(x, y)] = new_mark
         return True
 
     def build(self):
-        return MixedGraph(
-            self.n,
-            [(a, b, ma, mb) for (a, b), (ma, mb) in self._marks.items()],
-            names=self.names,
-        )
-
-
-def complete_circle_graph(n, names=None):
-    """Fully connected graph with circle marks at every endpoint."""
-    edges = [(a, b, CIRCLE, CIRCLE) for a, b in combinations(range(n), 2)]
-    return MixedGraph(n, edges, names=names)
+        """The edited graph; every edit was validated, so the table is
+        handed over without validating it again."""
+        return MixedGraph._from_table(self.n, self.names, dict(self._marks))
 
 
 class CausalDag:
@@ -426,14 +404,6 @@ class CausalDag:
                     state[v] = 2
                     stack.pop()
 
-    def parents(self, v):
-        _check_var(v, self.n)
-        return self._parents[v]
-
-    def children(self, v):
-        _check_var(v, self.n)
-        return self._children[v]
-
     def _ancestors_of(self, v):
         if self._an_single[v] is None:
             out = {v}
@@ -476,15 +446,7 @@ class CausalDag:
         return frozenset(out)
 
     def skeleton_pairs(self):
-        return sorted(_pair(u, v) for u, v in self.edges)
-
-    def to_mixed(self):
-        """The same graph as a MixedGraph (tail at parent, arrow at child)."""
-        return MixedGraph(
-            self.n,
-            [(u, v, TAIL, ARROW) for u, v in sorted(self.edges)],
-            names=self.names,
-        )
+        return sorted((u, v) if u < v else (v, u) for u, v in self.edges)
 
     # -- serialization -------------------------------------------------------
 
@@ -558,17 +520,11 @@ class CausalDag:
         )
 
 
-def ancestors(g, xs):
-    """An(xs) in a MixedGraph or CausalDag (directed-path closure)."""
-    return g.ancestors(xs)
-
-
 def d_separated(dag, x, y, z):
     """True iff every path between x and y in the DAG is blocked by z.
 
     A path is blocked when some noncollider on it is in z, or some collider
-    on it has no descendant in z. Reachability implementation (linear in the
-    number of edges per query); z may contain any variables of the dag.
+    on it has no descendant in z. z may contain any variables of the dag.
     """
     _check_var(x, dag.n)
     _check_var(y, dag.n)
@@ -579,7 +535,13 @@ def d_separated(dag, x, y, z):
         raise GraphError("x and y must differ")
     if x in z or y in z:
         raise GraphError("x and y must not be in the conditioning set")
+    return dsep_walk(dag, x, y, z)
 
+
+def dsep_walk(dag, x, y, z):
+    """d_separated without input checks, for callers whose ids are already
+    valid: x != y, both outside the collection z. Reachability over
+    (node, direction) states, linear in the number of edges."""
     parents = dag._parents
     children = dag._children
     n = dag.n
@@ -651,7 +613,7 @@ def m_separated(mag, x, y, z):
     if x in z or y in z:
         raise GraphError("x and y must not be in the conditioning set")
 
-    anz = mag.ancestors(z)
+    anz = mag._ancestors(z)
     visited = set()
     queue = deque()
     for w in mag.adj(x):
@@ -689,16 +651,16 @@ def latent_project(dag):
     obs_set = frozenset(obs)
     sel = frozenset(dag.selection)
     an_sel = dag.selection_ancestors()
+    an = [dag._ancestors_of(a) for a in obs]
     edges = []
     for i, a in enumerate(obs):
-        an_a = dag.ancestors([a])
         for j in range(i + 1, len(obs)):
             b = obs[j]
-            canonical = ((an_a | dag.ancestors([b]) | an_sel) & obs_set) - {a, b}
-            if d_separated(dag, a, b, canonical | sel):
+            canonical = ((an[i] | an[j] | an_sel) & obs_set) - {a, b}
+            if dsep_walk(dag, a, b, canonical | sel):
                 continue
-            ma = TAIL if a in dag.ancestors([b]) | an_sel else ARROW
-            mb = TAIL if b in an_a | an_sel else ARROW
+            ma = TAIL if a in an[j] or a in an_sel else ARROW
+            mb = TAIL if b in an[i] or b in an_sel else ARROW
             edges.append((i, j, ma, mb))
     mag = MixedGraph(len(obs), edges, names=[dag.names[o] for o in obs])
     if not mag.is_ancestral():

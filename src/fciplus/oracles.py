@@ -14,10 +14,13 @@ import warnings
 
 import numpy as np
 
-from .graphs import d_separated
+from .graphs import dsep_walk
 
 STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
           "orientation", "reference")
+# the stages a pipeline's own search runs under; the fci reference and the
+# embedded checks run under "reference"
+ALGORITHM_STAGES = STAGES[:-1]
 _PHI_INV = NormalDist().inv_cdf
 
 
@@ -62,29 +65,21 @@ class OracleStats:
     def total_queries(self):
         return sum(st.queries for st in self.stages.values())
 
-    def total_distinct(self):
-        return len(set().union(*self._stage_keys.values()))
-
-    def max_cond_size(self):
-        return max(st.max_cond_size for st in self.stages.values())
-
     def to_dict(self):
         return {s: st.to_dict() for s, st in self.stages.items()}
-
-    def snapshot(self):
-        return self.to_dict()
 
 
 class IndependenceOracle:
     """Base class: deterministic, symmetric-in-(x, y) independence queries.
 
-    Subclasses implement _decide(x, y, zkey) for x < y and zkey a frozenset.
+    Subclasses implement _decide(x, y, zkey) for x < y and zkey a frozenset;
+    `query` validates its arguments and memoizes every answer, so _decide
+    runs once per distinct key.
     """
 
-    def __init__(self, n_vars, names=None, memo=True):
+    def __init__(self, n_vars, names=None):
         self.n_vars = n_vars
         self.names = tuple(names) if names is not None else None
-        self.memo_enabled = memo
         self._memo = {}
         self.stats = OracleStats()
         self.n_test_errors = 0   # answers from a degenerate test (sample data)
@@ -101,10 +96,6 @@ class IndependenceOracle:
         finally:
             self._stage = prev
 
-    @property
-    def current_stage(self):
-        return self._stage
-
     def query(self, x, y, z):
         """True iff x is independent of y given z under the backing model."""
         zkey = frozenset(z)
@@ -113,11 +104,9 @@ class IndependenceOracle:
             x, y = y, x
         key = (x, y, zkey)
         self.stats.record(self._stage, key, len(zkey))
-        if self.memo_enabled:
-            if key not in self._memo:
-                self._memo[key] = self._decide(x, y, zkey)
-            return self._memo[key]
-        return self._decide(x, y, zkey)
+        if key not in self._memo:
+            self._memo[key] = self._decide(x, y, zkey)
+        return self._memo[key]
 
     def _validate(self, x, y, zkey):
         for v in (x, y, *zkey):
@@ -141,16 +130,16 @@ class DsepOracle(IndependenceOracle):
     conditioning set implicitly.
     """
 
-    def __init__(self, dag, memo=True):
+    def __init__(self, dag):
         self.dag = dag
         self._obs = dag.observed
         self._sel = frozenset(dag.selection)
         names = tuple(dag.names[o] for o in self._obs)
-        super().__init__(len(self._obs), names=names, memo=memo)
+        super().__init__(len(self._obs), names=names)
 
     def _decide(self, x, y, zkey):
         zdag = frozenset(self._obs[v] for v in zkey) | self._sel
-        return d_separated(self.dag, self._obs[x], self._obs[y], zdag)
+        return dsep_walk(self.dag, self._obs[x], self._obs[y], zdag)
 
 
 def fisher_z_test(cov, n_samples, x, y, z, alpha):
@@ -193,7 +182,7 @@ class GaussOracle(IndependenceOracle):
     Constant columns are rejected at load time.
     """
 
-    def __init__(self, data, names=None, alpha=0.01, memo=True):
+    def __init__(self, data, names=None, alpha=0.01):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 2:
             raise OracleError("data must be a 2-d array with at least 2 rows")
@@ -204,10 +193,10 @@ class GaussOracle(IndependenceOracle):
         self.n_samples = data.shape[0]
         self.cov = np.cov(data, rowvar=False)
         self.alpha = alpha
-        super().__init__(data.shape[1], names=names, memo=memo)
+        super().__init__(data.shape[1], names=names)
 
     @classmethod
-    def from_csv(cls, path, alpha=0.01, memo=True):
+    def from_csv(cls, path, alpha=0.01):
         """Load a CSV with a header row of variable names and numeric rows."""
         with open(path) as fh:
             header = fh.readline().strip()
@@ -219,7 +208,7 @@ class GaussOracle(IndependenceOracle):
         if data.shape[1] != len(names):
             raise OracleError("header has %d columns but data has %d"
                               % (len(names), data.shape[1]))
-        return cls(data, names=names, alpha=alpha, memo=memo)
+        return cls(data, names=names, alpha=alpha)
 
     def _decide(self, x, y, zkey):
         with warnings.catch_warnings(record=True) as caught:

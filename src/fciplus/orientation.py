@@ -2,9 +2,12 @@
 
 First unshielded colliders are oriented from the stored separating sets,
 then the complete rule set R1-R10 runs in round-robin sweeps to fixpoint.
-Mark changes are monotone: a circle may become an arrowhead or a tail;
-committed marks never change (a conflicting derivation raises
-ModelViolationError, which cannot happen under a faithful exact oracle).
+Both phases edit marks through a MixedGraphBuilder, whose `set_mark` keeps
+mark changes monotone: a circle may become an arrowhead or a tail; committed
+marks never change (a conflicting derivation raises ModelViolationError,
+which cannot happen under a faithful exact oracle). The rules read and
+write the builder's mark table directly and visit neighbours in ascending
+order.
 
 R1-R4 are the arrowhead rules, R5-R7 handle undirected edges (selection
 bias), R8-R10 complete the tails on directed edges.
@@ -12,7 +15,7 @@ bias), R8-R10 complete the tails on directed edges.
 
 from itertools import combinations
 
-from .graphs import ARROW, CIRCLE, TAIL, ModelViolationError
+from .graphs import ARROW, CIRCLE, TAIL
 
 DEFAULT_RULES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -34,64 +37,10 @@ def orient_v_structures(skeleton, sepsets):
     return b.build()
 
 
-class _State:
-    """Mutable mark table over a fixed adjacency structure."""
-
-    def __init__(self, g):
-        self.g = g
-        self.n = g.n
-        self.adjacency = {v: sorted(g.adj(v)) for v in range(g.n)}
-        self.marks = {}
-        for a, b, ma, mb in g.edges():
-            self.marks[(a, b)] = ma
-            self.marks[(b, a)] = mb
-
-    def adj(self, v):
-        return self.adjacency[v]
-
-    def has_edge(self, x, y):
-        return (x, y) in self.marks
-
-    def mark(self, x, y):
-        """Mark at x on edge {x, y}, or None when nonadjacent."""
-        return self.marks.get((x, y))
-
-    def set_mark(self, x, y, new):
-        """Set mark at x on edge {x, y}; monotone, returns True on change."""
-        cur = self.marks[(x, y)]
-        if cur == new:
-            return False
-        if cur != CIRCLE:
-            raise ModelViolationError(
-                "mark conflict at %d on edge {%d,%d}: %s -> %s" % (x, x, y, cur, new))
-        self.marks[(x, y)] = new
-        return True
-
-    def arrow_at(self, x, y):
-        """Arrowhead at x on the edge to y (y *-> x)."""
-        return self.marks.get((x, y)) == ARROW
-
-    def is_parent(self, x, y):
-        """x -> y."""
-        return self.marks.get((x, y)) == TAIL and self.marks.get((y, x)) == ARROW
-
-    def is_undirected(self, x, y):
-        return self.marks.get((x, y)) == TAIL and self.marks.get((y, x)) == TAIL
-
-    def pd_edge(self, x, y):
-        """Edge traversable from x toward y on a potentially directed path:
-        no arrowhead back at x, no tail ahead at y."""
-        return (x, y) in self.marks and \
-            self.marks[(x, y)] != ARROW and self.marks[(y, x)] != TAIL
-
-    def build(self):
-        out = self.g.builder()
-        for a, b in self.g.edge_pairs():
-            if out.mark(a, b) != self.marks[(a, b)]:
-                out.set_mark(a, b, self.marks[(a, b)])
-            if out.mark(b, a) != self.marks[(b, a)]:
-                out.set_mark(b, a, self.marks[(b, a)])
-        return out.build()
+def _pd_edge(s, x, y):
+    """Edge traversable from x toward y on a potentially directed path: no
+    arrowhead back at x, no tail ahead at y."""
+    return s.has_edge(x, y) and s.mark(x, y) != ARROW and s.mark(y, x) != TAIL
 
 
 def _r1(s, sepsets):
@@ -99,7 +48,7 @@ def _r1(s, sepsets):
     changed = False
     for b in range(s.n):
         for a in s.adj(b):
-            if not s.arrow_at(b, a):
+            if s.mark(b, a) != ARROW:
                 continue
             for c in s.adj(b):
                 if c == a or s.has_edge(a, c):
@@ -120,8 +69,8 @@ def _r2(s, sepsets):
             for b in s.adj(a):
                 if b == c or not s.has_edge(b, c):
                     continue
-                chain1 = s.is_parent(a, b) and s.arrow_at(c, b)
-                chain2 = s.arrow_at(b, a) and s.is_parent(b, c)
+                chain1 = s.is_directed_edge(a, b) and s.mark(c, b) == ARROW
+                chain2 = s.mark(b, a) == ARROW and s.is_directed_edge(b, c)
                 if chain1 or chain2:
                     changed |= s.set_mark(c, a, ARROW)
                     break
@@ -135,7 +84,8 @@ def _r3(s, sepsets):
         if s.has_edge(a, c):
             continue
         common = [v for v in s.adj(a) if s.has_edge(v, c)]
-        colliders = [b for b in common if s.arrow_at(b, a) and s.arrow_at(b, c)]
+        colliders = [b for b in common
+                     if s.mark(b, a) == ARROW and s.mark(b, c) == ARROW]
         circles = [d for d in common
                    if s.mark(d, a) == CIRCLE and s.mark(d, c) == CIRCLE]
         for b in colliders:
@@ -158,13 +108,13 @@ def _discriminating_paths(s, b, c):
         for u in s.adj(head):
             if u == c or u in path:
                 continue
-            if head != b and not s.arrow_at(head, u):
+            if head != b and s.mark(head, u) != ARROW:
                 continue  # interior vertices need arrowheads on both sides
             if not s.has_edge(u, c):
                 if len(path) >= 2:
                     yield u, path[-2]
                 continue
-            if s.is_parent(u, c) and s.arrow_at(u, head):
+            if s.is_directed_edge(u, c) and s.mark(u, head) == ARROW:
                 stack.append((u,) + path)
 
 
@@ -273,9 +223,9 @@ def _r8(s, sepsets):
             for b in s.adj(a):
                 if b == c or not s.has_edge(b, c):
                     continue
-                first = s.is_parent(a, b) or \
+                first = s.is_directed_edge(a, b) or \
                     (s.mark(a, b) == TAIL and s.mark(b, a) == CIRCLE)
-                if first and s.is_parent(b, c):
+                if first and s.is_directed_edge(b, c):
                     changed |= s.set_mark(a, c, TAIL)
                     break
     return changed
@@ -285,7 +235,7 @@ def _uncovered_pd_second_vertices(s, a, target):
     """Second vertices of uncovered potentially-directed paths from a to
     target."""
     out = set()
-    stack = [(a, u) for u in s.adj(a) if s.pd_edge(a, u)]
+    stack = [(a, u) for u in s.adj(a) if _pd_edge(s, a, u)]
     while stack:
         path = stack.pop()
         tail = path[-1]
@@ -295,7 +245,7 @@ def _uncovered_pd_second_vertices(s, a, target):
         for u in s.adj(tail):
             if u in path:
                 continue
-            if not s.pd_edge(tail, u):
+            if not _pd_edge(s, tail, u):
                 continue
             if s.has_edge(path[-2], u):
                 continue
@@ -322,7 +272,7 @@ def _r10(s, sepsets):
     # vertices mu != omega are nonadjacent: orient a -> c.
     changed = False
     for c in range(s.n):
-        parent_list = [p for p in s.adj(c) if s.is_parent(p, c)]
+        parent_list = [p for p in s.adj(c) if s.is_directed_edge(p, c)]
         if len(parent_list) < 2:
             continue
         for a in s.adj(c):
@@ -350,7 +300,7 @@ def apply_fci_rules(pag, sepsets, rule_order=None):
     exists so tests can verify that.
     """
     order = tuple(rule_order) if rule_order is not None else DEFAULT_RULES
-    s = _State(pag)
+    s = pag.builder()
     changed = True
     while changed:
         changed = False

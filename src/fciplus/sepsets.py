@@ -27,9 +27,6 @@ class SepsetMap:
         self._partners.setdefault(x, {})[y] = zs
         self._partners.setdefault(y, {})[x] = zs
 
-    def has(self, x, y):
-        return self._key(x, y) in self._sets
-
     def get(self, x, y):
         """The stored separating set, or None if the pair has no entry."""
         entry = self._sets.get(self._key(x, y))
@@ -61,19 +58,6 @@ class SepsetMap:
 
     def __contains__(self, pair):
         return self._key(*pair) in self._sets
-
-    def to_json_dict(self):
-        return [
-            {"a": a, "b": b, "sepset": sorted(zs), "level": lvl}
-            for (a, b), zs, lvl in self.items()
-        ]
-
-    @classmethod
-    def from_json_dict(cls, entries):
-        out = cls()
-        for e in entries:
-            out.set(e["a"], e["b"], e["sepset"], e["level"])
-        return out
 
     def __repr__(self):
         return "SepsetMap(%d pairs)" % len(self._sets)

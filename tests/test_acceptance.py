@@ -8,15 +8,15 @@ shared corpus (500 generated instances, degree bound 3, sizes 8..14, up to
 import itertools
 from collections import Counter
 
-from fciplus import d_separated, exhaustive_skeleton, DsepOracle, run_pipeline
+from fciplus import (
+    ALGORITHM_STAGES, DsepOracle, d_separated, exhaustive_skeleton,
+    run_pipeline,
+)
 from fciplus.generators import canonical_examples
 from fciplus.report import compare_runs
 
 from .conftest import CORPUS_K
 from .brute import equivalence_class_pag
-
-ALGO_STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
-               "orientation")
 
 
 def _report(num, desc, ok, detail=""):
@@ -84,7 +84,7 @@ def test_criterion_4_query_bounds(corpus_runs):
         n = bundle.instance.n
         stats = bundle.fciplus.stats
         pc_q = stats["pc_search"]["queries"]
-        total_q = sum(stats[s]["queries"] for s in ALGO_STAGES)
+        total_q = sum(stats[s]["queries"] for s in ALGORITHM_STAGES)
         pc_budget = 4 * n ** (CORPUS_K + 2)
         total_budget = n ** (2 * (CORPUS_K + 2))
         worst = max(worst, total_q / total_budget)
@@ -155,7 +155,7 @@ def test_query_count_comparison_report(corpus_runs):
     # algorithm queries than the exhaustive reference. Reported only: the
     # deep-stage effort on the instances whose deep stage actually fires
     plus_total = sum(b.fciplus.stats[s]["queries"]
-                     for b in corpus_runs for s in ALGO_STAGES)
+                     for b in corpus_runs for s in ALGORITHM_STAGES)
     ref_total = sum(b.fci.stats[s]["queries"]
                     for b in corpus_runs for s in ("pc_search", "reference"))
     print("algorithm query report (corpus): fciplus %d vs fci %d"

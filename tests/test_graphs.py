@@ -7,8 +7,8 @@ import random
 import pytest
 
 from fciplus import (
-    ARROW, CIRCLE, TAIL, CausalDag, GraphError, MixedGraph, ancestors,
-    d_separated, latent_project, m_separated,
+    ARROW, CIRCLE, TAIL, CausalDag, GraphError, MixedGraph, d_separated,
+    latent_project, m_separated,
 )
 from fciplus.graphs import ModelViolationError
 
@@ -40,18 +40,18 @@ def random_dag(n, density, seed, n_latent=0, n_selection=0):
 
 class TestAncestors:
     def test_chain_transitive_closure(self):
-        assert ancestors(chain3(), [2]) == {0, 1, 2}
+        assert chain3().ancestors([2]) == {0, 1, 2}
 
     def test_empty_seed(self):
-        assert ancestors(chain3(), []) == frozenset()
+        assert chain3().ancestors([]) == frozenset()
 
     def test_collider_has_no_ancestors_beyond_itself(self):
         dag = CausalDag(3, [(0, 2), (1, 2)], observed=[0, 1, 2])
-        assert ancestors(dag, [0]) == {0}
+        assert dag.ancestors([0]) == {0}
 
     def test_unknown_id_rejected(self):
         with pytest.raises(GraphError):
-            ancestors(chain3(), [7])
+            chain3().ancestors([7])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_and_idempotent(self, seed):
@@ -218,6 +218,41 @@ class TestGraphValues:
         with pytest.raises(ModelViolationError):
             b.set_mark(0, 1, ARROW)
         assert b.set_mark(0, 1, TAIL) is False  # no-op
+
+    def test_mark_table_reads(self):
+        g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)])
+        assert g.mark(0, 1) == TAIL and g.mark(1, 0) == ARROW
+        assert g.mark(0, 2) is None and not g.has_edge(0, 2)
+        assert g.is_directed_edge(0, 1) and not g.is_directed_edge(1, 0)
+        assert not g.is_directed_edge(0, 2) and g.n_edges == 2
+        assert g.edges() == [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)]
+
+    def test_builder_round_trip(self):
+        g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)],
+                       names=["a", "b", "c"])
+        back = g.builder().build()
+        assert back == g and hash(back) == hash(g)
+        assert back.adj(1) == g.adj(1) == {0, 2}
+
+    def test_either_endpoint_order_builds_equal_graphs(self):
+        g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)])
+        h = MixedGraph(3, [(2, 1, ARROW, CIRCLE), (1, 0, ARROW, TAIL)])
+        assert g == h and hash(g) == hash(h) and g.edges() == h.edges()
+
+    def test_builder_edits(self):
+        b = MixedGraph(3, [(0, 1, TAIL, ARROW)]).builder()
+        b.add_edge(2, 0, ARROW, CIRCLE)
+        assert b.adj(0) == [1, 2] and b.mark(0, 2) == CIRCLE
+        with pytest.raises(GraphError):
+            b.add_edge(0, 2, CIRCLE, CIRCLE)
+        with pytest.raises(GraphError):
+            b.add_edge(0, 3, CIRCLE, CIRCLE)
+        with pytest.raises(GraphError):
+            b.set_mark(1, 2, ARROW)       # nonadjacent pair
+        with pytest.raises(ModelViolationError):
+            b.set_mark(1, 0, TAIL)        # tail over a committed arrowhead
+        b.remove_edge(1, 0)
+        assert b.build() == MixedGraph(3, [(0, 2, CIRCLE, ARROW)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError):

@@ -61,13 +61,24 @@ class TestDsepOracle:
                                and rng.random() < 0.4}]:
                 assert o.query(x, y, zs) == d_separated(dag, x, y, zs)
 
-    def test_memo_does_not_change_answers(self):
-        dag = CausalDag(4, [(0, 1), (1, 2), (0, 3)], observed=range(4))
-        queries = [(0, 2, frozenset({1})), (0, 2, frozenset()),
-                   (1, 3, frozenset({0})), (0, 2, frozenset({1}))]
-        with_memo = [DsepOracle(dag, memo=True).query(*q) for q in queries]
-        without = [DsepOracle(dag, memo=False).query(*q) for q in queries]
-        assert with_memo == without
+    def test_memo_decides_each_key_once(self):
+        class Counting(DsepOracle):
+            decided = 0
+
+            def _decide(self, x, y, zkey):
+                self.decided += 1
+                return super()._decide(x, y, zkey)
+
+        dag = CausalDag(5, [(0, 1), (1, 2), (0, 3), (3, 2), (4, 2)],
+                        observed=range(5))
+        o = Counting(dag)
+        with o.stage("pc_search"):
+            answers = [o.query(0, 2, [1, 3]), o.query(2, 0, [1, 3]),
+                       o.query(0, 2, [3, 1])]
+        assert answers == [d_separated(dag, 0, 2, {1, 3})] * 3
+        st = o.stats.stages["pc_search"]
+        assert st.queries == 3 and st.distinct == 1
+        assert o.decided == 1
 
 
 class TestStats:

@@ -50,6 +50,12 @@ class TestRules:
         assert out.mark(1, 2) == TAIL and out.mark(2, 1) == ARROW
         assert out.mark(0, 1) == CIRCLE
 
+    def test_rule_conflict_raises(self):
+        # R1 must put an arrowhead at c on 1 o-- 2, where a tail is committed
+        g = MixedGraph(3, [(0, 1, CIRCLE, ARROW), (1, 2, CIRCLE, TAIL)])
+        with pytest.raises(ModelViolationError):
+            apply_fci_rules(g, SepsetMap())
+
     def test_two_node_graph_unchanged(self):
         g = MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)])
         assert apply_fci_rules(g, SepsetMap()) == g
