@@ -29,11 +29,18 @@ def random_sparse_dag(n_observed, k, n_latent=0, n_selection=0,
                       plant_dsep=False):
     """Random causal DAG whose projected graph has maximum degree <= k.
 
-    Draws a DAG over n_observed + n_latent + n_selection nodes from a random
-    topological order, then picks latent variables among nodes with at least
-    two children (to induce bi-directed edges) and selection variables among
-    childless nodes with at least two parents (to induce undirected edges),
-    rejecting until the projection satisfies the degree bound.
+    Each try draws the edges of a DAG over n_observed + n_latent +
+    n_selection nodes from a random topological order, then picks latent
+    variables among nodes with at least two children (to induce bi-directed
+    edges) and selection variables among childless nodes with at least two
+    parents (to induce undirected edges). It then counts, for every observed
+    node, the adjacencies that survive any projection (see
+    _surviving_degrees) and rejects the draw outright if one count exceeds
+    k. The count is never above the projected degree, so this changes no
+    accepted draw, and it runs after the draw has taken its random numbers,
+    so the random stream is the same as without it. Only a draw that passes
+    it is built into a CausalDag and projected, and the projection's
+    maximum degree decides. Either rejection counts as "degree".
 
     With plant_dsep, two of the latents and five randomly chosen observed
     nodes are wired into the canonical motif that defeats the plain
@@ -54,13 +61,17 @@ def random_sparse_dag(n_observed, k, n_latent=0, n_selection=0,
     reasons = {"latent_pool": 0, "selection_pool": 0, "degree": 0}
     for _ in range(max_tries):
         if plant_dsep:
-            dag = _planted_draw(rng, n_observed, n_latent, n_selection,
-                                edge_density)
+            parts = _planted_draw(rng, n_observed, n_latent, n_selection,
+                                  edge_density)
         else:
-            dag = _uniform_draw(rng, total, n_observed, n_latent, n_selection,
-                                edge_density, reasons)
-        if dag is None:
+            parts = _uniform_draw(rng, total, n_observed, n_latent,
+                                  n_selection, edge_density, reasons)
+        if parts is None:
             continue
+        if max(_surviving_degrees(*parts).values()) > k:
+            reasons["degree"] += 1
+            continue
+        dag = CausalDag(*parts)
         if latent_project(dag).max_degree() > k:
             reasons["degree"] += 1
             continue
@@ -68,6 +79,34 @@ def random_sparse_dag(n_observed, k, n_latent=0, n_selection=0,
     raise GenerationError(
         "no admissible graph in %d tries (rejections: %r); relax the degree "
         "bound or lower edge_density" % (max_tries, reasons))
+
+
+def _surviving_degrees(total, edges, observed, latent, selection):
+    """Lower bound on each observed node's degree in the projection of the
+    DAG (total, edges, observed, latent, selection), as {node: count}.
+
+    Counts only adjacencies that no conditioning set can remove: an edge
+    between two observed nodes, two observed children of one latent node
+    (a <- L -> b) and two observed parents of one selection node
+    (a -> S <- b, S always conditioned on). Each is an inducing path, so
+    the projection keeps every pair counted here.
+    """
+    obs, lat, sel = set(observed), set(latent), set(selection)
+    near = {v: set() for v in observed}
+    groups = {h: [] for h in lat | sel}
+    for a, b in edges:
+        if a in obs and b in obs:
+            near[a].add(b)
+            near[b].add(a)
+        elif a in obs and b in sel:
+            groups[b].append(a)
+        elif a in lat and b in obs:
+            groups[a].append(b)
+    for group in groups.values():
+        for a in group:
+            near[a].update(group)
+            near[a].discard(a)
+    return {v: len(near[v]) for v in observed}
 
 
 def _uniform_draw(rng, total, n_observed, n_latent, n_selection,
@@ -97,7 +136,7 @@ def _uniform_draw(rng, total, n_observed, n_latent, n_selection,
     selection = rng.sample(selection_pool, n_selection)
     observed = [v for v in range(total)
                 if v not in latent and v not in selection]
-    return CausalDag(total, edges, observed, latent, selection)
+    return total, edges, observed, latent, selection
 
 
 def _planted_draw(rng, n_observed, n_latent, n_selection, edge_density):
@@ -131,9 +170,9 @@ def _planted_draw(rng, n_observed, n_latent, n_selection, edge_density):
         a, b = rng.sample(range(n_observed), 2)
         edges |= {(a, sel), (b, sel)}
     total = n_observed + n_latent + n_selection
-    return CausalDag(total, sorted(edges), list(range(n_observed)),
-                     list(range(n_observed, n_observed + n_latent)),
-                     list(range(n_observed + n_latent, total)))
+    return (total, sorted(edges), list(range(n_observed)),
+            list(range(n_observed, n_observed + n_latent)),
+            list(range(n_observed + n_latent, total)))
 
 
 def has_dsep_link(dag):

@@ -148,13 +148,15 @@ def fisher_z_test(cov, n_samples, x, y, z, alpha):
     Computes the partial correlation of x and y given z by inverting the
     covariance submatrix over {x, y} | z, then compares the Fisher
     z statistic sqrt(n-|z|-3) * |atanh(rho)| against the normal quantile
-    Phi^-1(1 - alpha/2). Returns True for independence. A singular
-    submatrix is reported as a warning and treated as dependent.
+    Phi^-1(1 - alpha/2). Returns True for independence. Too few samples
+    for the statistic (n <= |z| + 3) and a singular submatrix are each
+    reported as a warning and treated as dependent.
     """
     z = sorted(z)
     if n_samples <= len(z) + 3:
-        raise OracleError("need more than |z|+3 samples (got %d for |z|=%d)"
-                          % (n_samples, len(z)))
+        warnings.warn("need more than |z|+3 samples (got %d for |z|=%d); "
+                      "treating as dependent" % (n_samples, len(z)))
+        return False
     idx = [x, y] + z
     sub = np.asarray(cov)[np.ix_(idx, idx)]
     try:

@@ -3,10 +3,10 @@
 A RunReport captures everything needed to audit and replay a run: the
 output graph, per-stage query counters, stage timings, the candidate-link
 log, the results of the built-in invariant checks, and the number of
-sample-data tests answered from a degenerate covariance (always 0 for an
-exact oracle). Reports serialize to one JSON object per line; replaying the
-same seed and configuration must reproduce the report bit-identically up to
-the timing fields.
+sample-data tests answered "dependent" because the covariance was degenerate
+or the samples too few (always 0 for an exact oracle). Reports serialize to
+one JSON object per line; replaying the same seed and configuration must
+reproduce the report bit-identically up to the timing fields.
 """
 
 from dataclasses import dataclass, field

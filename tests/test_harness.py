@@ -30,8 +30,15 @@ class TestGenerator:
 
     def test_degree_bound_respected(self):
         for seed in range(6):
-            dag = random_sparse_dag(9, 3, 2, 0, 0.2, seed=seed)
-            assert latent_project(dag).max_degree() <= 3
+            for nl, ns, dens, planted in ((2, 0, 0.2, False),
+                                          (2, 1, 0.2, False),
+                                          (3, 2, 0.15, False),
+                                          (2, 1, 0.1, True),
+                                          (3, 1, 0.08, True)):
+                dag = random_sparse_dag(9, 3, nl, ns, dens, seed=seed,
+                                        plant_dsep=planted)
+                assert len(dag.selection) == ns
+                assert latent_project(dag).max_degree() <= 3
 
     def test_rejection_budget_error(self):
         with pytest.raises(GenerationError):

@@ -139,9 +139,10 @@ class TestFisherZ:
             assert fisher_z_test(cov, 100, 0, 1, [], alpha)
             assert fisher_z_test(cov, 100, 0, 1, [2], alpha)
 
-    def test_needs_enough_samples(self):
-        with pytest.raises(OracleError):
-            fisher_z_test(np.eye(3), 4, 0, 1, [2], 0.05)
+    def test_too_few_samples_reported_as_dependent(self):
+        with pytest.warns(UserWarning, match="samples"):
+            assert fisher_z_test(np.eye(3), 4, 0, 1, [2], 0.05) is False
+        assert fisher_z_test(np.eye(3), 5, 0, 1, [2], 0.05) is True
 
     def test_singular_submatrix_reported_as_dependent(self):
         cov = np.ones((2, 2))
@@ -229,3 +230,11 @@ class TestGaussOracle:
         assert RunReport.from_json_dict(old).test_errors == 0
         exact = run_pipeline("fciplus", DsepOracle(fork_dag()), k=2)
         assert exact.test_errors == 0
+
+    def test_too_few_samples_reach_the_report(self):
+        # six rows leave no degrees of freedom once |z| = 3; a liberal alpha
+        # keeps edges until the search conditions on three variables
+        data = np.random.default_rng(2).standard_normal((6, 5))
+        report = run_pipeline("fciplus", GaussOracle(data, alpha=0.9), k=3)
+        assert report.test_errors > 0
+        assert report.stats["pc_search"]["max_cond_size"] == 3
