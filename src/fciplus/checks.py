@@ -14,19 +14,15 @@ from .dsep_search import hie
 from .oracles import ALGORITHM_STAGES
 
 
-def _obs_to_dag(dag):
-    return {i: o for i, o in enumerate(dag.observed)}
-
-
 def _nonancestor_in_truth(dag, w, v):
     """w not an ancestor of {v} union the selection set, in dag ids."""
-    return w not in dag.ancestors([v] + list(dag.selection))
+    return not (dag._an[v] | dag._an_sel) >> w & 1
 
 
 def check_arrowhead_soundness(dag, graph):
     """Every arrowhead at w on an edge to v means w is no ancestor of v (or
     of selection) in the truth."""
-    back = _obs_to_dag(dag)
+    back = dag.observed
     bad = []
     for a, b, ma, mb in graph.edges():
         if ma == ARROW and not _nonancestor_in_truth(dag, back[a], back[b]):
@@ -36,12 +32,19 @@ def check_arrowhead_soundness(dag, graph):
     return not bad, "unsound arrowheads: %r" % bad if bad else "all arrowheads sound"
 
 
-def _candidates(skeleton, core):
-    """Nodes outside core adjacent to some member of it."""
-    return set().union(*(skeleton.adj(v) for v in core)) - core
+def stored_candidates(skeleton, sepsets):
+    """(x, y, Z, core, candidates) per stored set (x, y, Z): its core
+    {x, y} + Z and the nodes outside the core adjacent to some member of it
+    in the adjacency-search skeleton."""
+    out = []
+    for (x, y), zs, _lvl in sepsets.items():
+        core = {x, y} | zs
+        out.append((x, y, zs, core,
+                    set().union(*(skeleton.adj(v) for v in core)) - core))
+    return out
 
 
-def check_arrowhead_soundness_augmented(dag, skeleton, sepsets, oracle):
+def check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle):
     """Every arrowhead the stored sets imply on the adjacency-search
     skeleton is sound, whether or not the search evaluated it.
 
@@ -50,34 +53,32 @@ def check_arrowhead_soundness_augmented(dag, skeleton, sepsets, oracle):
     only be unsound where w is an ancestor of v or of the selection set in
     the truth, so only those (set, w) pairs are queried, per the oracle
     under the reference stage; a dependence there is an unsound arrowhead.
+    `stored` is stored_candidates(skeleton, sepsets).
     """
-    back = _obs_to_dag(dag)
-    sel = list(dag.selection)
-    an = [dag.ancestors([back[v]] + sel) for v in range(skeleton.n)]
+    back = dag.observed
+    up = [dag._an[o] | dag._an_sel for o in back]
     bad = []
     with oracle.stage("reference"):
-        for (x, y), zs, _lvl in sepsets.items():
-            core = {x, y} | zs
-            for w in sorted(_candidates(skeleton, core)):
+        for x, y, zs, core, cands in stored:
+            for w in sorted(cands):
                 heads = [v for v in sorted(core & skeleton.adj(w))
-                         if back[w] in an[v]]
+                         if up[v] >> back[w] & 1]
                 if heads and not oracle.query(x, y, zs | {w}):
                     bad.extend((w, v) for v in heads)
     return not bad, "unsound arrowheads: %r" % bad if bad else \
-        "all arrowheads of %d stored sets sound" % len(sepsets)
+        "all arrowheads of %d stored sets sound" % len(stored)
 
 
-def augment_budget(skeleton, sepsets):
+def augment_budget(stored):
     """Most augment queries a run may ask: one per (stored set, candidate)
-    pair, candidates taken from the adjacency-search skeleton."""
-    return sum(len(_candidates(skeleton, {x, y} | zs))
-               for (x, y), zs, _lvl in sepsets.items())
+    pair of stored_candidates."""
+    return sum(len(cands) for *_, cands in stored)
 
 
 def check_tail_soundness(dag, graph):
     """Every tail at w on an edge to v means w is an ancestor of v or of the
     selection set in the truth."""
-    back = _obs_to_dag(dag)
+    back = dag.observed
     bad = []
     for a, b, ma, mb in graph.edges():
         if ma == TAIL and _nonancestor_in_truth(dag, back[a], back[b]):
@@ -106,15 +107,14 @@ def check_sepsets(sepsets, oracle):
 def check_hierarchy_ancestry(dag, sepsets):
     """Every node pulled into a pair's hierarchy closure is an ancestor of
     the seed (or of selection) in the truth."""
-    back = _obs_to_dag(dag)
+    back, an = dag.observed, dag._an
     bad = []
     pairs = sepsets.pairs()
     for a, b in pairs:
         closure = hie({a, b}, sepsets).closure
-        seed_dag = {back[a], back[b]} | set(dag.selection)
-        an = dag.ancestors(seed_dag)
+        up = an[back[a]] | an[back[b]] | dag._an_sel
         for w in closure - {a, b}:
-            if back[w] not in an:
+            if not up >> back[w] & 1:
                 bad.append((a, b, w))
     return not bad, "non-ancestral hierarchy members: %r" % bad if bad else \
         "hierarchy members ancestral for %d pair seeds" % len(pairs)
@@ -125,20 +125,22 @@ def check_resolved_links(dag, dsep_log):
     is an ancestor of the other side plus Z plus selection, every member of
     Z is an ancestor of the endpoints plus selection, and the detection
     pattern was present at resolution time."""
-    back = _obs_to_dag(dag)
-    sel = list(dag.selection)
+    back, an = dag.observed, dag._an
     bad = []
     for r in dsep_log["resolutions"]:
         x, y = r["pair"]
-        zs = r["sepset"]
         dx, dy = back[x], back[y]
-        dz = [back[w] for w in zs]
-        if dx in dag.ancestors([dy] + dz + sel):
-            bad.append(("x ancestral", x, y))
-        if dy in dag.ancestors([dx] + dz + sel):
-            bad.append(("y ancestral", x, y))
+        dz = [back[w] for w in r["sepset"]]
+        up_z = dag._an_sel
         for w in dz:
-            if w not in dag.ancestors([dx, dy] + sel):
+            up_z |= an[w]
+        if (an[dy] | up_z) >> dx & 1:
+            bad.append(("x ancestral", x, y))
+        if (an[dx] | up_z) >> dy & 1:
+            bad.append(("y ancestral", x, y))
+        up_xy = an[dx] | an[dy] | dag._an_sel
+        for w in dz:
+            if not up_xy >> w & 1:
                 bad.append(("member not ancestral", x, y, w))
         if not r["pattern_present"]:
             bad.append(("pattern absent", x, y))
@@ -150,24 +152,15 @@ def _true_dsep_links(dag, mag):
     """Pairs nonadjacent in the truth whose every separating set needs a
     node nonadjacent to both endpoints (checked by exhausting the adjacent
     pool on the dag directly)."""
-    names = range(mag.n)
-    back = _obs_to_dag(dag)
-    sel = set(dag.selection)
+    back = dag.observed
     links = []
-    for x, y in combinations(names, 2):
+    for x, y in combinations(range(mag.n), 2):
         if mag.has_edge(x, y):
             continue
-        pool = sorted((mag.adj(x) | mag.adj(y)) - {x, y})
-        separable_adjacent = False
-        for r in range(len(pool) + 1):
-            for zs in combinations(pool, r):
-                if dsep_walk(dag, back[x], back[y],
-                             {back[v] for v in zs} | sel):
-                    separable_adjacent = True
-                    break
-            if separable_adjacent:
-                break
-        if not separable_adjacent:
+        pool = [1 << back[v] for v in sorted((mag.adj(x) | mag.adj(y)) - {x, y})]
+        if not any(dsep_walk(dag, back[x], back[y], sum(zs) | dag._sel)
+                   for r in range(len(pool) + 1)
+                   for zs in combinations(pool, r)):
             links.append((x, y))
     return links
 
@@ -177,13 +170,12 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
     ancestors in the truth separates the pair per the oracle."""
     bad = []
     links = _true_dsep_links(dag, mag)
-    back = _obs_to_dag(dag)
-    sel_an = dag.selection_ancestors()
+    back, an = dag.observed, dag._an
     with oracle.stage("reference"):
         for x, y in links:
-            an = {v for v in range(mag.n)
-                  if back[v] in dag.ancestors([back[x], back[y]]) | sel_an}
-            aa = ((mag.adj(x) | mag.adj(y)) & an) - {x, y}
+            up = an[back[x]] | an[back[y]] | dag._an_sel
+            aa = {v for v in (mag.adj(x) | mag.adj(y)) - {x, y}
+                  if up >> back[v] & 1}
             closure = hie(aa, sepsets).closure if aa else frozenset()
             if not oracle.query(x, y, closure - {x, y}):
                 bad.append((x, y))
@@ -220,7 +212,6 @@ def run_invariant_checks(dag, oracle, k, pag, sepsets, skeleton=None,
     fciplus, the adjacency-search skeleton and the deep-search log. Returns
     {name: {ok, detail}}."""
     out = {}
-    mag = latent_project(dag)
 
     def add(name, pair):
         ok, detail = pair
@@ -230,15 +221,18 @@ def run_invariant_checks(dag, oracle, k, pag, sepsets, skeleton=None,
     add("tail_soundness_pag", check_tail_soundness(dag, pag))
     augment_cap = None
     if skeleton is not None:
+        stored = stored_candidates(skeleton, sepsets)
         add("arrowhead_soundness_augmented",
-            check_arrowhead_soundness_augmented(dag, skeleton, sepsets, oracle))
-        augment_cap = augment_budget(skeleton, sepsets)
+            check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle))
+        augment_cap = augment_budget(stored)
     add("sepsets_minimal", check_sepsets(sepsets, oracle))
     add("hierarchy_ancestry", check_hierarchy_ancestry(dag, sepsets))
     if dsep_log is not None:
         add("resolved_links", check_resolved_links(dag, dsep_log))
+        # only this fciplus check reads the projected MAG
         add("hierarchy_separates_links",
-            check_hierarchy_separates_links(dag, mag, sepsets, oracle))
+            check_hierarchy_separates_links(dag, latent_project(dag),
+                                            sepsets, oracle))
     add("query_bounds",
         check_query_bounds(oracle.stats.to_dict(), oracle.n_vars, k,
                            augment_cap))

@@ -9,6 +9,12 @@ constructors, `MixedGraphBuilder.add_edge`, `d_separated`, `m_separated`
 and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`) and
 `dsep_walk` trust their callers.
 
+CausalDag answers ancestry from an int-mask table (bit v for node v) that
+its constructor fills in one topological pass: parents, children and
+ancestors per node, and the ancestors of the selection set. `dsep_walk`,
+`latent_project`, the oracle and the invariant checks read those masks;
+`dsep_walk` takes its conditioning set as a mask too.
+
 Edge mark conventions: an edge {a, b} carries one mark per endpoint. A
 directed edge a -> b has TAIL at a and ARROW at b; a <-> b has ARROW at both
 ends; a -- b has TAIL at both ends. An arrowhead at a on the edge to b reads
@@ -39,6 +45,16 @@ class ModelViolationError(GraphError):
 def _check_var(v, n):
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
         raise GraphError("unknown variable id %r (graph has %d variables)" % (v, n))
+
+
+def _bits(mask):
+    """Ascending ids of the set bits of an int mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def default_names(n, prefix="X"):
@@ -338,11 +354,18 @@ class MixedGraphBuilder(_MarkTable):
 
 class CausalDag:
     """Ground-truth directed acyclic graph over observed + latent + selection
-    variables. Edges are (parent, child) pairs."""
+    variables. Edges are (parent, child) pairs.
+
+    Node sets inside are int bitmasks (bit v for node v): `_pa[v]`, `_ch[v]`
+    and `_an[v]` (v and every node with a directed path into it) per node;
+    `_sel`, the selection set, and `_an_sel`, its ancestors. One
+    topological pass at construction fills them and rejects directed
+    cycles.
+    """
 
     __slots__ = (
         "n", "names", "edges", "observed", "latent", "selection",
-        "_parents", "_children", "_an_single", "_an_selection",
+        "_pa", "_ch", "_an", "_sel", "_an_sel",
     )
 
     def __init__(self, n, edges, observed, latent=(), selection=(), names=None):
@@ -361,8 +384,8 @@ class CausalDag:
         self.latent = tuple(sorted(lat))
         self.selection = tuple(sorted(sel))
 
-        parents = [[] for _ in range(n)]
-        children = [[] for _ in range(n)]
+        pa = [0] * n
+        ch = [0] * n
         seen = set()
         for u, v in edges:
             _check_var(u, n)
@@ -374,76 +397,56 @@ class CausalDag:
             if (v, u) in seen:
                 raise GraphError("both %d -> %d and %d -> %d present" % (u, v, v, u))
             seen.add((u, v))
-            parents[v].append(u)
-            children[u].append(v)
+            pa[v] |= 1 << u
+            ch[u] |= 1 << v
         self.edges = frozenset(seen)
-        self._parents = tuple(tuple(sorted(p)) for p in parents)
-        self._children = tuple(tuple(sorted(c)) for c in children)
-        self._check_acyclic()
-        self._an_single = [None] * n
-        self._an_selection = None
+        self._pa = tuple(pa)
+        self._ch = tuple(ch)
 
-    def _check_acyclic(self):
-        state = [0] * self.n  # 0 unvisited, 1 on stack, 2 done
-        for root in range(self.n):
-            if state[root]:
-                continue
-            stack = [(root, 0)]
-            state[root] = 1
-            while stack:
-                v, i = stack[-1]
-                if i < len(self._children[v]):
-                    stack[-1] = (v, i + 1)
-                    c = self._children[v][i]
-                    if state[c] == 1:
-                        raise GraphError("directed cycle through %d" % c)
-                    if state[c] == 0:
-                        state[c] = 1
-                        stack.append((c, 0))
-                else:
-                    state[v] = 2
-                    stack.pop()
-
-    def _ancestors_of(self, v):
-        if self._an_single[v] is None:
-            out = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for p in self._parents[u]:
-                    if p not in out:
-                        out.add(p)
-                        stack.append(p)
-            self._an_single[v] = frozenset(out)
-        return self._an_single[v]
+        # Kahn's order: a node is taken once all its parents are, so their
+        # ancestor masks are complete when its own is formed
+        indeg = [m.bit_count() for m in pa]
+        order = [v for v in range(n) if not indeg[v]]
+        an = [0] * n
+        for v in order:
+            m = 1 << v
+            for p in _bits(pa[v]):
+                m |= an[p]
+            an[v] = m
+            for c in _bits(ch[v]):
+                indeg[c] -= 1
+                if not indeg[c]:
+                    order.append(c)
+        if len(order) < n:
+            # every node left has a parent left: climbing from one of them
+            # must come back to a node already passed, which lies on a cycle
+            rest = sum(1 << v for v in range(n) if indeg[v])
+            v, passed = _bits(rest)[0], 0
+            while not passed >> v & 1:
+                passed |= 1 << v
+                v = _bits(pa[v] & rest)[0]
+            raise GraphError("directed cycle through %d" % v)
+        self._an = tuple(an)
+        self._sel = self._an_sel = 0
+        for v in self.selection:
+            self._sel |= 1 << v
+            self._an_sel |= an[v]
 
     def ancestors(self, xs):
         """xs plus all nodes with a directed path into some member of xs."""
-        out = set()
+        out = 0
         for v in xs:
             _check_var(v, self.n)
-            out |= self._ancestors_of(v)
-        return frozenset(out)
-
-    def selection_ancestors(self):
-        if self._an_selection is None:
-            self._an_selection = self.ancestors(self.selection)
-        return self._an_selection
+            out |= self._an[v]
+        return frozenset(_bits(out))
 
     def descendants(self, xs):
-        out = set()
-        stack = []
+        """xs plus all nodes with a directed path from some member of xs."""
+        mask = 0
         for v in xs:
             _check_var(v, self.n)
-            out.add(v)
-            stack.append(v)
-        while stack:
-            u = stack.pop()
-            for c in self._children[u]:
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        return frozenset(out)
+            mask |= 1 << v
+        return frozenset(v for v in range(self.n) if self._an[v] & mask)
 
     def skeleton_pairs(self):
         return sorted((u, v) if u < v else (v, u) for u, v in self.edges)
@@ -529,69 +532,58 @@ def d_separated(dag, x, y, z):
     _check_var(x, dag.n)
     _check_var(y, dag.n)
     z = frozenset(z)
+    zmask = 0
     for v in z:
         _check_var(v, dag.n)
+        zmask |= 1 << v
     if x == y:
         raise GraphError("x and y must differ")
     if x in z or y in z:
         raise GraphError("x and y must not be in the conditioning set")
-    return dsep_walk(dag, x, y, z)
+    return dsep_walk(dag, x, y, zmask)
 
 
-def dsep_walk(dag, x, y, z):
+def dsep_walk(dag, x, y, zmask):
     """d_separated without input checks, for callers whose ids are already
-    valid: x != y, both outside the collection z. Reachability over
-    (node, direction) states, linear in the number of edges."""
-    parents = dag._parents
-    children = dag._children
-    n = dag.n
+    valid: x != y, both outside the int mask zmask of the conditioning set.
 
-    # ancestors of z, for collider openings
-    anz = bytearray(n)
-    stack = []
-    for v in z:
-        anz[v] = 1
-        stack.append(v)
-    while stack:
-        v = stack.pop()
-        for p in parents[v]:
-            if not anz[p]:
-                anz[p] = 1
-                stack.append(p)
-    inz = bytearray(n)
-    for v in z:
-        inz[v] = 1
-
-    # active-trail reachability from x; state 2v+1 = arrived moving up
-    visited = bytearray(2 * n)
-    stack = [2 * x + 1]
-    visited[2 * x + 1] = 1
-    while stack:
-        code = stack.pop()
-        v, up = code >> 1, code & 1
-        if v == y:
+    Active-trail reachability from x as two frontier masks: nodes arrived
+    at moving up (from a child) and moving down (from a parent). Leaving a
+    node as a noncollider needs it outside z; arriving down and leaving up
+    makes it a collider, which needs it to be an ancestor of z.
+    """
+    pa, ch, an = dag._pa, dag._ch, dag._an
+    anz = 0
+    m = zmask
+    while m:
+        low = m & -m
+        anz |= an[low.bit_length() - 1]
+        m ^= low
+    free = ~zmask
+    # an active trail stays inside An({x, y} + z): moving down out of it
+    # can never come back up or reach y, so such moves are dropped
+    inside = anz | an[x] | an[y]
+    ybit = 1 << y
+    up = seen_up = 1 << x
+    down = seen_down = 0
+    while up or down:
+        to_pa = (up & free) | (down & anz)
+        to_ch = (up | down) & free
+        up = down = 0
+        while to_pa:
+            low = to_pa & -to_pa
+            up |= pa[low.bit_length() - 1]
+            to_pa ^= low
+        while to_ch:
+            low = to_ch & -to_ch
+            down |= ch[low.bit_length() - 1]
+            to_ch ^= low
+        up &= ~seen_up
+        down &= inside & ~seen_down
+        if (up | down) & ybit:
             return False
-        if up:
-            if not inz[v]:
-                for p in parents[v]:
-                    if not visited[2 * p + 1]:
-                        visited[2 * p + 1] = 1
-                        stack.append(2 * p + 1)
-                for c in children[v]:
-                    if not visited[2 * c]:
-                        visited[2 * c] = 1
-                        stack.append(2 * c)
-        else:
-            if not inz[v]:
-                for c in children[v]:
-                    if not visited[2 * c]:
-                        visited[2 * c] = 1
-                        stack.append(2 * c)
-            if anz[v]:
-                for p in parents[v]:
-                    if not visited[2 * p + 1]:
-                        visited[2 * p + 1] = 1
-                        stack.append(2 * p + 1)
+        seen_up |= up
+        seen_down |= down
     return True
 
 
@@ -648,19 +640,19 @@ def latent_project(dag):
     of {b} union the selection set, else ARROW.
     """
     obs = dag.observed
-    obs_set = frozenset(obs)
-    sel = frozenset(dag.selection)
-    an_sel = dag.selection_ancestors()
-    an = [dag._ancestors_of(a) for a in obs]
+    an, an_sel = dag._an, dag._an_sel
+    obs_mask = sum(1 << v for v in obs)
     edges = []
     for i, a in enumerate(obs):
+        up_a = an[a] | an_sel
         for j in range(i + 1, len(obs)):
             b = obs[j]
-            canonical = ((an[i] | an[j] | an_sel) & obs_set) - {a, b}
-            if dsep_walk(dag, a, b, canonical | sel):
+            up_b = an[b] | an_sel
+            canonical = (up_a | up_b) & obs_mask & ~(1 << a | 1 << b)
+            if dsep_walk(dag, a, b, canonical | dag._sel):
                 continue
-            ma = TAIL if a in an[j] or a in an_sel else ARROW
-            mb = TAIL if b in an[i] or b in an_sel else ARROW
+            ma = TAIL if up_b >> a & 1 else ARROW
+            mb = TAIL if up_a >> b & 1 else ARROW
             edges.append((i, j, ma, mb))
     mag = MixedGraph(len(obs), edges, names=[dag.names[o] for o in obs])
     if not mag.is_ancestral():

@@ -133,13 +133,15 @@ class DsepOracle(IndependenceOracle):
     def __init__(self, dag):
         self.dag = dag
         self._obs = dag.observed
-        self._sel = frozenset(dag.selection)
+        self._bit = tuple(1 << o for o in self._obs)
         names = tuple(dag.names[o] for o in self._obs)
         super().__init__(len(self._obs), names=names)
 
     def _decide(self, x, y, zkey):
-        zdag = frozenset(self._obs[v] for v in zkey) | self._sel
-        return dsep_walk(self.dag, self._obs[x], self._obs[y], zdag)
+        zmask = self.dag._sel
+        for v in zkey:
+            zmask |= self._bit[v]
+        return dsep_walk(self.dag, self._obs[x], self._obs[y], zmask)
 
 
 def fisher_z_test(cov, n_samples, x, y, z, alpha):

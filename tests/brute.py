@@ -51,6 +51,53 @@ def bf_d_separated(dag, x, y, z):
     return True
 
 
+def _dag_parents(dag):
+    parents = {v: set() for v in range(dag.n)}
+    for u, v in dag.edges:
+        parents[v].add(u)
+    return parents
+
+
+def naive_ancestors(dag, xs):
+    """xs plus every node reached by walking parent edges from them."""
+    parents = _dag_parents(dag)
+    out = set(xs)
+    stack = list(out)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in out:
+                out.add(p)
+                stack.append(p)
+    return out
+
+
+def moral_d_separated(dag, x, y, z):
+    """Lauritzen's criterion: z d-separates x and y iff it separates them in
+    the moral graph of the sub-DAG on the ancestors of {x, y} + z (parents
+    of a common child married, directions dropped)."""
+    z = set(z)
+    parents = _dag_parents(dag)
+    keep = naive_ancestors(dag, {x, y} | z)
+    adj = {v: set() for v in keep}
+    for v in keep:
+        for p in parents[v]:
+            adj[v].add(p)
+            adj[p].add(v)
+        for p, q in combinations(parents[v], 2):
+            adj[p].add(q)
+            adj[q].add(p)
+    seen = {x}
+    stack = [x]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == y:
+                return False
+            if w not in seen and w not in z:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
 def bf_m_separated(mag, x, y, z):
     """Path-enumeration m-separation on a MAG: every noncollider outside z,
     every collider an ancestor of z."""

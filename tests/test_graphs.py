@@ -12,7 +12,10 @@ from fciplus import (
 )
 from fciplus.graphs import ModelViolationError
 
-from .brute import bf_d_separated, bf_m_separated, bf_mag_adjacent
+from .brute import (
+    bf_d_separated, bf_m_separated, bf_mag_adjacent, moral_d_separated,
+    naive_ancestors,
+)
 
 
 def chain3():
@@ -62,6 +65,17 @@ class TestAncestors:
         assert dag.ancestors(xs) <= dag.ancestors(ys)
         assert dag.ancestors(dag.ancestors(xs)) == dag.ancestors(xs)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_parent_walk_on_larger_dags(self, seed):
+        n = 16 + seed % 3 * 4
+        dag = random_dag(n, 2.5 / n, seed, n_latent=3, n_selection=1)
+        rng = random.Random(seed + 300)
+        for v in range(dag.n):
+            assert dag.ancestors([v]) == naive_ancestors(dag, {v})
+        for _ in range(50):
+            xs = rng.sample(range(dag.n), rng.randrange(4))
+            assert dag.ancestors(xs) == naive_ancestors(dag, xs)
+
     def test_mixed_graph_directed_paths_only(self):
         g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, ARROW, ARROW)])
         assert g.ancestors([1]) == {0, 1}
@@ -103,6 +117,22 @@ class TestDSeparation:
                 for zs in itertools.combinations(others, r):
                     assert d_separated(dag, x, y, set(zs)) == \
                         bf_d_separated(dag, x, y, set(zs)), (x, y, zs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_moral_graph_on_larger_dags(self, seed):
+        n = 16 + seed % 3 * 4   # 16, 20 or 24 observed
+        dag = random_dag(n, 2.5 / n, seed, n_latent=3 + seed % 3,
+                         n_selection=1 + seed % 2)
+        rng = random.Random(seed + 200)
+        total, sel = dag.n, set(dag.selection)
+        for _ in range(300):
+            x, y = rng.sample(range(total), 2)
+            zs = {v for v in range(total)
+                  if v not in (x, y) and rng.random() < 0.2}
+            if rng.random() < 0.5:
+                zs |= sel - {x, y}
+            assert d_separated(dag, x, y, zs) == \
+                moral_d_separated(dag, x, y, zs), (x, y, sorted(zs))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_symmetry(self, seed):
@@ -261,6 +291,14 @@ class TestGraphValues:
     def test_dag_cycle_rejected(self):
         with pytest.raises(GraphError):
             CausalDag(2, [(0, 1), (1, 0)], observed=[0, 1])
+
+    def test_buried_cycle_rejected(self):
+        # 6 -> 7 -> 8 -> 6 inside a 10-node DAG; node 2 hangs below the
+        # cycle, so the lowest node left unsorted is not on it
+        edges = [(0, 1), (1, 6), (0, 3), (3, 4), (6, 7), (7, 8), (8, 6),
+                 (7, 2), (2, 5), (4, 9), (8, 9)]
+        with pytest.raises(GraphError, match=r"directed cycle through [678]$"):
+            CausalDag(10, edges, observed=range(10))
 
     def test_partition_must_be_exhaustive(self):
         with pytest.raises(GraphError):
