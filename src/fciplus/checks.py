@@ -14,21 +14,20 @@ from .dsep_search import hie
 from .oracles import ALGORITHM_STAGES
 
 
-def _nonancestor_in_truth(dag, w, v):
-    """w not an ancestor of {v} union the selection set, in dag ids."""
-    return not (dag._an[v] | dag._an_sel) >> w & 1
+def _marks_against_truth(dag, graph, mark, ancestral):
+    """Endpoints (w, v) carrying `mark` at w on the edge to v where w is an
+    ancestor of v or of the selection set in the truth iff `ancestral`."""
+    back, an = dag.observed, dag._an
+    return [(w, v) for a, b, ma, mb in graph.edges()
+            for w, v, m in ((a, b, ma), (b, a, mb))
+            if m == mark
+            and bool((an[back[v]] | dag._an_sel) >> back[w] & 1) == ancestral]
 
 
 def check_arrowhead_soundness(dag, graph):
     """Every arrowhead at w on an edge to v means w is no ancestor of v (or
     of selection) in the truth."""
-    back = dag.observed
-    bad = []
-    for a, b, ma, mb in graph.edges():
-        if ma == ARROW and not _nonancestor_in_truth(dag, back[a], back[b]):
-            bad.append((a, b))
-        if mb == ARROW and not _nonancestor_in_truth(dag, back[b], back[a]):
-            bad.append((b, a))
+    bad = _marks_against_truth(dag, graph, ARROW, True)
     return not bad, "unsound arrowheads: %r" % bad if bad else "all arrowheads sound"
 
 
@@ -78,13 +77,7 @@ def augment_budget(stored):
 def check_tail_soundness(dag, graph):
     """Every tail at w on an edge to v means w is an ancestor of v or of the
     selection set in the truth."""
-    back = dag.observed
-    bad = []
-    for a, b, ma, mb in graph.edges():
-        if ma == TAIL and _nonancestor_in_truth(dag, back[a], back[b]):
-            bad.append((a, b))
-        if mb == TAIL and _nonancestor_in_truth(dag, back[b], back[a]):
-            bad.append((b, a))
+    bad = _marks_against_truth(dag, graph, TAIL, False)
     return not bad, "unsound tails: %r" % bad if bad else "all tails sound"
 
 
@@ -106,18 +99,18 @@ def check_sepsets(sepsets, oracle):
 
 def check_hierarchy_ancestry(dag, sepsets):
     """Every node pulled into a pair's hierarchy closure is an ancestor of
-    the seed (or of selection) in the truth."""
+    the seed (or of selection) in the truth, tested in the equivalent form:
+    each member z of the set stored for (a, b) is in An({a, b} + S). (If) z
+    enters a closure through a stored pair already in it, so is ancestral by
+    induction and transitivity. (Only if) hie({c, d}) holds c, d's set.
+    """
     back, an = dag.observed, dag._an
     bad = []
-    pairs = sepsets.pairs()
-    for a, b in pairs:
-        closure = hie({a, b}, sepsets).closure
+    for (a, b), zs, _lvl in sepsets.items():
         up = an[back[a]] | an[back[b]] | dag._an_sel
-        for w in closure - {a, b}:
-            if not up >> back[w] & 1:
-                bad.append((a, b, w))
+        bad.extend((a, b, z) for z in sorted(zs) if not up >> back[z] & 1)
     return not bad, "non-ancestral hierarchy members: %r" % bad if bad else \
-        "hierarchy members ancestral for %d pair seeds" % len(pairs)
+        "hierarchy members ancestral for %d pair seeds" % len(sepsets)
 
 
 def check_resolved_links(dag, dsep_log):
@@ -149,19 +142,24 @@ def check_resolved_links(dag, dsep_log):
 
 
 def _true_dsep_links(dag, mag):
-    """Pairs nonadjacent in the truth whose every separating set needs a
-    node nonadjacent to both endpoints (checked by exhausting the adjacent
-    pool on the dag directly)."""
-    back = dag.observed
-    links = []
+    """{(x, y): adjacent ancestors} over the pairs nonadjacent in the truth
+    that no subset of their adjacent pool adj(x) + adj(y), with the
+    selection set S, separates; adjacent ancestors are the pool members in
+    An({x, y} + S). One walk per pair: by Tian, Paz & Pearl ("Finding
+    Minimal D-separators", 1998) some Z with S <= Z <= pool + S separates
+    x and y iff (pool + S) & An({x, y} + S) does.
+    """
+    back, an = dag.observed, dag._an
+    links = {}
     for x, y in combinations(range(mag.n), 2):
         if mag.has_edge(x, y):
             continue
-        pool = [1 << back[v] for v in sorted((mag.adj(x) | mag.adj(y)) - {x, y})]
-        if not any(dsep_walk(dag, back[x], back[y], sum(zs) | dag._sel)
-                   for r in range(len(pool) + 1)
-                   for zs in combinations(pool, r)):
-            links.append((x, y))
+        dx, dy = back[x], back[y]
+        up = an[dx] | an[dy] | dag._an_sel
+        pool = (mag.adj(x) | mag.adj(y)) - {x, y}
+        if not dsep_walk(dag, dx, dy,
+                         sum(1 << back[v] for v in pool) & up | dag._sel):
+            links[(x, y)] = {v for v in pool if up >> back[v] & 1}
     return links
 
 
@@ -170,12 +168,8 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
     ancestors in the truth separates the pair per the oracle."""
     bad = []
     links = _true_dsep_links(dag, mag)
-    back, an = dag.observed, dag._an
     with oracle.stage("reference"):
-        for x, y in links:
-            up = an[back[x]] | an[back[y]] | dag._an_sel
-            aa = {v for v in (mag.adj(x) | mag.adj(y)) - {x, y}
-                  if up >> back[v] & 1}
+        for (x, y), aa in links.items():
             closure = hie(aa, sepsets).closure if aa else frozenset()
             if not oracle.query(x, y, closure - {x, y}):
                 bad.append((x, y))

@@ -21,6 +21,7 @@ STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
 # the stages a pipeline's own search runs under; the fci reference and the
 # embedded checks run under "reference"
 ALGORITHM_STAGES = STAGES[:-1]
+_STAGE_BIT = {s: 1 << i for i, s in enumerate(STAGES)}
 _PHI_INV = NormalDist().inv_cdf
 
 
@@ -50,17 +51,6 @@ class OracleStats:
 
     def __init__(self):
         self.stages = {s: StageStats() for s in STAGES}
-        self._stage_keys = {s: set() for s in STAGES}
-
-    def record(self, stage, key, cond_size):
-        st = self.stages[stage]
-        st.queries += 1
-        if cond_size > st.max_cond_size:
-            st.max_cond_size = cond_size
-        seen = self._stage_keys[stage]
-        if key not in seen:
-            seen.add(key)
-            st.distinct += 1
 
     def total_queries(self):
         return sum(st.queries for st in self.stages.values())
@@ -72,25 +62,26 @@ class OracleStats:
 class IndependenceOracle:
     """Base class: deterministic, symmetric-in-(x, y) independence queries.
 
-    Subclasses implement _decide(x, y, zkey) for x < y and zkey a frozenset;
-    `query` validates its arguments and memoizes every answer, so _decide
-    runs once per distinct key.
+    Subclasses implement _decide(x, y, zkey) for x < y and zkey a frozenset.
+    `query` memoizes each answer with a bitmask of the stages that counted
+    its key, so _decide runs once per distinct key. Ids are validated on a
+    memo miss; a hit then needs only exact ints (True and 1.0 equal 1).
     """
 
     def __init__(self, n_vars, names=None):
         self.n_vars = n_vars
         self.names = tuple(names) if names is not None else None
-        self._memo = {}
+        self._memo = {}   # key -> [answer, stage bitmask]
         self.stats = OracleStats()
         self.n_test_errors = 0   # answers from a degenerate test (sample data)
-        self._stage = "reference"
+        self._stage = (self.stats.stages["reference"], _STAGE_BIT["reference"])
 
     @contextmanager
     def stage(self, name):
         if name not in STAGES:
             raise OracleError("unknown stage %r" % name)
         prev = self._stage
-        self._stage = name
+        self._stage = (self.stats.stages[name], _STAGE_BIT[name])
         try:
             yield self
         finally:
@@ -99,18 +90,31 @@ class IndependenceOracle:
     def query(self, x, y, z):
         """True iff x is independent of y given z under the backing model."""
         zkey = frozenset(z)
-        self._validate(x, y, zkey)
-        if x > y:
-            x, y = y, x
-        key = (x, y, zkey)
-        self.stats.record(self._stage, key, len(zkey))
-        if key not in self._memo:
-            self._memo[key] = self._decide(x, y, zkey)
-        return self._memo[key]
+        if type(x) is not int or type(y) is not int:
+            self._validate(x, y, zkey)
+        key = (x, y, zkey) if x < y else (y, x, zkey)
+        entry = self._memo.get(key)
+        if entry is None:
+            self._validate(x, y, zkey)
+            entry = self._memo[key] = [self._decide(*key), 0]
+        else:
+            for v in zkey:
+                if type(v) is not int:
+                    self._validate(x, y, zkey)
+                    break
+        st, bit = self._stage
+        st.queries += 1
+        if len(zkey) > st.max_cond_size:
+            st.max_cond_size = len(zkey)
+        if not entry[1] & bit:
+            entry[1] |= bit
+            st.distinct += 1
+        return entry[0]
 
     def _validate(self, x, y, zkey):
         for v in (x, y, *zkey):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.n_vars:
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)) \
+                    or not 0 <= v < self.n_vars:
                 raise OracleError("variable id %r out of range 0..%d"
                                   % (v, self.n_vars - 1))
         if x == y:

@@ -187,6 +187,52 @@ def bf_true_dsep(mag, a, b):
     return frozenset(out)
 
 
+def bf_true_dsep_links(dag, mag):
+    """{(x, y): adjacent ancestors} over the pairs (mag ids) nonadjacent in
+    mag that no subset of their adjacent pool adj(x) + adj(y), together
+    with the selection set, d-separates in dag, by trying every subset. The
+    adjacent ancestors are the pool members that are ancestors of x, y or
+    the selection set."""
+    back, sel = dag.observed, set(dag.selection)
+    links = {}
+    for x, y in combinations(range(mag.n), 2):
+        if mag.has_edge(x, y):
+            continue
+        pool = sorted((mag.adj(x) | mag.adj(y)) - {x, y})
+        if not any(d_separated(dag, back[x], back[y],
+                               {back[v] for v in zs} | sel)
+                   for r in range(len(pool) + 1)
+                   for zs in combinations(pool, r)):
+            up = naive_ancestors(dag, {back[x], back[y]} | sel)
+            links[(x, y)] = {v for v in pool if back[v] in up}
+    return links
+
+
+def naive_closure(seed, sepsets):
+    """seed plus, until stable, the stored set of every stored pair whose
+    endpoints are both inside."""
+    closure = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), zs, _level in sepsets.items():
+            if a in closure and b in closure and not zs <= closure:
+                closure |= zs
+                changed = True
+    return closure
+
+
+def bf_hierarchy_ancestry(dag, sepsets):
+    """True iff, for every stored pair (a, b), each member of the closure of
+    {a, b} is an ancestor of a, b or the selection set in dag."""
+    back, sel = dag.observed, set(dag.selection)
+    for a, b in sepsets.pairs():
+        up = naive_ancestors(dag, {back[a], back[b]} | sel)
+        if any(back[w] not in up for w in naive_closure({a, b}, sepsets)):
+            return False
+    return True
+
+
 _EDGE_STATES = (None, (TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW), (TAIL, TAIL))
 
 

@@ -1,0 +1,137 @@
+"""Invariant checks against their exhaustive forms in tests/brute.py."""
+
+import random
+
+from fciplus import (
+    ARROW, CIRCLE, TAIL, CausalDag, MixedGraph, SepsetMap, latent_project,
+    random_sparse_dag,
+)
+from fciplus.checks import (
+    _true_dsep_links, check_arrowhead_soundness, check_hierarchy_ancestry,
+    check_tail_soundness,
+)
+from fciplus.generators import GenerationError
+
+from .brute import bf_hierarchy_ancestry, bf_true_dsep_links, naive_ancestors
+
+
+def random_dags(count, seed=0):
+    """Seeded random_sparse_dag draws, n = 8..16, with 0-3 latents and 0-1
+    selection variables; every second draw plants the deep-link motif."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        planted = i % 2 == 1
+        try:
+            out.append(random_sparse_dag(
+                rng.randint(8, 16), 3, n_latent=rng.randint(2 if planted else 0, 3),
+                n_selection=rng.randint(0, 1),
+                edge_density=rng.choice([0.08, 0.12]), seed=rng.randrange(10 ** 6),
+                plant_dsep=planted, max_tries=250))
+        except GenerationError:
+            continue
+    return out
+
+
+class TestTrueDsepLinks:
+    def test_matches_subset_search_on_corpus(self, corpus):
+        links = 0
+        for inst in corpus:
+            want = bf_true_dsep_links(inst.dag, inst.mag)
+            assert _true_dsep_links(inst.dag, inst.mag) == want, inst.seed
+            links += len(want)
+        assert links >= 30
+
+    def test_matches_subset_search_on_random_dags(self):
+        links = selected = 0
+        for dag in random_dags(300):
+            mag = latent_project(dag)
+            want = bf_true_dsep_links(dag, mag)
+            assert _true_dsep_links(dag, mag) == want, dag.to_json()
+            links += len(want)
+            selected += bool(want and dag.selection)
+        assert links >= 100 and selected >= 10
+
+
+def random_sepsets(rng, dag, pairs):
+    """Stored sets over the observed ids of dag: each member is drawn from
+    the pair's own ancestors (plus selection ancestors) and, one time in
+    eight, from anywhere."""
+    obs = dag.observed
+    index = {o: i for i, o in enumerate(obs)}
+    seps = SepsetMap()
+    for _ in range(pairs):
+        a, b = sorted(rng.sample(range(len(obs)), 2))
+        up = dag.ancestors([obs[a], obs[b]] + list(dag.selection))
+        near = sorted(index[o] for o in up if o in index and index[o] not in (a, b))
+        anywhere = [v for v in range(len(obs)) if v not in (a, b)]
+        zs = set()
+        for _ in range(rng.randint(0, 3)):
+            pool = anywhere if rng.random() < 0.125 or not near else near
+            zs.add(rng.choice(pool))
+        seps.set(a, b, zs, len(zs))
+    return seps
+
+
+class TestHierarchyAncestry:
+    def test_agrees_with_closure_form(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for dag in random_dags(60, seed=1):
+            for _ in range(10):
+                seps = random_sepsets(rng, dag, rng.randint(1, 8))
+                ok, _detail = check_hierarchy_ancestry(dag, seps)
+                assert ok == bf_hierarchy_ancestry(dag, seps)
+                outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_fails_on_the_pairs_own_set(self):
+        # 0 -> 2 <- 1: the collider 2 is no ancestor of {0, 1}
+        dag = CausalDag(3, [(0, 2), (1, 2)], observed=range(3))
+        seps = SepsetMap()
+        seps.set(0, 1, {2}, 1)
+        assert not bf_hierarchy_ancestry(dag, seps)
+        assert check_hierarchy_ancestry(dag, seps) == (
+            False, "non-ancestral hierarchy members: [(0, 1, 2)]")
+
+    def test_fails_through_a_second_stored_pair(self):
+        # 2 -> 0, 3 -> 1, 2 -> 4 <- 3. The set of (0, 1) is ancestral; the
+        # closure of {0, 1} then takes in (2, 3) and its collider 4.
+        dag = CausalDag(5, [(2, 0), (3, 1), (2, 4), (3, 4)], observed=range(5))
+        seps = SepsetMap()
+        seps.set(0, 1, {2, 3}, 2)
+        assert check_hierarchy_ancestry(dag, seps) == (
+            True, "hierarchy members ancestral for 1 pair seeds")
+        seps.set(2, 3, {4}, 1)
+        assert not bf_hierarchy_ancestry(dag, seps)
+        assert check_hierarchy_ancestry(dag, seps) == (
+            False, "non-ancestral hierarchy members: [(2, 3, 4)]")
+
+
+class TestMarkSoundness:
+    def test_random_marks_judged_by_ancestry(self):
+        # every mark on the true MAG's edges, drawn at random: an arrowhead
+        # at w towards v is unsound iff w is an ancestor of v or of the
+        # selection set, a tail iff it is not
+        rng = random.Random(3)
+        found = {ARROW: 0, TAIL: 0}
+        for dag in random_dags(40, seed=2):
+            back, sel = dag.observed, set(dag.selection)
+            g = MixedGraph(len(back), [
+                (a, b, rng.choice((ARROW, TAIL, CIRCLE)),
+                 rng.choice((ARROW, TAIL, CIRCLE)))
+                for a, b in latent_project(dag).edge_pairs()])
+            want = {ARROW: [], TAIL: []}
+            for a, b, ma, mb in g.edges():
+                for w, v, m in ((a, b, ma), (b, a, mb)):
+                    ancestral = back[w] in naive_ancestors(dag, {back[v]} | sel)
+                    if m == (ARROW if ancestral else TAIL):
+                        want[m].append((w, v))
+            for mark, check, what in ((ARROW, check_arrowhead_soundness, "arrowheads"),
+                                      (TAIL, check_tail_soundness, "tails")):
+                bad = want[mark]
+                assert check(dag, g) == (
+                    not bad, "unsound %s: %r" % (what, bad) if bad
+                    else "all %s sound" % what)
+                found[mark] += len(bad)
+        assert min(found.values()) >= 20

@@ -1,6 +1,5 @@
 """Candidate-link detection, hierarchies, minimal separators, the search."""
 
-import contextlib
 import itertools
 import random
 
@@ -11,10 +10,10 @@ from fciplus import (
     augment_graph, dsep_search, find_possible_dsep_links, hie, latent_project,
     minimal_dsep, pc_adjacency_search, run_pipeline,
 )
-from fciplus.oracles import OracleStats
+from fciplus.oracles import IndependenceOracle
 from fciplus.generators import canonical_examples, random_sparse_dag
 
-from .brute import bf_separable
+from .brute import bf_separable, naive_closure
 
 
 def bidirected(n, pairs):
@@ -124,18 +123,6 @@ class TestHierarchy:
             for m in maps:
                 seed_set = set(rng.sample(range(n), rng.randint(0, n)))
                 assert hie(seed_set, m).closure == naive_closure(seed_set, m)
-
-
-def naive_closure(seed, sepsets):
-    closure = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), zs, _level in sepsets.items():
-            if a in closure and b in closure and not zs <= closure:
-                closure |= zs
-                changed = True
-    return closure
 
 
 class TestMinimalDsep:
@@ -278,29 +265,15 @@ class TestDsepSearch:
         assert log.reactivations <= len(log.resolutions) * max_links
 
 
-class _ScriptedOracle:
+class _ScriptedOracle(IndependenceOracle):
     """Fixed answer table; anything not listed is dependent."""
 
     def __init__(self, table, n_vars):
+        super().__init__(n_vars)
         self.table = dict(table)
-        self.n_vars = n_vars
-        self.names = None
-        self.stats = OracleStats()
-        self._stage = "reference"
 
-    @contextlib.contextmanager
-    def stage(self, name):
-        prev = self._stage
-        self._stage = name
-        try:
-            yield self
-        finally:
-            self._stage = prev
-
-    def query(self, x, y, z):
-        key = (min(x, y), max(x, y), frozenset(z))
-        self.stats.record(self._stage, key, len(z))
-        return self.table.get(key, False)
+    def _decide(self, x, y, zkey):
+        return self.table.get((x, y, zkey), False)
 
 
 class TestWorkListSemantics:

@@ -1,5 +1,6 @@
 """Oracles: d-separation delegation, stage accounting, Fisher z testing."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 import itertools
 import random
@@ -80,6 +81,26 @@ class TestDsepOracle:
         assert st.queries == 3 and st.distinct == 1
         assert o.decided == 1
 
+    def test_invalid_ids_rejected_on_every_call(self):
+        # a bool, float or numpy id can equal a memoized int key; it must
+        # still be rejected on a hit, as on the miss that would validate it
+        dag = CausalDag(4, [(0, 1), (1, 2)], observed=range(4))
+        o = DsepOracle(dag)
+        bad = [(True, 2, {3}), (1.0, 2, {3}), (np.int64(1), 2, {3}),
+               (1, 2, {3.0}), (1, 2, {np.int64(3)}), (0, 2, {True}),
+               (1, 4, ()), (-1, 2, ()), (1, 2, {4}), (2, 2, ()),
+               (1, 2, {1, 3}), ("1", 2, ()), (None, 2, ())]
+        for memoized in (False, True):
+            for x, y, z in bad:
+                for _ in range(2):
+                    with pytest.raises(OracleError):
+                        o.query(x, y, z)
+            if not memoized:
+                for x, y, z in [(1, 2, {3}), (0, 2, {1}), (2, 1, ()),
+                                (2, 3, ())]:
+                    o.query(x, y, z)
+        assert sum(st.queries for st in o.stats.stages.values()) == 4
+
 
 class TestStats:
     def test_stage_partition_sums_to_total(self):
@@ -93,6 +114,48 @@ class TestStats:
         assert stats.stages["pc_search"].queries > 0
         assert stats.stages["dsep_search"].queries > 0
         assert stats.stages["minimal_dsep"].queries > 0
+
+    def test_counters_match_a_logged_query_stream(self):
+        # fciplus with its checks asks keys of the search stages again
+        # under "reference"; every counter is recounted from the log
+        class Logged(DsepOracle):
+            def __init__(self, dag):
+                super().__init__(dag)
+                self.log = []
+                self.current = ["reference"]
+
+            @contextmanager
+            def stage(self, name):
+                with super().stage(name):
+                    self.current.append(name)
+                    try:
+                        yield self
+                    finally:
+                        self.current.pop()
+
+            def query(self, x, y, z):
+                self.log.append((self.current[-1],
+                                 (min(x, y), max(x, y), frozenset(z))))
+                return super().query(x, y, z)
+
+        from fciplus.generators import canonical_examples
+        ex = canonical_examples()["hierarchical_links"]
+        o = Logged(ex.dag)
+        report = run_pipeline("fciplus", o, k=ex.k)
+        want = {s: {"queries": 0, "distinct": 0, "max_cond_size": 0}
+                for s in o.stats.stages}
+        stages_of = {}
+        for stage, key in o.log:
+            w = want[stage]
+            w["queries"] += 1
+            w["max_cond_size"] = max(w["max_cond_size"], len(key[2]))
+            stages_of.setdefault(key, set()).add(stage)
+        for stages in stages_of.values():
+            for stage in stages:
+                want[stage]["distinct"] += 1
+        assert report.stats == want
+        assert any(len(stages) > 1 for stages in stages_of.values())
+        assert len(o.log) > len(stages_of) == len(o._memo)
 
     def test_repeat_queries_count_raw_but_not_distinct(self):
         o = DsepOracle(fork_dag())
