@@ -6,11 +6,11 @@ import random
 import pytest
 
 from fciplus import (
-    ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
-    augment_graph, dsep_search, find_possible_dsep_links, hie, latent_project,
-    minimal_dsep, pc_adjacency_search, run_pipeline,
+    ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, IndependenceOracle,
+    MixedGraph, SepsetMap, augment_graph, dsep_search,
+    find_possible_dsep_links, hie, latent_project, minimal_dsep,
+    pc_adjacency_search, run_pipeline,
 )
-from fciplus.oracles import IndependenceOracle
 from fciplus.generators import canonical_examples, random_sparse_dag
 
 from .brute import bf_separable, naive_closure
