@@ -8,7 +8,8 @@ Gaussian samples via the Fisher z transform.
 """
 
 from contextlib import contextmanager
-from math import log, sqrt
+from math import atanh, sqrt
+from operator import itemgetter
 from statistics import NormalDist
 import warnings
 
@@ -23,6 +24,7 @@ STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
 ALGORITHM_STAGES = STAGES[:-1]
 _STAGE_BIT = {s: 1 << i for i, s in enumerate(STAGES)}
 _PHI_INV = NormalDist().inv_cdf
+_DEGENERATE = 1e-10   # relative tolerance of a degenerate Fisher z test
 
 
 class OracleError(ValueError):
@@ -148,58 +150,85 @@ class DsepOracle(IndependenceOracle):
         return dsep_walk(self.dag, self._obs[x], self._obs[y], zmask)
 
 
+def _critical_value(alpha):
+    """Phi^-1(1 - alpha/2), the two-sided normal quantile at 0 < alpha < 1."""
+    if not 0 < alpha < 1:
+        raise OracleError("alpha must lie strictly between 0 and 1, got %r"
+                          % (alpha,))
+    return _PHI_INV(1 - alpha / 2)
+
+
+def _fisher_z(cov, n_samples, x, y, z, crit):
+    """fisher_z_test in plain floats on a covariance given as nested lists;
+    None for a degenerate test. z is swept out of the submatrix over
+    [x, y, *z], last to first, on its upper triangle (a Schur complement)."""
+    m = len(z)
+    if n_samples <= m + 3:
+        return None
+    idx = [x, y, *z]
+    get = itemgetter(*idx)
+    a = [list(get(cov[i])) for i in idx]
+    for k in range(m + 1, 1, -1):
+        pivot = a[k][k]
+        if pivot <= _DEGENERATE * cov[idx[k]][idx[k]]:
+            return None
+        col = [row[k] for row in a[:k]]
+        for i, f in enumerate(col):
+            f /= pivot
+            row = a[i]
+            for j in range(i, k):
+                row[j] -= f * col[j]
+    sxx, sxy, syy = a[0][0], a[0][1], a[1][1]
+    if (sxx <= _DEGENERATE * cov[x][x] or syy <= _DEGENERATE * cov[y][y]
+            or sxx * syy - sxy * sxy <= _DEGENERATE * sxx * syy):
+        return None
+    rho = sxy / sqrt(sxx * syy)
+    return sqrt(n_samples - m - 3) * abs(atanh(rho)) <= crit
+
+
 def fisher_z_test(cov, n_samples, x, y, z, alpha):
     """Partial-correlation independence test for Gaussian data.
 
-    Computes the partial correlation of x and y given z by inverting the
-    covariance submatrix over {x, y} | z, then compares the Fisher
-    z statistic sqrt(n-|z|-3) * |atanh(rho)| against the normal quantile
-    Phi^-1(1 - alpha/2). Returns True for independence. Too few samples
-    for the statistic (n <= |z| + 3) and a singular submatrix are each
-    reported as a warning and treated as dependent.
+    rho is the correlation of the residuals of x and y given z (as from
+    inverting the covariance submatrix over {x, y} | z); the test accepts
+    independence iff sqrt(n-|z|-3) * |atanh(rho)| <= Phi^-1(1 - alpha/2).
+    A degenerate test warns and answers dependent: n <= |z| + 3, a residual
+    variance (of a member of z given the later members, or of x or y given
+    z) at most 1e-10 of that variable's own variance, or 1 - rho^2 <= 1e-10.
     """
     z = sorted(z)
-    if n_samples <= len(z) + 3:
-        warnings.warn("need more than |z|+3 samples (got %d for |z|=%d); "
-                      "treating as dependent" % (n_samples, len(z)))
-        return False
-    idx = [x, y] + z
-    sub = np.asarray(cov)[np.ix_(idx, idx)]
-    try:
-        prec = np.linalg.inv(sub)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular covariance submatrix for (%d, %d | %r); "
-                      "treating as dependent" % (x, y, z))
-        return False
-    denom = prec[0, 0] * prec[1, 1]
-    if denom <= 0:
-        warnings.warn("ill-conditioned covariance submatrix for (%d, %d | %r); "
-                      "treating as dependent" % (x, y, z))
-        return False
-    rho = -prec[0, 1] / sqrt(denom)
-    if not np.isfinite(rho) or abs(rho) >= 1.0:
-        return False
-    stat = sqrt(n_samples - len(z) - 3) * abs(0.5 * log((1 + rho) / (1 - rho)))
-    return stat <= _PHI_INV(1 - alpha / 2)
+    result = _fisher_z(np.asarray(cov, dtype=float).tolist(), n_samples,
+                       x, y, z, _critical_value(alpha))
+    if result is None:
+        warnings.warn(("need more than |z|+3 samples (got %d for |z|=%d)"
+                       % (n_samples, len(z)) if n_samples <= len(z) + 3 else
+                       "degenerate covariance submatrix for (%d, %d | %r)"
+                       % (x, y, z)) + "; treating as dependent")
+    return bool(result)
 
 
 class GaussOracle(IndependenceOracle):
     """Sample-data oracle: Fisher z test on a sample covariance matrix.
 
     Provided for running the pipelines on real data; no exactness guarantee.
-    Constant columns are rejected at load time.
+    Non-finite values, constant columns and an alpha outside (0, 1) are
+    rejected at load time; a degenerate test (see fisher_z_test) answers
+    dependent and is counted in n_test_errors.
     """
 
     def __init__(self, data, names=None, alpha=0.01):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 2:
             raise OracleError("data must be a 2-d array with at least 2 rows")
+        if not np.isfinite(data).all():
+            raise OracleError("data holds NaN or infinite values")
         spans = data.max(axis=0) - data.min(axis=0)
         dead = [int(i) for i in np.nonzero(spans == 0)[0]]
         if dead:
             raise OracleError("constant columns %r cannot be tested" % dead)
+        self._crit = _critical_value(alpha)
         self.n_samples = data.shape[0]
-        self.cov = np.cov(data, rowvar=False)
+        self.cov = np.cov(data, rowvar=False).tolist()
         self.alpha = alpha
         super().__init__(data.shape[1], names=names)
 
@@ -219,10 +248,7 @@ class GaussOracle(IndependenceOracle):
         return cls(data, names=names, alpha=alpha)
 
     def _decide(self, x, y, zkey):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = fisher_z_test(self.cov, self.n_samples, x, y,
-                                   sorted(zkey), self.alpha)
-        if caught:
-            self.n_test_errors += len(caught)
-        return result
+        result = _fisher_z(self.cov, self.n_samples, x, y, sorted(zkey),
+                           self._crit)
+        self.n_test_errors += result is None
+        return bool(result)

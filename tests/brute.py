@@ -1,10 +1,15 @@
 """Independent brute-force oracles the tests check the package against.
 
-Everything here enumerates paths or subsets directly from the definitions;
-none of it shares code with the algorithms under test.
+Everything here enumerates paths or subsets directly from the definitions,
+or (for the Fisher z test) regresses on the raw data; none of it shares code
+with the algorithms under test.
 """
 
 from itertools import combinations, product
+from math import atanh, sqrt
+from statistics import NormalDist
+
+import numpy as np
 
 from fciplus.graphs import ARROW, CIRCLE, TAIL, MixedGraph, d_separated
 
@@ -298,3 +303,22 @@ def build_mag_catalog(n):
     for g in enumerate_mags(n):
         catalog.setdefault(msep_signature(g), []).append(g)
     return catalog
+
+
+def bf_fisher_z_margin(data, x, y, zs, alpha):
+    """Fisher z test from least-squares residuals.
+
+    Regresses columns x and y on the columns zs plus an intercept and takes
+    the correlation r of the two residual vectors. Returns the quantile
+    Phi^-1(1 - alpha/2) minus sqrt(n - |zs| - 3) * |atanh r|: independence
+    is accepted iff the margin is >= 0.
+    """
+    n = data.shape[0]
+    design = np.column_stack([np.ones(n)] + [data[:, w] for w in zs])
+    res = [data[:, v] - design @ np.linalg.lstsq(design, data[:, v],
+                                                 rcond=None)[0]
+           for v in (x, y)]
+    r = float(res[0] @ res[1]) / sqrt(float(res[0] @ res[0])
+                                      * float(res[1] @ res[1]))
+    stat = sqrt(n - len(zs) - 3) * abs(atanh(r))
+    return NormalDist().inv_cdf(1 - alpha / 2) - stat

@@ -187,6 +187,22 @@ class TestCli:
         res = runner.invoke(main, ["run", "--graph", str(bad)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "2.5", "-0.1"])
+    def test_run_rejects_alpha_outside_unit_interval(self, tmp_path, alpha):
+        csv = tmp_path / "d.csv"
+        csv.write_text("x,y\n1,2\n2,1\n3,5\n4,3\n")
+        res = CliRunner().invoke(main, ["run", "--data", str(csv),
+                                        "--alpha", alpha])
+        assert res.exit_code == 2, res.output
+        assert "alpha" in res.output
+
+    def test_run_rejects_missing_values(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("x,y\n1,nan\n2,1\n3,5\n4,3\n")
+        res = CliRunner().invoke(main, ["run", "--data", str(csv)])
+        assert res.exit_code == 2, res.output
+        assert "NaN" in res.output
+
     def test_show_emits_dot(self, tmp_path):
         runner = CliRunner()
         g = tmp_path / "g.json"

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from fciplus import (
     fisher_z_test, run_pipeline,
 )
 from fciplus.report import RunReport
+
+from .brute import bf_fisher_z_margin
 
 
 def fork_dag():
@@ -212,6 +215,64 @@ class TestFisherZ:
         with pytest.warns(UserWarning):
             assert fisher_z_test(cov, 50, 0, 1, [], 0.05) is False
 
+    @pytest.mark.parametrize("eps, degenerate", [(1e-6, True), (1e-4, False)])
+    def test_relative_tolerance_on_residual_variances(self, eps, degenerate):
+        # exact covariance of w = z + eps * e, z, u, v with z, e, u, v
+        # independent N(0, 1): w given z keeps eps^2 of its variance, and
+        # 1 - rho^2 of (w, z) is about eps^2, so each query below is
+        # degenerate iff eps^2 <= 1e-10; as an x, as a y, as a pivot in z
+        # and as the 1 - rho^2 of an unconditional pair
+        cov = np.eye(4)
+        cov[0, 0] += eps * eps
+        cov[0, 1] = cov[1, 0] = 1.0
+        queries = [((0, 2, [1]), True), ((2, 0, [1]), True),
+                   ((2, 3, [0, 1]), True), ((0, 1, []), False)]
+        for (x, y, z), independent in queries:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = fisher_z_test(cov, 100, x, y, z, 0.01)
+            assert len(caught) == degenerate
+            assert got is (independent and not degenerate)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 1.5, 2.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(OracleError, match="alpha"):
+            fisher_z_test(np.eye(3), 100, 0, 1, [], alpha)
+
+    def test_matches_least_squares_residuals(self):
+        # random linear-Gaussian data, |z| = 0..6, sample sizes small
+        # enough that both answers occur; the package's Schur-complement
+        # sweep must agree with an independent regression wherever the
+        # decision is not a numerical tie, and fisher_z_test must agree
+        # with GaussOracle on every query
+        rng = np.random.default_rng(21)
+        answers = {True: 0, False: 0}
+        sizes = set()
+        for _ in range(40):
+            n_vars, n_rows = 9, int(rng.integers(30, 400))
+            weights = np.triu(rng.uniform(-1, 1, (n_vars, n_vars))
+                              * (rng.random((n_vars, n_vars)) < 0.3), 1)
+            data = rng.standard_normal((n_rows, n_vars))
+            for j in range(n_vars):
+                data[:, j] += data[:, :j] @ weights[:j, j]
+            alpha = float(rng.choice([0.01, 0.05, 0.2]))
+            o = GaussOracle(data, alpha=alpha)
+            cov = np.cov(data, rowvar=False)
+            for _ in range(25):
+                size = int(rng.integers(0, 7))
+                x, y, *zs = (int(v) for v in
+                             rng.choice(n_vars, size + 2, replace=False))
+                got = o.query(x, y, zs)
+                assert fisher_z_test(cov, n_rows, x, y, zs, alpha) == got
+                margin = bf_fisher_z_margin(data, x, y, zs, alpha)
+                if abs(margin) > 1e-9:
+                    assert got == (margin >= 0), (x, y, zs, margin)
+                    answers[got] += 1
+                    sizes.add(size)
+            assert o.n_test_errors == 0
+        assert min(answers.values()) > 200
+        assert sizes == set(range(7))
+
     def test_direct_effect_rejected_at_high_rate(self):
         rng = np.random.default_rng(7)
         dependent = 0
@@ -237,6 +298,15 @@ class TestGaussOracle:
     def test_constant_column_rejected_at_load(self):
         data = np.column_stack([np.ones(50), np.arange(50.0)])
         with pytest.raises(OracleError):
+            GaussOracle(data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_at_load(self, bad):
+        # one missing value would otherwise make every test on its column
+        # answer dependent without being counted
+        data = np.random.default_rng(5).standard_normal((50, 3))
+        data[7, 2] = bad
+        with pytest.raises(OracleError, match="NaN or infinite"):
             GaussOracle(data)
 
     def test_csv_ingestion(self, tmp_path):
@@ -293,6 +363,34 @@ class TestGaussOracle:
         assert RunReport.from_json_dict(old).test_errors == 0
         exact = run_pipeline("fciplus", DsepOracle(fork_dag()), k=2)
         assert exact.test_errors == 0
+
+    def test_near_collinear_column_counted_as_degenerate(self):
+        # 2a + 1e-9 noise does not make the covariance matrix exactly
+        # singular (it inverts without error), but its residual variance
+        # given a is far below 1e-10 of its own variance, so every test
+        # that holds both columns is degenerate; a + 1e-4 noise stays
+        # above the tolerance and is tested normally
+        rng = np.random.default_rng(14)
+        a, b, noise = rng.standard_normal((3, 500))
+        near = np.column_stack([a, 2 * a + 1e-9 * noise, b])
+        np.linalg.inv(np.cov(near, rowvar=False))
+        o = GaussOracle(near)
+        assert o.query(0, 1, ()) is False and o.n_test_errors == 1
+        assert o.query(0, 2, {1}) is False and o.n_test_errors == 2
+        with pytest.warns(UserWarning, match="degenerate"):
+            assert fisher_z_test(o.cov, 500, 1, 2, [0], 0.01) is False
+        report = run_pipeline("fciplus", GaussOracle(near), k=2)
+        assert report.test_errors > 0
+        loose = GaussOracle(np.column_stack([a, a + 1e-4 * noise, b]))
+        assert loose.query(0, 1, ()) is False
+        assert loose.query(0, 2, {1}) is True
+        assert loose.n_test_errors == 0
+
+    @pytest.mark.parametrize("alpha", [0, 1, 1.5, 2.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected_at_load(self, alpha):
+        data = np.random.default_rng(4).standard_normal((50, 3))
+        with pytest.raises(OracleError, match="alpha"):
+            GaussOracle(data, alpha=alpha)
 
     def test_too_few_samples_reach_the_report(self):
         # six rows leave no degrees of freedom once |z| = 3; a liberal alpha
