@@ -9,7 +9,7 @@ clean.
 
 from itertools import combinations
 
-from .graphs import ARROW, TAIL, dsep_walk, latent_project
+from .graphs import ARROW, TAIL, _bits, dsep_walk, latent_project
 from .dsep_search import hie
 from .oracles import ALGORITHM_STAGES
 
@@ -34,12 +34,16 @@ def check_arrowhead_soundness(dag, graph):
 def stored_candidates(skeleton, sepsets):
     """(x, y, Z, core, candidates) per stored set (x, y, Z): its core
     {x, y} + Z and the nodes outside the core adjacent to some member of it
-    in the adjacency-search skeleton."""
+    in the adjacency-search skeleton, both as int masks (bit v for node v)."""
+    adj = [sum(1 << u for u in skeleton.adj(v)) for v in range(skeleton.n)]
     out = []
     for (x, y), zs, _lvl in sepsets.items():
-        core = {x, y} | zs
-        out.append((x, y, zs, core,
-                    set().union(*(skeleton.adj(v) for v in core)) - core))
+        core = 1 << x | 1 << y
+        near = adj[x] | adj[y]
+        for z in zs:
+            core |= 1 << z
+            near |= adj[z]
+        out.append((x, y, zs, core, near & ~core))
     return out
 
 
@@ -54,16 +58,18 @@ def check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle):
     under the reference stage; a dependence there is an unsound arrowhead.
     `stored` is stored_candidates(skeleton, sepsets).
     """
-    back = dag.observed
-    up = [dag._an[o] | dag._an_sel for o in back]
+    back, an, an_sel = dag.observed, dag._an, dag._an_sel
+    # heads[w]: the neighbours v of w with w in An({v} + S)
+    heads = [sum(1 << v for v in skeleton.adj(w)
+                 if (an[back[v]] | an_sel) >> back[w] & 1)
+             for w in range(skeleton.n)]
     bad = []
     with oracle.stage("reference"):
         for x, y, zs, core, cands in stored:
-            for w in sorted(cands):
-                heads = [v for v in sorted(core & skeleton.adj(w))
-                         if up[v] >> back[w] & 1]
-                if heads and not oracle.query(x, y, zs | {w}):
-                    bad.extend((w, v) for v in heads)
+            for w in _bits(cands):
+                hit = heads[w] & core
+                if hit and not oracle.query(x, y, zs | {w}):
+                    bad.extend((w, v) for v in _bits(hit))
     return not bad, "unsound arrowheads: %r" % bad if bad else \
         "all arrowheads of %d stored sets sound" % len(stored)
 
@@ -71,7 +77,7 @@ def check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle):
 def augment_budget(stored):
     """Most augment queries a run may ask: one per (stored set, candidate)
     pair of stored_candidates."""
-    return sum(len(cands) for *_, cands in stored)
+    return sum(cands.bit_count() for *_, cands in stored)
 
 
 def check_tail_soundness(dag, graph):
@@ -108,7 +114,11 @@ def check_hierarchy_ancestry(dag, sepsets):
     bad = []
     for (a, b), zs, _lvl in sepsets.items():
         up = an[back[a]] | an[back[b]] | dag._an_sel
-        bad.extend((a, b, z) for z in sorted(zs) if not up >> back[z] & 1)
+        zmask = 0
+        for z in zs:
+            zmask |= 1 << back[z]
+        if zmask & ~up:
+            bad.extend((a, b, z) for z in sorted(zs) if not up >> back[z] & 1)
     return not bad, "non-ancestral hierarchy members: %r" % bad if bad else \
         "hierarchy members ancestral for %d pair seeds" % len(sepsets)
 
@@ -147,14 +157,16 @@ def _true_dsep_links(dag, mag):
     selection set S, separates; adjacent ancestors are the pool members in
     An({x, y} + S). One walk per pair: by Tian, Paz & Pearl ("Finding
     Minimal D-separators", 1998) some Z with S <= Z <= pool + S separates
-    x and y iff (pool + S) & An({x, y} + S) does.
+    x and y iff (pool + S) & An({x, y} + S) does. A pair in different
+    skeleton components of the DAG is separated by every set, so it is
+    skipped before its pool is built.
     """
-    back, an = dag.observed, dag._an
+    back, an, comp = dag.observed, dag._an, dag._comp
     links = {}
     for x, y in combinations(range(mag.n), 2):
-        if mag.has_edge(x, y):
-            continue
         dx, dy = back[x], back[y]
+        if not comp[dx] >> dy & 1 or mag.has_edge(x, y):
+            continue
         up = an[dx] | an[dy] | dag._an_sel
         pool = (mag.adj(x) | mag.adj(y)) - {x, y}
         if not dsep_walk(dag, dx, dy,

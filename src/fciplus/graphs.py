@@ -9,11 +9,19 @@ constructors, `MixedGraphBuilder.add_edge`, `d_separated`, `m_separated`
 and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`) and
 `dsep_walk` trust their callers.
 
-CausalDag answers ancestry from an int-mask table (bit v for node v) that
-its constructor fills in one topological pass: parents, children and
-ancestors per node, and the ancestors of the selection set. `dsep_walk`,
-`latent_project`, the oracle and the invariant checks read those masks;
-`dsep_walk` takes its conditioning set as a mask too.
+CausalDag answers ancestry from int-mask tables (bit v for node v) that
+its constructor fills once:
+
+    _pa[v], _ch[v]  parents and children of v
+    _an[v]          v and every node with a directed path into v
+    _comp[v]        v's connected component in the skeleton
+    _sel, _an_sel   the selection set and its ancestors
+
+`dsep_walk`, `latent_project`, the oracle and the invariant checks read
+those masks; `dsep_walk` takes its conditioning set as a mask too. A pair
+in different components is d-separated by every set (a d-connecting trail
+needs a skeleton path) and a pair joined by an edge by none: `dsep_walk`
+answers the first without a walk, and `latent_project` both.
 
 Edge mark conventions: an edge {a, b} carries one mark per endpoint. A
 directed edge a -> b has TAIL at a and ARROW at b; a <-> b has ARROW at both
@@ -358,14 +366,14 @@ class CausalDag:
 
     Node sets inside are int bitmasks (bit v for node v): `_pa[v]`, `_ch[v]`
     and `_an[v]` (v and every node with a directed path into it) per node;
-    `_sel`, the selection set, and `_an_sel`, its ancestors. One
-    topological pass at construction fills them and rejects directed
-    cycles.
+    `_comp[v]`, v's connected component in the skeleton; `_sel`, the
+    selection set, and `_an_sel`, its ancestors. One topological pass at
+    construction fills the ancestor masks and rejects directed cycles.
     """
 
     __slots__ = (
         "n", "names", "edges", "observed", "latent", "selection",
-        "_pa", "_ch", "_an", "_sel", "_an_sel",
+        "_pa", "_ch", "_an", "_comp", "_sel", "_an_sel",
     )
 
     def __init__(self, n, edges, observed, latent=(), selection=(), names=None):
@@ -427,6 +435,21 @@ class CausalDag:
                 v = _bits(pa[v] & rest)[0]
             raise GraphError("directed cycle through %d" % v)
         self._an = tuple(an)
+        # flood each unvisited node's skeleton neighbourhood to a fixpoint
+        comp = [0] * n
+        for v in range(n):
+            if comp[v]:
+                continue
+            m = frontier = 1 << v
+            while frontier:
+                nb = 0
+                for u in _bits(frontier):
+                    nb |= pa[u] | ch[u]
+                frontier = nb & ~m
+                m |= frontier
+            for u in _bits(m):
+                comp[u] = m
+        self._comp = tuple(comp)
         self._sel = self._an_sel = 0
         for v in self.selection:
             self._sel |= 1 << v
@@ -550,8 +573,11 @@ def dsep_walk(dag, x, y, zmask):
     Active-trail reachability from x as two frontier masks: nodes arrived
     at moving up (from a child) and moving down (from a parent). Leaving a
     node as a noncollider needs it outside z; arriving down and leaving up
-    makes it a collider, which needs it to be an ancestor of z.
+    makes it a collider, which needs it to be an ancestor of z. A pair in
+    different skeleton components is separated without a walk.
     """
+    if not dag._comp[x] >> y & 1:
+        return True
     pa, ch, an = dag._pa, dag._ch, dag._an
     anz = 0
     m = zmask
@@ -638,22 +664,28 @@ def latent_project(dag):
     equivalently iff conditioning on their joint observed ancestors fails to
     separate them. The mark at a on edge {a, b} is TAIL iff a is an ancestor
     of {b} union the selection set, else ARROW.
+
+    Only pairs in one skeleton component that no DAG edge joins need a
+    walk: a pair in different components is nonadjacent, and a pair joined
+    by an edge is adjacent.
     """
     obs = dag.observed
-    an, an_sel = dag._an, dag._an_sel
+    an, an_sel, pa, ch = dag._an, dag._an_sel, dag._pa, dag._ch
     obs_mask = sum(1 << v for v in obs)
+    pos = {v: i for i, v in enumerate(obs)}
     edges = []
     for i, a in enumerate(obs):
         up_a = an[a] | an_sel
-        for j in range(i + 1, len(obs)):
-            b = obs[j]
+        # the observed nodes after a in a's component, ascending
+        for b in _bits(dag._comp[a] & obs_mask & -(2 << a)):
             up_b = an[b] | an_sel
-            canonical = (up_a | up_b) & obs_mask & ~(1 << a | 1 << b)
-            if dsep_walk(dag, a, b, canonical | dag._sel):
-                continue
+            if not (pa[b] | ch[b]) >> a & 1:
+                canonical = (up_a | up_b) & obs_mask & ~(1 << a | 1 << b)
+                if dsep_walk(dag, a, b, canonical | dag._sel):
+                    continue
             ma = TAIL if up_b >> a & 1 else ARROW
             mb = TAIL if up_a >> b & 1 else ARROW
-            edges.append((i, j, ma, mb))
+            edges.append((i, pos[b], ma, mb))
     mag = MixedGraph(len(obs), edges, names=[dag.names[o] for o in obs])
     if not mag.is_ancestral():
         raise RuntimeError("latent projection produced a non-ancestral graph; "

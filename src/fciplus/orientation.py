@@ -1,7 +1,7 @@
 """Orientation phase producing the completed PAG.
 
 First unshielded colliders are oriented from the stored separating sets,
-then the complete rule set R1-R10 runs in round-robin sweeps to fixpoint.
+then the complete rule set R1-R10 runs round-robin to fixpoint.
 Both phases edit marks through a MixedGraphBuilder, whose `set_mark` keeps
 mark changes monotone: a circle may become an arrowhead or a tail; committed
 marks never change (a conflicting derivation raises ModelViolationError,
@@ -295,15 +295,16 @@ _RULES = {1: _r1, 2: _r2, 3: _r3, 4: _r4, 5: _r5,
 def apply_fci_rules(pag, sepsets, rule_order=None):
     """Apply the complete orientation rule set to fixpoint.
 
-    Rules sweep round-robin in the given order (default 1..10) until a full
-    sweep changes nothing. The fixpoint is order-independent; rule_order
-    exists so tests can verify that.
+    Rules run round-robin in the given order (default 1..10) until
+    len(order) calls in a row change nothing: every rule has then run idle
+    on the same marks, which is the fixpoint. The fixpoint is
+    order-independent; rule_order exists so tests can verify that.
     """
-    order = tuple(rule_order) if rule_order is not None else DEFAULT_RULES
+    order = rule_order if rule_order is not None else DEFAULT_RULES
+    rules = [_RULES[rid] for rid in order]
     s = pag.builder()
-    changed = True
-    while changed:
-        changed = False
-        for rid in order:
-            changed |= _RULES[rid](s, sepsets)
+    idle = i = 0
+    while idle < len(rules):
+        idle = 0 if rules[i](s, sepsets) else idle + 1
+        i = (i + 1) % len(rules)
     return s.build()

@@ -76,6 +76,28 @@ def naive_ancestors(dag, xs):
     return out
 
 
+def naive_components(dag):
+    """Connected components of the DAG's skeleton, as a list of sets, by
+    flooding over the edges with directions dropped."""
+    adj = {v: set() for v in range(dag.n)}
+    for u, v in dag.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out, seen = [], set()
+    for v in range(dag.n):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
 def moral_d_separated(dag, x, y, z):
     """Lauritzen's criterion: z d-separates x and y iff it separates them in
     the moral graph of the sub-DAG on the ancestors of {x, y} + z (parents
@@ -136,6 +158,25 @@ def bf_mag_adjacent(dag, a, b):
             if d_separated(dag, a, b, set(zs) | sel):
                 return False
     return True
+
+
+def brute_projection(dag):
+    """latent_project's edge list from the definitions: observed a, b are
+    adjacent iff their canonical set (the observed ancestors of a, b and the
+    selection set, plus the selection set) fails to separate them under
+    moral_d_separated; the mark at a is TAIL iff a is an ancestor of b or of
+    the selection set."""
+    obs, sel = dag.observed, set(dag.selection)
+    edges = []
+    for i, j in combinations(range(len(obs)), 2):
+        a, b = obs[i], obs[j]
+        canonical = (naive_ancestors(dag, {a, b} | sel) & set(obs)) - {a, b}
+        if moral_d_separated(dag, a, b, canonical | sel):
+            continue
+        ma = TAIL if a in naive_ancestors(dag, {b} | sel) else ARROW
+        mb = TAIL if b in naive_ancestors(dag, {a} | sel) else ARROW
+        edges.append((i, j, ma, mb))
+    return edges
 
 
 def bf_separable(dag, a, b):

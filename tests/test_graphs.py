@@ -10,11 +10,12 @@ from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, GraphError, MixedGraph, d_separated,
     latent_project, m_separated,
 )
+from fciplus import graphs
 from fciplus.graphs import ModelViolationError
 
 from .brute import (
-    bf_d_separated, bf_m_separated, bf_mag_adjacent, moral_d_separated,
-    naive_ancestors,
+    bf_d_separated, bf_m_separated, bf_mag_adjacent, brute_projection,
+    moral_d_separated, naive_ancestors, naive_components,
 )
 
 
@@ -39,6 +40,36 @@ def random_dag(n, density, seed, n_latent=0, n_selection=0):
     edges = [(u, v) for u, v in edges if u not in selection]
     observed = [v for v in range(total) if v not in special]
     return CausalDag(total, edges, observed, latent, selection)
+
+
+def sparse_dags(count, seed):
+    """Seeded random_dag draws with 8-20 observed nodes, pair density 1/n,
+    0-3 latents and 0-1 selection variables: most have several skeleton
+    components."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(8, 20)
+        out.append(random_dag(n, 1.0 / n, seed * 1000 + i,
+                              n_latent=rng.randint(0, 3),
+                              n_selection=rng.randint(0, 1)))
+    return out
+
+
+def pair_kinds(dag):
+    """{kind: count} over the observed pairs of dag, by how latent_project
+    can settle them: "cross" (different skeleton components), "edge" (a DAG
+    edge joins them) or "walk" (neither), from naive_components."""
+    comp = {v: frozenset(c) for c in naive_components(dag) for v in c}
+    kinds = {"cross": 0, "edge": 0, "walk": 0}
+    for a, b in itertools.combinations(dag.observed, 2):
+        if b not in comp[a]:
+            kinds["cross"] += 1
+        elif (a, b) in dag.edges or (b, a) in dag.edges:
+            kinds["edge"] += 1
+        else:
+            kinds["walk"] += 1
+    return kinds
 
 
 class TestAncestors:
@@ -133,6 +164,26 @@ class TestDSeparation:
                 zs |= sel - {x, y}
             assert d_separated(dag, x, y, zs) == \
                 moral_d_separated(dag, x, y, zs), (x, y, sorted(zs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_moral_graph_across_components(self, seed):
+        dag = sparse_dags(1, seed + 40)[0]
+        comps = naive_components(dag)
+        assert len(comps) >= 2
+        comp = {v: frozenset(c) for c in comps for v in c}
+        rng = random.Random(seed + 600)
+        total, sel = dag.n, set(dag.selection)
+        cross = 0
+        for _ in range(300):
+            x, y = rng.sample(range(total), 2)
+            zs = {v for v in range(total)
+                  if v not in (x, y) and rng.random() < 0.3}
+            if rng.random() < 0.5:
+                zs |= sel - {x, y}
+            cross += y not in comp[x]
+            assert d_separated(dag, x, y, zs) == \
+                moral_d_separated(dag, x, y, zs), (x, y, sorted(zs))
+        assert 0 < cross < 300
 
     @pytest.mark.parametrize("seed", range(6))
     def test_symmetry(self, seed):
@@ -234,6 +285,44 @@ class TestLatentProjection:
         for a, b, ma, mb in mag.edges():
             assert (ma == TAIL) == (obs[a] in dag.ancestors([obs[b]] + sel))
             assert (mb == TAIL) == (obs[b] in dag.ancestors([obs[a]] + sel))
+
+
+    def test_equals_brute_projection_on_sparse_dags(self):
+        kinds = {"cross": 0, "edge": 0, "walk": 0}
+        for dag in sparse_dags(40, 7):
+            assert latent_project(dag).edges() == brute_projection(dag), \
+                dag.to_json()
+            for kind, count in pair_kinds(dag).items():
+                kinds[kind] += count
+        # both shortcuts and the walk are exercised
+        assert min(kinds.values()) >= 50, kinds
+
+
+class TestComponents:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_match_naive_components(self, seed):
+        for dag in sparse_dags(10, seed + 80):
+            for comp in naive_components(dag):
+                mask = sum(1 << v for v in comp)
+                assert all(dag._comp[v] == mask for v in comp)
+
+    def test_projection_walks_only_unsettled_pairs(self, corpus, monkeypatch):
+        # latent_project walks exactly the same-component pairs that no DAG
+        # edge joins; dropping either shortcut adds walks
+        walks = 0
+        real = graphs.dsep_walk
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return real(*args)
+
+        monkeypatch.setattr(graphs, "dsep_walk", counted)
+        want = 0
+        for inst in corpus:
+            latent_project(inst.dag)
+            want += pair_kinds(inst.dag)["walk"]
+        assert walks == want
 
 
 class TestGraphValues:

@@ -8,6 +8,7 @@ from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
     apply_fci_rules, orient_v_structures, pc_adjacency_search, run_pipeline,
 )
+from fciplus import orientation
 from fciplus.generators import GenerationError, random_sparse_dag
 from fciplus.graphs import ModelViolationError
 
@@ -65,6 +66,25 @@ class TestRules:
         skel, seps = pc_adjacency_search(DsepOracle(dag))
         pag = apply_fci_rules(orient_v_structures(skel, seps), seps)
         assert apply_fci_rules(pag, seps) == pag
+
+    @pytest.mark.parametrize("graph, order, calls", [
+        # no rule fires: one idle call per rule ends the loop
+        (MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)]), None, 10),
+        (MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)]), (3, 1, 2), 3),
+        # R1 fires on its first call, then every rule runs idle once
+        (MixedGraph(3, [(0, 1, CIRCLE, ARROW), (1, 2, CIRCLE, CIRCLE)]),
+         None, 11),
+    ])
+    def test_loop_ends_after_one_idle_call_per_rule(self, monkeypatch, graph,
+                                                    order, calls):
+        made = []
+        for rid, rule in orientation._RULES.items():
+            def counted(s, sepsets, rule=rule, rid=rid):
+                made.append(rid)
+                return rule(s, sepsets)
+            monkeypatch.setitem(orientation._RULES, rid, counted)
+        apply_fci_rules(graph, SepsetMap(), rule_order=order)
+        assert len(made) == calls
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rule_order_does_not_change_fixpoint(self, seed):
