@@ -40,7 +40,7 @@ class AugmentedSkeleton:
         self._arrows = {(a, b) for a, b in _endpoints(graph)
                         if graph.mark(a, b) == ARROW}
         self._covered = {}         # (a, b) -> prefix of _by_member[b] tried
-        for (x, y), zs, _level in sepsets.items():
+        for (x, y), zs in sepsets.items():
             self._register(x, y, zs)
 
     def _register(self, x, y, zs):

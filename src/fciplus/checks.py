@@ -37,7 +37,7 @@ def stored_candidates(skeleton, sepsets):
     in the adjacency-search skeleton, both as int masks (bit v for node v)."""
     adj = [sum(1 << u for u in skeleton.adj(v)) for v in range(skeleton.n)]
     out = []
-    for (x, y), zs, _lvl in sepsets.items():
+    for (x, y), zs in sepsets.items():
         core = 1 << x | 1 << y
         near = adj[x] | adj[y]
         for z in zs:
@@ -92,7 +92,7 @@ def check_sepsets(sepsets, oracle):
     single member breaks separation)."""
     bad = []
     with oracle.stage("reference"):
-        for (x, y), zs, _lvl in sepsets.items():
+        for (x, y), zs in sepsets.items():
             if not oracle.query(x, y, zs):
                 bad.append(("not separating", x, y))
                 continue
@@ -112,7 +112,7 @@ def check_hierarchy_ancestry(dag, sepsets):
     """
     back, an = dag.observed, dag._an
     bad = []
-    for (a, b), zs, _lvl in sepsets.items():
+    for (a, b), zs in sepsets.items():
         up = an[back[a]] | an[back[b]] | dag._an_sel
         zmask = 0
         for z in zs:

@@ -188,7 +188,7 @@ def dsep_search(skeleton, sepsets, oracle, k, log=None):
         if (x, y) in resolved:
             raise RuntimeError("candidate link (%d, %d) resolved twice" % (x, y))
         zmin = minimal_dsep(x, y, zstar, oracle)
-        sepsets.set(x, y, zmin, len(zmin))
+        sepsets.set(x, y, zmin)
         g.remove_edge(x, y, zmin)
         resolved.add((x, y))
         log.resolutions.append({

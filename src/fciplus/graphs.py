@@ -6,8 +6,8 @@ go through MixedGraphBuilder (or `without_edge`), which returns a new graph.
 MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
 adjacent pair. Variable ids are checked once at the boundary: by the
 constructors, `MixedGraphBuilder.add_edge`, `d_separated`, `m_separated`
-and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`) and
-`dsep_walk` trust their callers.
+and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`),
+`dsep_walk` and `dsep_reach` trust their callers.
 
 CausalDag answers ancestry from int-mask tables (bit v for node v) that
 its constructor fills once:
@@ -17,11 +17,16 @@ its constructor fills once:
     _comp[v]        v's connected component in the skeleton
     _sel, _an_sel   the selection set and its ancestors
 
-`dsep_walk`, `latent_project`, the oracle and the invariant checks read
-those masks; `dsep_walk` takes its conditioning set as a mask too. A pair
+`dsep_reach` is the one d-separation walk. It takes its conditioning set
+z as a mask too and returns, besides the answer, the masks of the nodes
+it reached and of its exits: nodes reached moving down outside the walk's
+region An({x, y} + z), every descendant of which is d-connected to x.
+`dsep_walk` answers with the same walk; `DsepOracle` keeps the reached and
+exit masks per (endpoint, z) to answer later queries without one. A pair
 in different components is d-separated by every set (a d-connecting trail
 needs a skeleton path) and a pair joined by an edge by none: `dsep_walk`
-answers the first without a walk, and `latent_project` both.
+answers the first without a walk, and `latent_project` and the oracle
+both.
 
 Edge mark conventions: an edge {a, b} carries one mark per endpoint. A
 directed edge a -> b has TAIL at a and ARROW at b; a <-> b has ARROW at both
@@ -463,17 +468,6 @@ class CausalDag:
             out |= self._an[v]
         return frozenset(_bits(out))
 
-    def descendants(self, xs):
-        """xs plus all nodes with a directed path from some member of xs."""
-        mask = 0
-        for v in xs:
-            _check_var(v, self.n)
-            mask |= 1 << v
-        return frozenset(v for v in range(self.n) if self._an[v] & mask)
-
-    def skeleton_pairs(self):
-        return sorted((u, v) if u < v else (v, u) for u, v in self.edges)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self):
@@ -569,48 +563,68 @@ def d_separated(dag, x, y, z):
 def dsep_walk(dag, x, y, zmask):
     """d_separated without input checks, for callers whose ids are already
     valid: x != y, both outside the int mask zmask of the conditioning set.
+    A pair in different skeleton components is separated without a walk;
+    any other pair is answered by `dsep_reach`.
+    """
+    if not dag._comp[x] >> y & 1:
+        return True
+    return dsep_reach(dag, x, y, zmask)[0]
+
+
+def dsep_reach(dag, x, y, zmask):
+    """The d-separation walk from x given zmask, targeted at y:
+    (separated, reached, exits), the last two as int masks. Same input
+    contract as `dsep_walk`.
 
     Active-trail reachability from x as two frontier masks: nodes arrived
     at moving up (from a child) and moving down (from a parent). Leaving a
     node as a noncollider needs it outside z; arriving down and leaving up
-    makes it a collider, which needs it to be an ancestor of z. A pair in
-    different skeleton components is separated without a walk.
+    makes it a collider, which needs it to be an ancestor of z. An active
+    trail to y stays inside An({x, y} + z), so the walk keeps to that
+    region; a node it reaches moving down outside the region is an exit.
+    No active trail comes back up from an exit, and every descendant of an
+    exit is d-connected to x.
+
+    The walk stops as soon as it reaches y. Every node in `reached` and
+    every descendant of an exit is d-connected to x given z (x itself
+    included); when the walk ran out (separated), these are all of them,
+    so any y' outside z is d-connected to x iff `reached >> y' & 1` or
+    `an[y'] & exits`.
     """
-    if not dag._comp[x] >> y & 1:
-        return True
     pa, ch, an = dag._pa, dag._ch, dag._an
     anz = 0
     m = zmask
     while m:
-        low = m & -m
-        anz |= an[low.bit_length() - 1]
-        m ^= low
+        # an[v] holds v and its ancestors, so members of z it covers are
+        # skipped
+        anz |= an[m.bit_length() - 1]
+        m &= ~anz
     free = ~zmask
-    # an active trail stays inside An({x, y} + z): moving down out of it
-    # can never come back up or reach y, so such moves are dropped
     inside = anz | an[x] | an[y]
+    outside = ~inside
     ybit = 1 << y
     up = seen_up = 1 << x
-    down = seen_down = 0
+    down = seen_down = exits = 0
     while up or down:
         to_pa = (up & free) | (down & anz)
         to_ch = (up | down) & free
         up = down = 0
         while to_pa:
-            low = to_pa & -to_pa
-            up |= pa[low.bit_length() - 1]
-            to_pa ^= low
+            v = to_pa.bit_length() - 1
+            up |= pa[v]
+            to_pa ^= 1 << v
         while to_ch:
-            low = to_ch & -to_ch
-            down |= ch[low.bit_length() - 1]
-            to_ch ^= low
+            v = to_ch.bit_length() - 1
+            down |= ch[v]
+            to_ch ^= 1 << v
         up &= ~seen_up
+        exits |= down & outside
         down &= inside & ~seen_down
         if (up | down) & ybit:
-            return False
+            return False, seen_up | seen_down | up | down, exits
         seen_up |= up
         seen_down |= down
-    return True
+    return True, seen_up | seen_down, exits
 
 
 def m_separated(mag, x, y, z):

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .graphs import dsep_walk
+from .graphs import dsep_reach
 
 STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
           "orientation", "reference")
@@ -134,20 +134,62 @@ class DsepOracle(IndependenceOracle):
     Queries are over the observed variables only, reindexed to 0..N-1 in
     ascending order of their dag ids; the selection set is added to every
     conditioning set implicitly.
+
+    A memo miss on (x, y, z) is answered without a walk when it can be:
+    independent for a pair in different skeleton components, dependent for
+    a pair joined by a DAG edge. Otherwise the answer may already follow
+    from earlier walks. Each walk (`graphs.dsep_reach`) reports the nodes
+    it reached and its exits, and the oracle keeps them per (endpoint,
+    dag-level zmask), merged over the walks from that endpoint under that
+    set. An entry is complete once one of its walks ran out, and then shows
+    every node d-connected to the endpoint; an entry whose walks all
+    stopped at their targets shows only some. The miss is answered
+    dependent when the entry of x or of y shows the other endpoint
+    d-connected, independent when either entry is complete without showing
+    it, and only otherwise by a walk that stops at its target: from y when
+    only x has an entry (a second endpoint's reach answers more later
+    queries), else from x. `walks` counts those walks.
     """
 
     def __init__(self, dag):
         self.dag = dag
         self._obs = dag.observed
         self._bit = tuple(1 << o for o in self._obs)
+        # entry of dag node v under zmask, keyed v << n | zmask: one int,
+        # complete at bit 0, reached at bits 1..n, exits above (plain ints
+        # add no objects for the garbage collector to track)
+        self._reach = {}
+        self.walks = 0
         names = tuple(dag.names[o] for o in self._obs)
         super().__init__(len(self._obs), names=names)
 
     def _decide(self, x, y, zkey):
-        zmask = self.dag._sel
+        dag = self.dag
+        x, y = self._obs[x], self._obs[y]
+        if not dag._comp[x] >> y & 1:
+            return True
+        if (dag._pa[x] | dag._ch[x]) >> y & 1:
+            return False
+        zmask = dag._sel
         for v in zkey:
             zmask |= self._bit[v]
-        return dsep_walk(self.dag, self._obs[x], self._obs[y], zmask)
+        n, an = dag.n, dag._an
+        kx, ky = x << n | zmask, y << n | zmask
+        ex = self._reach.get(kx, 0)
+        ey = self._reach.get(ky, 0)
+        if (ex >> y | ey >> x) & 2 \
+                or an[y] & ex >> n + 1 or an[x] & ey >> n + 1:
+            return False
+        if (ex | ey) & 1:
+            return True
+        if ex and not ey:
+            # start y's entry rather than grow x's: reach from a second
+            # endpoint answers more of the later queries
+            x, y, kx, ex = y, x, ky, 0
+        self.walks += 1
+        separated, reached, exits = dsep_reach(dag, x, y, zmask)
+        self._reach[kx] = ex | separated | reached << 1 | exits << n + 1
+        return separated
 
 
 def _critical_value(alpha):

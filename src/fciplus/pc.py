@@ -19,8 +19,7 @@ def pc_adjacency_search(oracle, n_vars=None, k=None):
     bound k is supplied.
 
     Returns (skeleton, sepsets): the skeleton carries CIRCLE marks at every
-    endpoint, and sepsets holds one minimal separating set per removed pair
-    together with the level at which it was found.
+    endpoint, and sepsets holds one minimal separating set per removed pair.
     """
     if n_vars is None:
         n_vars = oracle.n_vars
@@ -53,7 +52,7 @@ def pc_adjacency_search(oracle, n_vars=None, k=None):
                         if oracle.query(x, y, fz):
                             adj[x].discard(y)
                             adj[y].discard(x)
-                            sepsets.set(x, y, fz, level)
+                            sepsets.set(x, y, fz)
                             removed = True
                             break
                     if removed:

@@ -63,12 +63,12 @@ def exhaustive_skeleton(oracle, n_vars=None, cap=14):
             for size in range(len(rest) + 1):
                 for zs in combinations(rest, size):
                     if oracle.query(x, y, frozenset(zs)):
-                        found = (frozenset(zs), size)
+                        found = frozenset(zs)
                         break
-                if found:
+                if found is not None:
                     break
-            if found:
-                sepsets.set(x, y, found[0], found[1])
+            if found is not None:
+                sepsets.set(x, y, found)
             else:
                 edges.append((x, y, CIRCLE, CIRCLE))
     names = oracle.names if oracle.names is not None else None
@@ -95,14 +95,14 @@ def _pdsep_stage(pi0, sepsets, oracle):
                             continue
                         tested.add(fz)
                         if oracle.query(a, b, fz):
-                            found = (fz, size)
+                            found = fz
                             break
-                    if found:
+                    if found is not None:
                         break
-                if found:
+                if found is not None:
                     break
-            if found:
-                sepsets.set(a, b, found[0], found[1])
+            if found is not None:
+                sepsets.set(a, b, found)
                 removed.append((a, b))
     return removed
 

@@ -4,11 +4,9 @@
 class SepsetMap:
     """Partial map from unordered pairs {x, y} to a stored separating set.
 
-    Each entry also records the search level at which the set was found
-    (the set size, for entries inserted after the level-wise search). The
-    invariant maintained by the callers: an entry exists iff the pair is
-    nonadjacent in the current working graph, and the stored set separates
-    the pair minimally.
+    The invariant maintained by the callers: an entry exists iff the pair
+    is nonadjacent in the current working graph, and the stored set
+    separates the pair minimally.
     """
 
     def __init__(self):
@@ -21,20 +19,15 @@ class SepsetMap:
             raise ValueError("sepset pairs must have distinct endpoints")
         return (x, y) if x < y else (y, x)
 
-    def set(self, x, y, zs, level):
+    def set(self, x, y, zs):
         zs = frozenset(zs)
-        self._sets[self._key(x, y)] = (zs, level)
+        self._sets[self._key(x, y)] = zs
         self._partners.setdefault(x, {})[y] = zs
         self._partners.setdefault(y, {})[x] = zs
 
     def get(self, x, y):
         """The stored separating set, or None if the pair has no entry."""
-        entry = self._sets.get(self._key(x, y))
-        return entry[0] if entry is not None else None
-
-    def level(self, x, y):
-        entry = self._sets.get(self._key(x, y))
-        return entry[1] if entry is not None else None
+        return self._sets.get(self._key(x, y))
 
     def partners(self, v):
         """{w: stored set of the pair {v, w}} over the pairs containing v."""
@@ -44,8 +37,8 @@ class SepsetMap:
         return sorted(self._sets)
 
     def items(self):
-        """Sorted (pair, set, level) triples."""
-        return [(p, self._sets[p][0], self._sets[p][1]) for p in sorted(self._sets)]
+        """Sorted (pair, set) tuples."""
+        return sorted(self._sets.items())
 
     def copy(self):
         out = SepsetMap()

@@ -45,7 +45,7 @@ def bf_d_separated(dag, x, y, z):
             a, b, c = path[i - 1], path[i], path[i + 1]
             collider = (a, b) in directed and (c, b) in directed
             if collider:
-                if not (dag.descendants([b]) & z):
+                if not (descendants(dag, [b]) & z):
                     open_path = False
                     break
             elif b in z:
@@ -74,6 +74,27 @@ def naive_ancestors(dag, xs):
                 out.add(p)
                 stack.append(p)
     return out
+
+
+def descendants(dag, xs):
+    """xs plus every node reached by walking child edges from them."""
+    children = {v: set() for v in range(dag.n)}
+    for u, v in dag.edges:
+        children[u].add(v)
+    out = set(xs)
+    stack = list(out)
+    while stack:
+        for c in children[stack.pop()]:
+            if c not in out:
+                out.add(c)
+                stack.append(c)
+    return out
+
+
+def skeleton_pairs(dag):
+    """Sorted (a, b) pairs, a < b, of the DAG's edges with directions
+    dropped."""
+    return sorted((u, v) if u < v else (v, u) for u, v in dag.edges)
 
 
 def naive_components(dag):
@@ -261,7 +282,7 @@ def naive_closure(seed, sepsets):
     changed = True
     while changed:
         changed = False
-        for (a, b), zs, _level in sepsets.items():
+        for (a, b), zs in sepsets.items():
             if a in closure and b in closure and not zs <= closure:
                 closure |= zs
                 changed = True

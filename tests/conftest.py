@@ -75,9 +75,10 @@ def build_corpus():
 class RunBundle:
     def __init__(self, instance):
         self.instance = instance
-        self.fciplus = run_pipeline("fciplus", DsepOracle(instance.dag),
+        self.oracles = (DsepOracle(instance.dag), DsepOracle(instance.dag))
+        self.fciplus = run_pipeline("fciplus", self.oracles[0],
                                     k=CORPUS_K, seed=instance.seed)
-        self.fci = run_pipeline("fci", DsepOracle(instance.dag),
+        self.fci = run_pipeline("fci", self.oracles[1],
                                 k=CORPUS_K, seed=instance.seed,
                                 with_checks=False)
 

@@ -69,8 +69,8 @@ class TestHierarchy:
 
     def test_closure_is_idempotent(self):
         seps = SepsetMap()
-        seps.set(0, 1, {2}, 1)
-        seps.set(2, 3, {4}, 1)
+        seps.set(0, 1, {2})
+        seps.set(2, 3, {4})
         h = hie({0, 1, 3}, seps)
         assert hie(h.closure, seps).closure == h.closure
 
@@ -79,17 +79,17 @@ class TestHierarchy:
         # minimal set was stored for (S, Z1), the deep node Z3 ends up in
         # the closure of {X, Y, S, T, U, V}: directly, or through W.
         base = SepsetMap()
-        base.set(2, 3, {8}, 1)   # sep(S,T) = {Z2}
-        base.set(4, 5, {7}, 1)   # sep(U,V) = {Z1}
-        base.set(6, 7, {9}, 1)   # sep(W,Z1) = {Z3}
+        base.set(2, 3, {8})   # sep(S,T) = {Z2}
+        base.set(4, 5, {7})   # sep(U,V) = {Z1}
+        base.set(6, 7, {9})   # sep(W,Z1) = {Z3}
         seed = {0, 1, 2, 3, 4, 5}
 
         direct = base.copy()
-        direct.set(2, 7, {9}, 1)   # sep(S,Z1) = {Z3}
+        direct.set(2, 7, {9})   # sep(S,Z1) = {Z3}
         assert 9 in hie(seed, direct).closure
 
         indirect = base.copy()
-        indirect.set(2, 7, {6}, 1)  # sep(S,Z1) = {W}
+        indirect.set(2, 7, {6})  # sep(S,Z1) = {W}
         closure = hie(seed, indirect).closure
         assert 6 in closure and 9 in closure
 
@@ -114,11 +114,11 @@ class TestHierarchy:
                 for _ in range(rng.choice([0, 0, 1, 2])):
                     rest = [v for v in range(n) if v not in (a, b)]
                     zs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
-                    seps.set(a, b, zs, len(zs))
+                    seps.set(a, b, zs)
             maps = [seps]
             if n > 2:
                 grown = seps.copy()
-                grown.set(0, 1, {2}, 1)
+                grown.set(0, 1, {2})
                 maps.append(grown)
             for m in maps:
                 seed_set = set(rng.sample(range(n), rng.randint(0, n)))
@@ -251,7 +251,7 @@ class TestDsepSearch:
             if i < len(log["resolutions"]):
                 r = log["resolutions"][i]
                 bare.remove_edge(*r["pair"])
-                stored.set(*r["pair"], r["sepset"], len(r["sepset"]))
+                stored.set(*r["pair"], r["sepset"])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reactivations_bounded(self, seed):
@@ -285,7 +285,7 @@ class TestWorkListSemantics:
         # then does its query succeed.
         g = bidirected(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         seps = SepsetMap()
-        seps.set(0, 3, {5, 6}, 2)
+        seps.set(0, 3, {5, 6})
         table = {
             (5, 6, frozenset({4})): True,
             (1, 2, frozenset({0, 3, 4, 5, 6})): True,
@@ -322,7 +322,7 @@ class TestWorkListSemantics:
         seps = SepsetMap()
         for a, b, zs in [(0, 2, ()), (0, 3, (1,)), (4, 6, ()), (5, 7, ()),
                          (4, 7, (0, 3))]:
-            seps.set(a, b, zs, len(zs))
+            seps.set(a, b, zs)
         table = {(5, 6, frozenset(zs)): True
                  for zs in [{0, 1, 3, 4, 7}, {1, 3, 4, 7}, {1, 4, 7}]}
         oracle = _ScriptedOracle(table, 8)

@@ -1,5 +1,6 @@
 """Oracles: d-separation delegation, stage accounting, Fisher z testing."""
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 import itertools
@@ -11,11 +12,12 @@ import pytest
 
 from fciplus import (
     CausalDag, DsepOracle, GaussOracle, OracleError, d_separated,
-    fisher_z_test, run_pipeline,
+    fisher_z_test, has_dsep_link, run_pipeline,
 )
+from fciplus import oracles
 from fciplus.report import RunReport
 
-from .brute import bf_fisher_z_margin
+from .brute import bf_fisher_z_margin, moral_d_separated, naive_components
 
 
 def fork_dag():
@@ -103,6 +105,120 @@ class TestDsepOracle:
                                 (2, 3, ())]:
                     o.query(x, y, z)
         assert sum(st.queries for st in o.stats.stages.values()) == 4
+
+
+def hidden_dag_spec(rng, n, n_latent, density):
+    """CausalDag arguments for a random DAG over n nodes whose latents and
+    one selection variable sit at random ids, so that the observed ids are
+    not 0..N-1."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density]
+    hidden = rng.sample(range(n), n_latent + 1)
+    return {"n": n, "edges": edges, "latent": hidden[:-1],
+            "selection": hidden[-1:],
+            "observed": [v for v in range(n) if v not in hidden]}
+
+
+def motif_chain(m):
+    """m copies of the five_node_deep_link example, each with its two
+    latents, chained y_i -> z_(i+1); ids 7i..7i+6 are z, u, v, x, y and the
+    latents."""
+    edges, latent = [], []
+    for i in range(m):
+        z, u, v, x, y, l1, l2 = range(7 * i, 7 * i + 7)
+        edges += [(z, u), (z, v), (u, y), (v, x), (l1, u), (l1, x), (l2, v),
+                  (l2, y)]
+        latent += [l1, l2]
+        if i:
+            edges.append((z - 3, z))
+    return CausalDag(7 * m, edges, latent=latent,
+                     observed=[v for v in range(7 * m) if v not in latent])
+
+
+class TestReachEntries:
+    """DsepOracle answers a memo miss from the reach of earlier walks
+    where it can; every answer must still be d-separation's."""
+
+    def test_answers_equal_moral_d_separation(self, monkeypatch):
+        walks = []   # (start, zmask, separated) per walk, in order
+        real = oracles.dsep_reach
+
+        def recorded(dag, x, y, zmask):
+            out = real(dag, x, y, zmask)
+            walks.append((x, zmask, out[0]))
+            return out
+
+        monkeypatch.setattr(oracles, "dsep_reach", recorded)
+        kinds = Counter()
+        for seed in range(24):
+            rng = random.Random(seed)
+            spec = hidden_dag_spec(rng, rng.randint(10, 15),
+                                   rng.randint(1, 3), 0.22)
+            oracle = DsepOracle(CausalDag(**spec))
+            fresh = CausalDag(**spec)
+            obs, sel = fresh.observed, set(fresh.selection)
+            comp = {v: c for c in naive_components(fresh) for v in c}
+            n_obs = len(obs)
+            # a few sets asked again and again, so that entries are reused
+            pool = [frozenset(rng.sample(range(n_obs), rng.randint(0, 3)))
+                    for _ in range(5)]
+            entries = {}   # (dag id, zmask) -> complete, as the walks left it
+            asked = set()
+            del walks[:]
+            for _ in range(300):
+                zs = rng.choice(pool)
+                x, y = rng.sample([v for v in range(n_obs) if v not in zs], 2)
+                a, b = sorted((obs[x], obs[y]))
+                zdag = {obs[v] for v in zs} | sel
+                zmask = sum(1 << v for v in zdag)
+                key = (a, b, zs)
+                miss = key not in asked
+                asked.add(key)
+                had_a, had_b = (a, zmask) in entries, (b, zmask) in entries
+                complete = entries.get((a, zmask)) or entries.get((b, zmask))
+                before = len(walks)
+                got = oracle.query(x, y, zs)
+                assert got == moral_d_separated(fresh, a, b, zdag), \
+                    (seed, spec, x, y, sorted(zs))
+                for start, zm, separated in walks[before:]:
+                    entries[(start, zm)] = \
+                        entries.get((start, zm)) or separated
+                if not miss:
+                    kind = "hit"
+                elif len(walks) > before:
+                    kind = "walk"
+                elif b not in comp[a] or (a, b) in fresh.edges \
+                        or (b, a) in fresh.edges:
+                    kind = "shortcut"
+                elif got:
+                    kind = "complete entry, new target"
+                elif had_b and not had_a and not complete:
+                    kind = "partial entry of the other endpoint"
+                else:
+                    kind = "entry"
+                kinds[kind] += 1
+        assert len(kinds) == 6 and min(kinds.values()) >= 50, kinds
+
+    def test_walks_at_most_memo_misses(self, corpus_runs):
+        walks = misses = 0
+        for bundle in corpus_runs:
+            for oracle in bundle.oracles:
+                assert oracle.walks <= len(oracle._memo)
+                walks += oracle.walks
+                misses += len(oracle._memo)
+        print("corpus: %d walks for %d memo misses" % (walks, misses))
+
+    def test_deep_links_reuse_most_walks(self):
+        # walking every miss that no shortcut settles reads ~0.8 here
+        dag = motif_chain(3)
+        assert has_dsep_link(dag)
+        for pipeline, checks in (("fciplus", True), ("fci", False)):
+            oracle = DsepOracle(dag)
+            run_pipeline(pipeline, oracle, k=3, with_checks=checks)
+            assert oracle.walks <= 0.5 * len(oracle._memo), \
+                (pipeline, oracle.walks, len(oracle._memo))
 
 
 class TestStats:

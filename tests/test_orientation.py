@@ -38,7 +38,7 @@ class TestVStructures:
     def test_tail_conflict_raises(self):
         skel = MixedGraph(3, [(0, 2, CIRCLE, TAIL), (1, 2, CIRCLE, CIRCLE)])
         seps = SepsetMap()
-        seps.set(0, 1, frozenset(), 0)
+        seps.set(0, 1, frozenset())
         with pytest.raises(ModelViolationError):
             orient_v_structures(skel, seps)
 
@@ -108,7 +108,7 @@ class TestRules:
         g = MixedGraph(4, [(0, 1, CIRCLE, ARROW), (1, 2, ARROW, ARROW),
                            (1, 3, TAIL, ARROW), (2, 3, CIRCLE, CIRCLE)])
         seps = SepsetMap()
-        seps.set(0, 3, {2}, 1)
+        seps.set(0, 3, {2})
         out = apply_fci_rules(g, seps)
         assert out.mark(2, 3) == TAIL and out.mark(3, 2) == ARROW
 
@@ -118,7 +118,7 @@ class TestRules:
         g = MixedGraph(4, [(0, 1, CIRCLE, ARROW), (1, 2, ARROW, ARROW),
                            (1, 3, TAIL, ARROW), (2, 3, CIRCLE, CIRCLE)])
         seps = SepsetMap()
-        seps.set(0, 3, frozenset(), 0)
+        seps.set(0, 3, frozenset())
         out = apply_fci_rules(g, seps)
         assert out.mark(2, 3) == ARROW and out.mark(3, 2) == ARROW
         assert out.mark(1, 2) == ARROW and out.mark(2, 1) == ARROW

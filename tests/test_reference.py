@@ -74,7 +74,7 @@ class TestExhaustiveSkeleton:
         dag = CausalDag(4, [], observed=range(4))
         skel, seps = exhaustive_skeleton(DsepOracle(dag))
         assert skel.n_edges == 0
-        assert all(zs == frozenset() for _, zs, _ in seps.items())
+        assert all(zs == frozenset() for _, zs in seps.items())
 
     def test_single_edge_kept(self):
         dag = CausalDag(2, [(0, 1)], observed=range(2))
