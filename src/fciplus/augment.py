@@ -13,7 +13,7 @@ caches every answer: each (stored set, node) pair is queried at most once.
 The PAG is oriented from the bare final skeleton.
 """
 
-from .graphs import ARROW
+from .graphs import ARROW, _bits
 
 
 class AugmentedSkeleton:
@@ -34,7 +34,7 @@ class AugmentedSkeleton:
     def __init__(self, graph, sepsets, oracle):
         self.graph = graph
         self._oracle = oracle
-        self._sets = []                                  # (x, y, Z)
+        self._sets = []                                  # (x, y, Z mask)
         self._by_member = [[] for _ in range(graph.n)]   # node -> set indices
         self._dependent = {}       # (set index, w) -> x, y dependent given Z + w
         self._arrows = {(a, b) for a, b in _endpoints(graph)
@@ -46,13 +46,14 @@ class AugmentedSkeleton:
     def _register(self, x, y, zs):
         i = len(self._sets)
         self._sets.append((x, y, zs))
-        for v in {x, y} | zs:
+        for v in _bits(1 << x | 1 << y | zs):
             self._by_member[v].append(i)
 
     def remove_edge(self, x, y, zs):
-        """Drop the edge {x, y}, now separated by zs, and register zs."""
+        """Drop the edge {x, y}, now separated by the mask zs, and register
+        zs."""
         self.graph = self.graph.without_edge(x, y)
-        self._register(x, y, frozenset(zs))
+        self._register(x, y, zs)
 
     def edge_pairs(self):
         return self.graph.edge_pairs()
@@ -73,12 +74,13 @@ class AugmentedSkeleton:
         start = self._covered.get((a, b), 0)
         for i in members[start:]:
             x, y, zs = self._sets[i]
-            if a == x or a == y or a in zs:
+            if a == x or a == y or zs >> a & 1:
                 continue
             key = (i, a)
             if key not in self._dependent:
                 with self._oracle.stage("augment"):
-                    self._dependent[key] = not self._oracle.query(x, y, zs | {a})
+                    self._dependent[key] = not self._oracle.query(
+                        x, y, zs | 1 << a)
             if self._dependent[key]:
                 self._arrows.add((a, b))
                 return True

@@ -9,7 +9,7 @@ clean.
 
 from itertools import combinations
 
-from .graphs import ARROW, TAIL, _bits, dsep_walk, latent_project
+from .graphs import ARROW, TAIL, _bits, dsep_reach, latent_project
 from .dsep_search import hie
 from .oracles import ALGORITHM_STAGES
 
@@ -34,15 +34,14 @@ def check_arrowhead_soundness(dag, graph):
 def stored_candidates(skeleton, sepsets):
     """(x, y, Z, core, candidates) per stored set (x, y, Z): its core
     {x, y} + Z and the nodes outside the core adjacent to some member of it
-    in the adjacency-search skeleton, both as int masks (bit v for node v)."""
+    in the adjacency-search skeleton, all as int masks (bit v for node v)."""
     adj = [sum(1 << u for u in skeleton.adj(v)) for v in range(skeleton.n)]
     out = []
     for (x, y), zs in sepsets.items():
-        core = 1 << x | 1 << y
-        near = adj[x] | adj[y]
-        for z in zs:
-            core |= 1 << z
-            near |= adj[z]
+        core = 1 << x | 1 << y | zs
+        near = 0
+        for v in _bits(core):
+            near |= adj[v]
         out.append((x, y, zs, core, near & ~core))
     return out
 
@@ -68,7 +67,7 @@ def check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle):
         for x, y, zs, core, cands in stored:
             for w in _bits(cands):
                 hit = heads[w] & core
-                if hit and not oracle.query(x, y, zs | {w}):
+                if hit and not oracle.query(x, y, zs | 1 << w):
                     bad.extend((w, v) for v in _bits(hit))
     return not bad, "unsound arrowheads: %r" % bad if bad else \
         "all arrowheads of %d stored sets sound" % len(stored)
@@ -96,8 +95,8 @@ def check_sepsets(sepsets, oracle):
             if not oracle.query(x, y, zs):
                 bad.append(("not separating", x, y))
                 continue
-            for w in sorted(zs):
-                if oracle.query(x, y, zs - {w}):
+            for w in _bits(zs):
+                if oracle.query(x, y, zs & ~(1 << w)):
                     bad.append(("not minimal", x, y, w))
     return not bad, "sepset violations: %r" % bad if bad else \
         "%d sepsets separating and minimal" % len(sepsets)
@@ -114,11 +113,9 @@ def check_hierarchy_ancestry(dag, sepsets):
     bad = []
     for (a, b), zs in sepsets.items():
         up = an[back[a]] | an[back[b]] | dag._an_sel
-        zmask = 0
-        for z in zs:
-            zmask |= 1 << back[z]
-        if zmask & ~up:
-            bad.extend((a, b, z) for z in sorted(zs) if not up >> back[z] & 1)
+        for z in _bits(zs):
+            if not up >> back[z] & 1:
+                bad.append((a, b, z))
     return not bad, "non-ancestral hierarchy members: %r" % bad if bad else \
         "hierarchy members ancestral for %d pair seeds" % len(sepsets)
 
@@ -152,14 +149,15 @@ def check_resolved_links(dag, dsep_log):
 
 
 def _true_dsep_links(dag, mag):
-    """{(x, y): adjacent ancestors} over the pairs nonadjacent in the truth
-    that no subset of their adjacent pool adj(x) + adj(y), with the
-    selection set S, separates; adjacent ancestors are the pool members in
-    An({x, y} + S). One walk per pair: by Tian, Paz & Pearl ("Finding
-    Minimal D-separators", 1998) some Z with S <= Z <= pool + S separates
-    x and y iff (pool + S) & An({x, y} + S) does. A pair in different
-    skeleton components of the DAG is separated by every set, so it is
-    skipped before its pool is built.
+    """{(x, y): adjacent ancestors, as an int mask} over the pairs
+    nonadjacent in the truth that no subset of their adjacent pool
+    adj(x) + adj(y), with the selection set S, separates; adjacent
+    ancestors are the pool members in An({x, y} + S). One walk per pair:
+    by Tian, Paz & Pearl ("Finding Minimal D-separators", 1998) some Z
+    with S <= Z <= pool + S separates x and y iff (pool + S) &
+    An({x, y} + S) does. A pair in different skeleton components of the
+    DAG is separated by every set, so it is skipped before its pool is
+    built.
     """
     back, an, comp = dag.observed, dag._an, dag._comp
     links = {}
@@ -168,10 +166,11 @@ def _true_dsep_links(dag, mag):
         if not comp[dx] >> dy & 1 or mag.has_edge(x, y):
             continue
         up = an[dx] | an[dy] | dag._an_sel
-        pool = (mag.adj(x) | mag.adj(y)) - {x, y}
-        if not dsep_walk(dag, dx, dy,
-                         sum(1 << back[v] for v in pool) & up | dag._sel):
-            links[(x, y)] = {v for v in pool if up >> back[v] & 1}
+        aa = [v for v in (mag.adj(x) | mag.adj(y)) - {x, y}
+              if up >> back[v] & 1]
+        if not dsep_reach(dag, dx, dy,
+                          sum(1 << back[v] for v in aa) | dag._sel)[0]:
+            links[(x, y)] = sum(1 << v for v in aa)
     return links
 
 
@@ -182,8 +181,7 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
     links = _true_dsep_links(dag, mag)
     with oracle.stage("reference"):
         for (x, y), aa in links.items():
-            closure = hie(aa, sepsets).closure if aa else frozenset()
-            if not oracle.query(x, y, closure - {x, y}):
+            if not oracle.query(x, y, hie(aa, sepsets) & ~(1 << x | 1 << y)):
                 bad.append((x, y))
     return not bad, "hierarchy fails to separate: %r" % bad if bad else \
         "hierarchy separates all %d true candidate links" % len(links)

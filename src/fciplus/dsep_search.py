@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .augment import AugmentedSkeleton
-
-
-@dataclass(frozen=True)
-class Hierarchy:
-    """Seed set together with its closure under stored separating sets."""
-    seed: frozenset
-    closure: frozenset
+from .graphs import _bits
 
 
 @dataclass
@@ -44,10 +38,10 @@ class DsepLog:
             "resolutions": [
                 {
                     "pair": list(r["pair"]),
-                    "sepset": sorted(r["sepset"]),
-                    "base_x": sorted(r["base_x"]),
-                    "base_y": sorted(r["base_y"]),
-                    "candidate": sorted(r["candidate"]),
+                    "sepset": _bits(r["sepset"]),
+                    "base_x": _bits(r["base_x"]),
+                    "base_y": _bits(r["base_y"]),
+                    "candidate": _bits(r["candidate"]),
                     "pattern_present": r["pattern_present"],
                 }
                 for r in self.resolutions
@@ -86,57 +80,59 @@ def find_possible_dsep_links(g):
 
 
 def hie(seed, sepsets):
-    """Least fixpoint closure of seed under the stored separating sets.
+    """Least fixpoint closure of the int mask seed under the stored
+    separating sets, as a mask.
 
     Adds the members of every stored set whose pair lies inside the
     closure, until stable. Each node entering the closure is visited once
     and looks up its stored partners, so a pair is closed over as soon as
     its second endpoint arrives.
     """
-    closure = set(seed)
-    work = list(closure)
+    closure = work = seed
     while work:
-        a = work.pop()
+        a = work.bit_length() - 1
+        work ^= 1 << a
         for b, zs in sepsets.partners(a).items():
-            if b in closure:
-                new = zs - closure
-                closure |= new
-                work.extend(new)
-    return Hierarchy(seed=frozenset(seed), closure=frozenset(closure))
+            if closure >> b & 1:
+                work |= zs & ~closure
+                closure |= zs
+    return closure
 
 
 def minimal_dsep(x, y, z_star, oracle):
-    """Shrink a separating set to a minimal one by eliminating redundant
-    nodes one at a time (ascending id, passes repeated until stable).
+    """Shrink the separating set z_star, an int mask, to a minimal one by
+    eliminating redundant nodes one at a time (ascending id, passes
+    repeated until stable); returns the mask.
 
     Precondition: z_star separates x and y per the oracle.
     """
     with oracle.stage("minimal_dsep"):
         if not oracle.query(x, y, z_star):
-            raise RuntimeError("minimal_dsep precondition violated: "
-                               "%r does not separate (%d, %d)" % (sorted(z_star), x, y))
-        current = set(z_star)
+            raise RuntimeError("minimal_dsep precondition violated: %r does "
+                               "not separate (%d, %d)" % (_bits(z_star), x, y))
+        current = z_star
         changed = True
         while changed:
             changed = False
-            for w in sorted(current):
-                reduced = frozenset(current - {w})
+            for w in _bits(current):
+                reduced = current & ~(1 << w)
                 if oracle.query(x, y, reduced):
-                    current.discard(w)
+                    current = reduced
                     changed = True
-    return frozenset(current)
+    return current
 
 
 def _base_combinations(base_x, base_y, k):
-    """Base-set pairs in deterministic order: sizes ascending with the x side
-    outer, lexicographic within a size; sizes run 0..k on both sides."""
+    """Base-set pairs as int masks in deterministic order: sizes ascending
+    with the x side outer, lexicographic within a size; sizes run 0..k on
+    both sides. base_x and base_y list their nodes' bits ascending."""
     max_x = len(base_x) if k is None else min(k, len(base_x))
     max_y = len(base_y) if k is None else min(k, len(base_y))
     for n in range(max_x + 1):
         for m in range(max_y + 1):
             for zx in combinations(base_x, n):
                 for zy in combinations(base_y, m):
-                    yield frozenset(zx), frozenset(zy)
+                    yield sum(zx), sum(zy)
 
 
 def dsep_search(skeleton, sepsets, oracle, k, log=None):
@@ -168,13 +164,14 @@ def dsep_search(skeleton, sepsets, oracle, k, log=None):
         if not pending:
             break
         x, y = pending[0]
-        base_x = sorted(g.adj(x) - {y})
-        base_y = sorted(g.adj(y) - {x})
+        base_x = [1 << v for v in sorted(g.adj(x) - {y})]
+        base_y = [1 << v for v in sorted(g.adj(y) - {x})]
+        ends = 1 << x | 1 << y
         found = None
         combos = 0
         for zx, zy in _base_combinations(base_x, base_y, k):
             combos += 1
-            zstar = hie({x, y} | zx | zy, sepsets).closure - {x, y}
+            zstar = hie(ends | zx | zy, sepsets) & ~ends
             with oracle.stage("dsep_search"):
                 independent = oracle.query(x, y, zstar)
             if independent:

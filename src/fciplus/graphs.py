@@ -6,8 +6,8 @@ go through MixedGraphBuilder (or `without_edge`), which returns a new graph.
 MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
 adjacent pair. Variable ids are checked once at the boundary: by the
 constructors, `MixedGraphBuilder.add_edge`, `d_separated`, `m_separated`
-and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`),
-`dsep_walk` and `dsep_reach` trust their callers.
+and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`) and
+`dsep_reach` trust their callers.
 
 CausalDag answers ancestry from int-mask tables (bit v for node v) that
 its constructor fills once:
@@ -18,15 +18,16 @@ its constructor fills once:
     _sel, _an_sel   the selection set and its ancestors
 
 `dsep_reach` is the one d-separation walk. It takes its conditioning set
-z as a mask too and returns, besides the answer, the masks of the nodes
-it reached and of its exits: nodes reached moving down outside the walk's
+z as a mask too, like every conditioning and separating set in the
+package, and returns, besides the answer, the masks of the nodes it
+reached and of its exits: nodes reached moving down outside the walk's
 region An({x, y} + z), every descendant of which is d-connected to x.
-`dsep_walk` answers with the same walk; `DsepOracle` keeps the reached and
-exit masks per (endpoint, z) to answer later queries without one. A pair
-in different components is d-separated by every set (a d-connecting trail
-needs a skeleton path) and a pair joined by an edge by none: `dsep_walk`
-answers the first without a walk, and `latent_project` and the oracle
-both.
+`d_separated`, `latent_project` and the checks take its answer;
+`DsepOracle` keeps the reached and exit masks per (endpoint, z) to answer
+later queries without a walk. A pair in different components is
+d-separated by every set (a d-connecting trail needs a skeleton path) and
+a pair joined by an edge by none: `d_separated` answers the first without
+a walk, and `latent_project` and the oracle both.
 
 Edge mark conventions: an edge {a, b} carries one mark per endpoint. A
 directed edge a -> b has TAIL at a and ARROW at b; a <-> b has ARROW at both
@@ -289,10 +290,6 @@ class MixedGraph(_MarkTable):
             and self.names == other.names
             and self._marks == other._marks
         )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         if self._hash is None:
@@ -557,24 +554,15 @@ def d_separated(dag, x, y, z):
         raise GraphError("x and y must differ")
     if x in z or y in z:
         raise GraphError("x and y must not be in the conditioning set")
-    return dsep_walk(dag, x, y, zmask)
-
-
-def dsep_walk(dag, x, y, zmask):
-    """d_separated without input checks, for callers whose ids are already
-    valid: x != y, both outside the int mask zmask of the conditioning set.
-    A pair in different skeleton components is separated without a walk;
-    any other pair is answered by `dsep_reach`.
-    """
-    if not dag._comp[x] >> y & 1:
-        return True
-    return dsep_reach(dag, x, y, zmask)[0]
+    # a d-connecting trail needs a skeleton path
+    return not dag._comp[x] >> y & 1 or dsep_reach(dag, x, y, zmask)[0]
 
 
 def dsep_reach(dag, x, y, zmask):
     """The d-separation walk from x given zmask, targeted at y:
-    (separated, reached, exits), the last two as int masks. Same input
-    contract as `dsep_walk`.
+    (separated, reached, exits), the last two as int masks. It checks no
+    input: the caller passes valid ids x != y, both outside the int mask
+    zmask of the conditioning set.
 
     Active-trail reachability from x as two frontier masks: nodes arrived
     at moving up (from a child) and moving down (from a parent). Leaving a
@@ -695,7 +683,7 @@ def latent_project(dag):
             up_b = an[b] | an_sel
             if not (pa[b] | ch[b]) >> a & 1:
                 canonical = (up_a | up_b) & obs_mask & ~(1 << a | 1 << b)
-                if dsep_walk(dag, a, b, canonical | dag._sel):
+                if dsep_reach(dag, a, b, canonical | dag._sel)[0]:
                     continue
             ma = TAIL if up_b >> a & 1 else ARROW
             mb = TAIL if up_a >> b & 1 else ARROW

@@ -15,14 +15,15 @@ import warnings
 
 import numpy as np
 
-from .graphs import dsep_reach
+from .graphs import _bits, dsep_reach
 
 STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
           "orientation", "reference")
 # the stages a pipeline's own search runs under; the fci reference and the
 # embedded checks run under "reference"
 ALGORITHM_STAGES = STAGES[:-1]
-_STAGE_BIT = {s: 1 << i for i, s in enumerate(STAGES)}
+# a memo entry holds its answer in bit 0 and these stage bits above it
+_STAGE_BIT = {s: 2 << i for i, s in enumerate(STAGES)}
 _PHI_INV = NormalDist().inv_cdf
 _DEGENERATE = 1e-10   # relative tolerance of a degenerate Fisher z test
 
@@ -64,16 +65,21 @@ class OracleStats:
 class IndependenceOracle:
     """Base class: deterministic, symmetric-in-(x, y) independence queries.
 
-    Subclasses implement _decide(x, y, zkey) for x < y and zkey a frozenset.
-    `query` memoizes each answer with a bitmask of the stages that counted
-    its key, so _decide runs once per distinct key. Ids are validated on a
-    memo miss; a hit then needs only exact ints (True and 1.0 equal 1).
+    A conditioning set is an int mask over the variable ids (bit v for
+    variable v). `query` also takes an iterable of ids and turns it into
+    its mask first; then it checks, in constant time, that x and y are
+    distinct ids in range and outside the mask, and that the mask holds
+    only ids in range. Subclasses implement _decide(x, y, zmask) for x < y.
+    `query` memoizes each answer in one int, keyed by one int, with a
+    bitmask of the stages that counted its key, so _decide runs once per
+    distinct key.
     """
 
     def __init__(self, n_vars, names=None):
         self.n_vars = n_vars
         self.names = tuple(names) if names is not None else None
-        self._memo = {}   # key -> [answer, stage bitmask]
+        # (x * n + y) << n | zmask -> answer | stage bits
+        self._memo = {}
         self.stats = OracleStats()
         self.n_test_errors = 0   # answers from a degenerate test (sample data)
         self._stage = (self.stats.stages["reference"], _STAGE_BIT["reference"])
@@ -90,49 +96,56 @@ class IndependenceOracle:
             self._stage = prev
 
     def query(self, x, y, z):
-        """True iff x is independent of y given z under the backing model."""
-        zkey = frozenset(z)
-        if type(x) is not int or type(y) is not int:
-            self._validate(x, y, zkey)
-        key = (x, y, zkey) if x < y else (y, x, zkey)
+        """True iff x is independent of y given z under the backing model;
+        z is an int mask or an iterable of ids."""
+        zmask = z if type(z) is int else _mask(z)
+        n = self.n_vars
+        # exact ints only: True and 1.0 hash like 1 but are no ids; and
+        # zmask >> n is 0 iff 0 <= zmask < 2**n
+        if not (type(x) is int and type(y) is int and 0 <= x < n
+                and 0 <= y < n and x != y and not zmask >> n
+                and not (zmask >> x | zmask >> y) & 1):
+            raise OracleError(
+                "invalid query (%r, %r | %r) over ids 0..%d: x and y must be"
+                " distinct ids outside z" % (x, y, z, n - 1))
+        if x > y:
+            x, y = y, x
+        key = (x * n + y) << n | zmask
         entry = self._memo.get(key)
         if entry is None:
-            self._validate(x, y, zkey)
-            entry = self._memo[key] = [self._decide(*key), 0]
-        else:
-            for v in zkey:
-                if type(v) is not int:
-                    self._validate(x, y, zkey)
-                    break
+            entry = 1 if self._decide(x, y, zmask) else 0
         st, bit = self._stage
         st.queries += 1
-        if len(zkey) > st.max_cond_size:
-            st.max_cond_size = len(zkey)
-        if not entry[1] & bit:
-            entry[1] |= bit
+        size = zmask.bit_count()
+        if size > st.max_cond_size:
+            st.max_cond_size = size
+        if not entry & bit:
+            self._memo[key] = entry = entry | bit
             st.distinct += 1
-        return entry[0]
+        return bool(entry & 1)
 
-    def _validate(self, x, y, zkey):
-        for v in (x, y, *zkey):
-            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)) \
-                    or not 0 <= v < self.n_vars:
-                raise OracleError("variable id %r out of range 0..%d"
-                                  % (v, self.n_vars - 1))
-        if x == y:
-            raise OracleError("x and y must differ")
-        if x in zkey or y in zkey:
-            raise OracleError("x and y must not appear in the conditioning set")
-
-    def _decide(self, x, y, zkey):
+    def _decide(self, x, y, zmask):
         raise NotImplementedError
+
+
+def _mask(ids):
+    """The int mask of an iterable of ids, or -1 (which `query` rejects)
+    when it is no iterable or holds anything but nonnegative ints."""
+    try:
+        ids = set(ids)
+    except TypeError:
+        return -1
+    if not all(type(v) is int and v >= 0 for v in ids):
+        return -1
+    return sum(1 << v for v in ids)
 
 
 class DsepOracle(IndependenceOracle):
     """Exact oracle backed by d-separation on a causal DAG.
 
     Queries are over the observed variables only, reindexed to 0..N-1 in
-    ascending order of their dag ids; the selection set is added to every
+    ascending order of their dag ids; a conditioning mask over those ids
+    is lifted to one over dag ids, and the selection set is added to every
     conditioning set implicitly.
 
     A memo miss on (x, y, z) is answered without a walk when it can be:
@@ -163,16 +176,19 @@ class DsepOracle(IndependenceOracle):
         names = tuple(dag.names[o] for o in self._obs)
         super().__init__(len(self._obs), names=names)
 
-    def _decide(self, x, y, zkey):
+    def _decide(self, x, y, zmask):
         dag = self.dag
         x, y = self._obs[x], self._obs[y]
         if not dag._comp[x] >> y & 1:
             return True
         if (dag._pa[x] | dag._ch[x]) >> y & 1:
             return False
-        zmask = dag._sel
-        for v in zkey:
-            zmask |= self._bit[v]
+        # lift the mask to dag ids
+        m, zmask, bit = zmask, dag._sel, self._bit
+        while m:
+            v = m.bit_length() - 1
+            zmask |= bit[v]
+            m ^= 1 << v
         n, an = dag.n, dag._an
         kx, ky = x << n | zmask, y << n | zmask
         ex = self._reach.get(kx, 0)
@@ -289,8 +305,8 @@ class GaussOracle(IndependenceOracle):
                               % (len(names), data.shape[1]))
         return cls(data, names=names, alpha=alpha)
 
-    def _decide(self, x, y, zkey):
-        result = _fisher_z(self.cov, self.n_samples, x, y, sorted(zkey),
+    def _decide(self, x, y, zmask):
+        result = _fisher_z(self.cov, self.n_samples, x, y, _bits(zmask),
                            self._crit)
         self.n_test_errors += result is None
         return bool(result)

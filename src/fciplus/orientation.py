@@ -22,7 +22,7 @@ DEFAULT_RULES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
 def orient_v_structures(skeleton, sepsets):
     """Place arrowheads at z on x *-> z <-* y for every unshielded triple
-    x - z - y whose stored separating set excludes z."""
+    x - z - y whose stored separating set (an int mask) excludes z."""
     b = skeleton.builder()
     for x, y in combinations(range(skeleton.n), 2):
         if skeleton.has_edge(x, y):
@@ -31,7 +31,7 @@ def orient_v_structures(skeleton, sepsets):
         if zs is None:
             continue
         for z in sorted(skeleton.adj(x) & skeleton.adj(y)):
-            if z not in zs:
+            if not zs >> z & 1:
                 b.set_mark(z, x, ARROW)
                 b.set_mark(z, y, ARROW)
     return b.build()
@@ -79,21 +79,18 @@ def _r2(s, sepsets):
 
 def _r3(s, sepsets):
     # a *-> b <-* c, a *-o d o-* c, a, c nonadjacent, d *-o b: arrow at b.
+    # Only a b with two arrowheads into it can fire.
     changed = False
-    for a, c in combinations(range(s.n), 2):
-        if s.has_edge(a, c):
+    for b in range(s.n):
+        into = [a for a in s.adj(b) if s.mark(b, a) == ARROW]
+        if len(into) < 2:
             continue
-        common = [v for v in s.adj(a) if s.has_edge(v, c)]
-        colliders = [b for b in common
-                     if s.mark(b, a) == ARROW and s.mark(b, c) == ARROW]
-        circles = [d for d in common
-                   if s.mark(d, a) == CIRCLE and s.mark(d, c) == CIRCLE]
-        for b in colliders:
-            for d in circles:
-                if d == b or not s.has_edge(d, b):
-                    continue
-                if s.mark(b, d) == CIRCLE:
-                    changed |= s.set_mark(b, d, ARROW)
+        for d in s.adj(b):
+            if s.mark(b, d) != CIRCLE:
+                continue
+            ends = [a for a in into if s.mark(d, a) == CIRCLE]
+            if any(not s.has_edge(a, c) for a, c in combinations(ends, 2)):
+                changed |= s.set_mark(b, d, ARROW)
     return changed
 
 
@@ -130,7 +127,7 @@ def _r4(s, sepsets):
                 zs = sepsets.get(t, c)
                 if zs is None:
                     continue
-                if b in zs:
+                if zs >> b & 1:
                     changed |= s.set_mark(b, c, TAIL)
                     changed |= s.set_mark(c, b, ARROW)
                 else:

@@ -7,8 +7,8 @@ from .graphs import CIRCLE, MixedGraph
 from .sepsets import SepsetMap
 
 
-def pc_adjacency_search(oracle, n_vars=None, k=None):
-    """Adjacency search over n_vars variables against an oracle.
+def pc_adjacency_search(oracle, k=None):
+    """Adjacency search over the oracle's variables.
 
     Starts from the complete graph and, at each level l = 0, 1, ..., tests
     every remaining edge {x, y} against conditioning sets of size l drawn
@@ -21,21 +21,23 @@ def pc_adjacency_search(oracle, n_vars=None, k=None):
     Returns (skeleton, sepsets): the skeleton carries CIRCLE marks at every
     endpoint, and sepsets holds one minimal separating set per removed pair.
     """
-    if n_vars is None:
-        n_vars = oracle.n_vars
-    adj = {x: set(range(n_vars)) - {x} for x in range(n_vars)}
+    n = oracle.n_vars
+    adj = {x: set(range(n)) - {x} for x in range(n)}
     sepsets = SepsetMap()
     level = 0
     with oracle.stage("pc_search"):
         while True:
-            snapshot = {x: sorted(adj[x]) for x in range(n_vars)}
-            pairs = sorted((x, y) for x in range(n_vars) for y in adj[x] if x < y)
+            # each neighbour as its bit, ascending, so that a combination
+            # of them sums to its mask
+            snapshot = {x: [1 << v for v in sorted(adj[x])] for x in range(n)}
+            pairs = sorted((x, y) for x in range(n) for y in adj[x] if x < y)
             any_candidates = False
             for x, y in pairs:
                 if y not in adj[x]:
                     continue
-                cand_x = [v for v in snapshot[x] if v != y]
-                cand_y = [v for v in snapshot[y] if v != x]
+                xbit, ybit = 1 << x, 1 << y
+                cand_x = [b for b in snapshot[x] if b != ybit]
+                cand_y = [b for b in snapshot[y] if b != xbit]
                 if len(cand_x) < level and len(cand_y) < level:
                     continue
                 any_candidates = True
@@ -45,14 +47,14 @@ def pc_adjacency_search(oracle, n_vars=None, k=None):
                     if len(side) < level:
                         continue
                     for zs in combinations(side, level):
-                        fz = frozenset(zs)
-                        if fz in tested:
+                        zmask = sum(zs)
+                        if zmask in tested:
                             continue
-                        tested.add(fz)
-                        if oracle.query(x, y, fz):
+                        tested.add(zmask)
+                        if oracle.query(x, y, zmask):
                             adj[x].discard(y)
                             adj[y].discard(x)
-                            sepsets.set(x, y, fz)
+                            sepsets.set(x, y, zmask)
                             removed = True
                             break
                     if removed:
@@ -63,6 +65,5 @@ def pc_adjacency_search(oracle, n_vars=None, k=None):
             if k is not None and level > k:
                 break
     edges = [(x, y, CIRCLE, CIRCLE)
-             for x in range(n_vars) for y in sorted(adj[x]) if x < y]
-    names = oracle.names if oracle.names is not None else None
-    return MixedGraph(n_vars, edges, names=names), sepsets
+             for x in range(n) for y in sorted(adj[x]) if x < y]
+    return MixedGraph(n, edges, names=oracle.names), sepsets

@@ -8,7 +8,7 @@ query-efficient pipeline, not to replace it.
 from collections import deque
 from itertools import combinations
 
-from .graphs import ARROW, CIRCLE, MixedGraph
+from .graphs import ARROW, CIRCLE, MixedGraph, _bits
 from .orientation import apply_fci_rules, orient_v_structures
 from .pc import pc_adjacency_search
 from .sepsets import SepsetMap
@@ -24,7 +24,7 @@ def possible_dsep(g, a, b):
 
     This is a guaranteed superset of the ancestral separating set that can
     always separate a nonadjacent pair. Computed by reachability over
-    ordered adjacent-vertex pairs; excludes a and b.
+    ordered adjacent-vertex pairs; excludes a and b. Returns an int mask.
     """
     reach = set()
     seen = set()
@@ -42,37 +42,44 @@ def possible_dsep(g, a, b):
             triangle = g.has_edge(u, w)
             if collider or triangle:
                 queue.append((v, w))
-    return frozenset(reach - {a, b})
+    return sum(1 << v for v in reach - {a, b})
 
 
-def exhaustive_skeleton(oracle, n_vars=None, cap=14):
+def _first_separating(oracle, a, b, sides):
+    """The first mask that separates a and b among the combinations of one
+    side's bits, or None: sizes ascending and, within a size, the sides in
+    turn, each mask queried once. Each side lists its bits ascending."""
+    tested = set()
+    for size in range(max(map(len, sides)) + 1):
+        for side in sides:
+            for zs in combinations(side, size):
+                zmask = sum(zs)
+                if zmask not in tested:
+                    tested.add(zmask)
+                    if oracle.query(a, b, zmask):
+                        return zmask
+    return None
+
+
+def exhaustive_skeleton(oracle, cap=14):
     """Ground-truth skeleton: a pair is adjacent iff no subset of the other
     observed variables separates it. Tests all subsets per pair, sizes
     ascending, so stored sets are minimal. Refuses above the cap."""
-    if n_vars is None:
-        n_vars = oracle.n_vars
-    if n_vars > cap:
+    n = oracle.n_vars
+    if n > cap:
         raise CapExceededError(
-            "exhaustive search over %d variables exceeds the cap %d" % (n_vars, cap))
+            "exhaustive search over %d variables exceeds the cap %d" % (n, cap))
     sepsets = SepsetMap()
     edges = []
     with oracle.stage("reference"):
-        for x, y in combinations(range(n_vars), 2):
-            rest = [v for v in range(n_vars) if v != x and v != y]
-            found = None
-            for size in range(len(rest) + 1):
-                for zs in combinations(rest, size):
-                    if oracle.query(x, y, frozenset(zs)):
-                        found = frozenset(zs)
-                        break
-                if found is not None:
-                    break
+        for x, y in combinations(range(n), 2):
+            rest = [1 << v for v in range(n) if v != x and v != y]
+            found = _first_separating(oracle, x, y, [rest])
             if found is not None:
                 sepsets.set(x, y, found)
             else:
                 edges.append((x, y, CIRCLE, CIRCLE))
-    names = oracle.names if oracle.names is not None else None
-    return MixedGraph(n_vars, edges, names=names), sepsets
+    return MixedGraph(n, edges, names=oracle.names), sepsets
 
 
 def _pdsep_stage(pi0, sepsets, oracle):
@@ -81,42 +88,24 @@ def _pdsep_stage(pi0, sepsets, oracle):
     removed = []
     with oracle.stage("reference"):
         for a, b in pi0.edge_pairs():
-            pd_a = sorted(possible_dsep(pi0, a, b) - {b})
-            pd_b = sorted(possible_dsep(pi0, b, a) - {a})
-            found = None
-            tested = set()
-            for size in range(max(len(pd_a), len(pd_b)) + 1):
-                for side in (pd_a, pd_b):
-                    if len(side) < size:
-                        continue
-                    for zs in combinations(side, size):
-                        fz = frozenset(zs)
-                        if fz in tested:
-                            continue
-                        tested.add(fz)
-                        if oracle.query(a, b, fz):
-                            found = fz
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
+            sides = [[1 << v for v in _bits(possible_dsep(pi0, a, b))],
+                     [1 << v for v in _bits(possible_dsep(pi0, b, a))]]
+            found = _first_separating(oracle, a, b, sides)
             if found is not None:
                 sepsets.set(a, b, found)
                 removed.append((a, b))
     return removed
 
 
-def fci_reference(oracle, n_vars=None, k=None):
+def fci_reference(oracle, k=None):
     """Classic two-stage constraint-based search: adjacency search, collider
     orientation, exhaustive subset search over the reachability supersets,
     then re-orientation from scratch and the complete rule set.
 
     Returns (pag, skeleton, sepsets, edges_removed_per_stage).
     """
-    if n_vars is None:
-        n_vars = oracle.n_vars
-    skeleton, sepsets = pc_adjacency_search(oracle, n_vars, k)
+    n = oracle.n_vars
+    skeleton, sepsets = pc_adjacency_search(oracle, k)
     pi0 = orient_v_structures(skeleton, sepsets)
     removed = _pdsep_stage(pi0, sepsets, oracle)
     builder = skeleton.builder()
@@ -127,7 +116,7 @@ def fci_reference(oracle, n_vars=None, k=None):
     with oracle.stage("orientation"):
         pag = apply_fci_rules(pag, sepsets)
     stage_removals = {
-        "pc_search": n_vars * (n_vars - 1) // 2 - skeleton.n_edges,
+        "pc_search": n * (n - 1) // 2 - skeleton.n_edges,
         "reference": len(removed),
     }
     return pag, final_skeleton, sepsets, stage_removals

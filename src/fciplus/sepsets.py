@@ -2,7 +2,8 @@
 
 
 class SepsetMap:
-    """Partial map from unordered pairs {x, y} to a stored separating set.
+    """Partial map from unordered pairs {x, y} to a stored separating set,
+    an int mask over the variable ids (bit v for variable v).
 
     The invariant maintained by the callers: an entry exists iff the pair
     is nonadjacent in the current working graph, and the stored set
@@ -19,22 +20,19 @@ class SepsetMap:
             raise ValueError("sepset pairs must have distinct endpoints")
         return (x, y) if x < y else (y, x)
 
-    def set(self, x, y, zs):
-        zs = frozenset(zs)
-        self._sets[self._key(x, y)] = zs
-        self._partners.setdefault(x, {})[y] = zs
-        self._partners.setdefault(y, {})[x] = zs
+    def set(self, x, y, zmask):
+        self._sets[self._key(x, y)] = zmask
+        self._partners.setdefault(x, {})[y] = zmask
+        self._partners.setdefault(y, {})[x] = zmask
 
     def get(self, x, y):
-        """The stored separating set, or None if the pair has no entry."""
+        """The stored separating set, or None if the pair has no entry (the
+        empty set is the mask 0, so test the result with `is None`)."""
         return self._sets.get(self._key(x, y))
 
     def partners(self, v):
         """{w: stored set of the pair {v, w}} over the pairs containing v."""
         return self._partners.get(v, {})
-
-    def pairs(self):
-        return sorted(self._sets)
 
     def items(self):
         """Sorted (pair, set) tuples."""
@@ -48,9 +46,6 @@ class SepsetMap:
 
     def __len__(self):
         return len(self._sets)
-
-    def __contains__(self, pair):
-        return self._key(*pair) in self._sets
 
     def __repr__(self):
         return "SepsetMap(%d pairs)" % len(self._sets)

@@ -14,6 +14,16 @@ import numpy as np
 from fciplus.graphs import ARROW, CIRCLE, TAIL, MixedGraph, d_separated
 
 
+def mask(ids):
+    """The int mask of an iterable of ids: bit v for id v."""
+    return sum(1 << v for v in set(ids))
+
+
+def members(m):
+    """The set of ids in an int mask."""
+    return {v for v in range(m.bit_length()) if m >> v & 1}
+
+
 def _simple_paths(adj, x, y):
     """All simple paths x..y over an adjacency dict of sets."""
     out = []
@@ -255,11 +265,11 @@ def bf_true_dsep(mag, a, b):
 
 
 def bf_true_dsep_links(dag, mag):
-    """{(x, y): adjacent ancestors} over the pairs (mag ids) nonadjacent in
-    mag that no subset of their adjacent pool adj(x) + adj(y), together
-    with the selection set, d-separates in dag, by trying every subset. The
-    adjacent ancestors are the pool members that are ancestors of x, y or
-    the selection set."""
+    """{(x, y): adjacent ancestors, as an int mask} over the pairs (mag
+    ids) nonadjacent in mag that no subset of their adjacent pool
+    adj(x) + adj(y), together with the selection set, d-separates in dag,
+    by trying every subset. The adjacent ancestors are the pool members
+    that are ancestors of x, y or the selection set."""
     back, sel = dag.observed, set(dag.selection)
     links = {}
     for x, y in combinations(range(mag.n), 2):
@@ -271,7 +281,7 @@ def bf_true_dsep_links(dag, mag):
                    for r in range(len(pool) + 1)
                    for zs in combinations(pool, r)):
             up = naive_ancestors(dag, {back[x], back[y]} | sel)
-            links[(x, y)] = {v for v in pool if back[v] in up}
+            links[(x, y)] = mask(v for v in pool if back[v] in up)
     return links
 
 
@@ -283,8 +293,8 @@ def naive_closure(seed, sepsets):
     while changed:
         changed = False
         for (a, b), zs in sepsets.items():
-            if a in closure and b in closure and not zs <= closure:
-                closure |= zs
+            if a in closure and b in closure and not members(zs) <= closure:
+                closure |= members(zs)
                 changed = True
     return closure
 
@@ -293,7 +303,7 @@ def bf_hierarchy_ancestry(dag, sepsets):
     """True iff, for every stored pair (a, b), each member of the closure of
     {a, b} is an ancestor of a, b or the selection set in dag."""
     back, sel = dag.observed, set(dag.selection)
-    for a, b in sepsets.pairs():
+    for (a, b), _ in sepsets.items():
         up = naive_ancestors(dag, {back[a], back[b]} | sel)
         if any(back[w] not in up for w in naive_closure({a, b}, sepsets)):
             return False

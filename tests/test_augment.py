@@ -10,6 +10,7 @@ from fciplus import (
 )
 from fciplus.generators import canonical_examples, random_sparse_dag
 
+from .brute import mask
 from .test_dsep import planted_dag
 
 
@@ -91,18 +92,18 @@ class _FlippedOracle(DsepOracle):
         super().__init__(dag)
         self.flipped = flipped
 
-    def _decide(self, x, y, zkey):
-        return (x, y, zkey) != self.flipped and super()._decide(x, y, zkey)
+    def _decide(self, x, y, zmask):
+        return (x, y, zmask) != self.flipped and super()._decide(x, y, zmask)
 
 
 class TestAugmentedSoundnessCheck:
     @pytest.mark.parametrize("source, flipped", [
         # 0 -> 1 -> 2 and 3 -> 1: the adjacency search stores
         # sep(0, 2) = {1}, and candidate 3 is an ancestor of core member 1
-        ("star", (0, 2, frozenset({1, 3}))),
+        ("star", (0, 2, mask({1, 3}))),
         # the deep search stores sep(2, 6) = {3, 5, 7}, and candidate 1
         # is an ancestor of core member 6
-        (3, (2, 6, frozenset({1, 3, 5, 7}))),
+        (3, (2, 6, mask({1, 3, 5, 7}))),
     ])
     def test_flipped_ancestral_candidate_fails(self, source, flipped):
         if source == "star":

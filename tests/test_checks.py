@@ -12,7 +12,9 @@ from fciplus.checks import (
 )
 from fciplus.generators import GenerationError
 
-from .brute import bf_hierarchy_ancestry, bf_true_dsep_links, naive_ancestors
+from .brute import (
+    bf_hierarchy_ancestry, bf_true_dsep_links, mask, naive_ancestors,
+)
 
 
 def random_dags(count, seed=0):
@@ -69,7 +71,7 @@ def random_sepsets(rng, dag, pairs):
         for _ in range(rng.randint(0, 3)):
             pool = anywhere if rng.random() < 0.125 or not near else near
             zs.add(rng.choice(pool))
-        seps.set(a, b, zs)
+        seps.set(a, b, mask(zs))
     return seps
 
 
@@ -89,7 +91,7 @@ class TestHierarchyAncestry:
         # 0 -> 2 <- 1: the collider 2 is no ancestor of {0, 1}
         dag = CausalDag(3, [(0, 2), (1, 2)], observed=range(3))
         seps = SepsetMap()
-        seps.set(0, 1, {2})
+        seps.set(0, 1, mask({2}))
         assert not bf_hierarchy_ancestry(dag, seps)
         assert check_hierarchy_ancestry(dag, seps) == (
             False, "non-ancestral hierarchy members: [(0, 1, 2)]")
@@ -99,10 +101,10 @@ class TestHierarchyAncestry:
         # closure of {0, 1} then takes in (2, 3) and its collider 4.
         dag = CausalDag(5, [(2, 0), (3, 1), (2, 4), (3, 4)], observed=range(5))
         seps = SepsetMap()
-        seps.set(0, 1, {2, 3})
+        seps.set(0, 1, mask({2, 3}))
         assert check_hierarchy_ancestry(dag, seps) == (
             True, "hierarchy members ancestral for 1 pair seeds")
-        seps.set(2, 3, {4})
+        seps.set(2, 3, mask({4}))
         assert not bf_hierarchy_ancestry(dag, seps)
         assert check_hierarchy_ancestry(dag, seps) == (
             False, "non-ancestral hierarchy members: [(2, 3, 4)]")

@@ -13,7 +13,7 @@ from fciplus import (
 )
 from fciplus.generators import canonical_examples, random_sparse_dag
 
-from .brute import bf_separable, naive_closure
+from .brute import bf_separable, mask, members, naive_closure
 
 
 def bidirected(n, pairs):
@@ -64,33 +64,32 @@ class TestPatternDetection:
 
 class TestHierarchy:
     def test_empty_sepsets_closure_is_seed(self):
-        h = hie({1, 2}, SepsetMap())
-        assert h.closure == {1, 2} and h.seed == {1, 2}
+        assert hie(mask({1, 2}), SepsetMap()) == mask({1, 2})
 
     def test_closure_is_idempotent(self):
         seps = SepsetMap()
-        seps.set(0, 1, {2})
-        seps.set(2, 3, {4})
-        h = hie({0, 1, 3}, seps)
-        assert hie(h.closure, seps).closure == h.closure
+        seps.set(0, 1, mask({2}))
+        seps.set(2, 3, mask({4}))
+        closure = hie(mask({0, 1, 3}), seps)
+        assert hie(closure, seps) == closure
 
     def test_transitive_inclusion_regardless_of_stored_alternative(self):
         # ids: X=0 Y=1 S=2 T=3 U=4 V=5 W=6 Z1=7 Z2=8 Z3=9. Whichever
         # minimal set was stored for (S, Z1), the deep node Z3 ends up in
         # the closure of {X, Y, S, T, U, V}: directly, or through W.
         base = SepsetMap()
-        base.set(2, 3, {8})   # sep(S,T) = {Z2}
-        base.set(4, 5, {7})   # sep(U,V) = {Z1}
-        base.set(6, 7, {9})   # sep(W,Z1) = {Z3}
-        seed = {0, 1, 2, 3, 4, 5}
+        base.set(2, 3, mask({8}))   # sep(S,T) = {Z2}
+        base.set(4, 5, mask({7}))   # sep(U,V) = {Z1}
+        base.set(6, 7, mask({9}))   # sep(W,Z1) = {Z3}
+        seed = mask({0, 1, 2, 3, 4, 5})
 
         direct = base.copy()
-        direct.set(2, 7, {9})   # sep(S,Z1) = {Z3}
-        assert 9 in hie(seed, direct).closure
+        direct.set(2, 7, mask({9}))   # sep(S,Z1) = {Z3}
+        assert 9 in members(hie(seed, direct))
 
         indirect = base.copy()
-        indirect.set(2, 7, {6})  # sep(S,Z1) = {W}
-        closure = hie(seed, indirect).closure
+        indirect.set(2, 7, mask({6}))  # sep(S,Z1) = {W}
+        closure = members(hie(seed, indirect))
         assert 6 in closure and 9 in closure
 
     def test_matches_canonical_reconstruction(self):
@@ -98,8 +97,8 @@ class TestHierarchy:
         oracle = DsepOracle(ex.dag)
         _, seps = pc_adjacency_search(oracle, k=ex.k)
         m = ex.obs_index()
-        seed = {m[v] for v in ("X", "Y", "S", "T", "U", "V")}
-        assert m["Z3"] in hie(seed, seps).closure
+        seed = mask(m[v] for v in ("X", "Y", "S", "T", "U", "V"))
+        assert m["Z3"] in members(hie(seed, seps))
 
 
     @pytest.mark.parametrize("seed", range(3))
@@ -114,30 +113,31 @@ class TestHierarchy:
                 for _ in range(rng.choice([0, 0, 1, 2])):
                     rest = [v for v in range(n) if v not in (a, b)]
                     zs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
-                    seps.set(a, b, zs)
+                    seps.set(a, b, mask(zs))
             maps = [seps]
             if n > 2:
                 grown = seps.copy()
-                grown.set(0, 1, {2})
+                grown.set(0, 1, mask({2}))
                 maps.append(grown)
             for m in maps:
                 seed_set = set(rng.sample(range(n), rng.randint(0, n)))
-                assert hie(seed_set, m).closure == naive_closure(seed_set, m)
+                assert hie(mask(seed_set), m) == \
+                    mask(naive_closure(seed_set, m))
 
 
 class TestMinimalDsep:
     def test_already_minimal_unchanged(self):
         dag = CausalDag(3, [(0, 1), (1, 2)], observed=range(3))
-        assert minimal_dsep(0, 2, frozenset({1}), DsepOracle(dag)) == {1}
+        assert minimal_dsep(0, 2, mask({1}), DsepOracle(dag)) == mask({1})
 
     def test_isolated_node_removed(self):
         dag = CausalDag(4, [(0, 1), (1, 2)], observed=range(4))
-        assert minimal_dsep(0, 2, frozenset({1, 3}), DsepOracle(dag)) == {1}
+        assert minimal_dsep(0, 2, mask({1, 3}), DsepOracle(dag)) == mask({1})
 
     def test_precondition_violation_raises(self):
         dag = CausalDag(2, [(0, 1)], observed=range(2))
         with pytest.raises(RuntimeError):
-            minimal_dsep(0, 1, frozenset(), DsepOracle(dag))
+            minimal_dsep(0, 1, 0, DsepOracle(dag))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_output_minimal_by_brute_force(self, seed):
@@ -149,14 +149,14 @@ class TestMinimalDsep:
         oracle = DsepOracle(dag)
         checked = 0
         for x, y in itertools.combinations(range(n), 2):
-            full = frozenset(v for v in range(n) if v not in (x, y))
+            full = mask(v for v in range(n) if v not in (x, y))
             if not oracle.query(x, y, full):
                 continue
             zmin = minimal_dsep(x, y, full, oracle)
             assert oracle.query(x, y, zmin)
-            for r in range(len(zmin)):
-                for sub in itertools.combinations(sorted(zmin), r):
-                    assert not oracle.query(x, y, frozenset(sub)), \
+            for r in range(zmin.bit_count()):
+                for sub in itertools.combinations(sorted(members(zmin)), r):
+                    assert not oracle.query(x, y, mask(sub)), \
                         "a strict subset separates"
             checked += 1
             if checked >= 3:
@@ -174,7 +174,7 @@ class TestDsepSearch:
         assert gplus.has_edge(x, y)
         g2, seps2, log = dsep_search(gplus, seps, oracle, k=ex.k)
         assert not g2.has_edge(x, y)
-        assert seps2.get(x, y) == {m["U"], m["V"], m["Z"]}
+        assert seps2.get(x, y) == mask({m["U"], m["V"], m["Z"]})
         assert m["Z"] not in g2.adj(x) | g2.adj(y)
         assert len(log.resolutions) == 1
         assert log.resolutions[0]["pattern_present"]
@@ -251,7 +251,7 @@ class TestDsepSearch:
             if i < len(log["resolutions"]):
                 r = log["resolutions"][i]
                 bare.remove_edge(*r["pair"])
-                stored.set(*r["pair"], r["sepset"])
+                stored.set(*r["pair"], mask(r["sepset"]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reactivations_bounded(self, seed):
@@ -272,8 +272,8 @@ class _ScriptedOracle(IndependenceOracle):
         super().__init__(n_vars)
         self.table = dict(table)
 
-    def _decide(self, x, y, zkey):
-        return self.table.get((x, y, zkey), False)
+    def _decide(self, x, y, zmask):
+        return self.table.get((x, y, zmask), False)
 
 
 class TestWorkListSemantics:
@@ -285,10 +285,10 @@ class TestWorkListSemantics:
         # then does its query succeed.
         g = bidirected(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         seps = SepsetMap()
-        seps.set(0, 3, {5, 6})
+        seps.set(0, 3, mask({5, 6}))
         table = {
-            (5, 6, frozenset({4})): True,
-            (1, 2, frozenset({0, 3, 4, 5, 6})): True,
+            (5, 6, mask({4})): True,
+            (1, 2, mask({0, 3, 4, 5, 6})): True,
         }
         oracle = _ScriptedOracle(table, 8)
         assert find_possible_dsep_links(g) == [(1, 2), (5, 6)]
@@ -296,15 +296,15 @@ class TestWorkListSemantics:
         assert not g2.has_edge(5, 6)
         assert not g2.has_edge(1, 2), "failed candidate must be retried"
         assert log.reactivations == 1
-        assert seps2.get(5, 6) == {4}
-        assert seps2.get(1, 2) == {0, 3, 4, 5, 6}
+        assert seps2.get(5, 6) == mask({4})
+        assert seps2.get(1, 2) == mask({0, 3, 4, 5, 6})
         assert [tuple(r["pair"]) for r in log.resolutions] == [(5, 6), (1, 2)]
 
     def test_double_resolution_guard(self):
         # a lying oracle cannot make the same link resolve twice: once
         # resolved, the edge is gone and cannot re-enter the pattern list
         g = bidirected(4, [(0, 1), (1, 2), (2, 3)])
-        table = {(1, 2, frozenset()): True}
+        table = {(1, 2, 0): True}
         oracle = _ScriptedOracle(table, 4)
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(1, 2)
@@ -322,12 +322,12 @@ class TestWorkListSemantics:
         seps = SepsetMap()
         for a, b, zs in [(0, 2, ()), (0, 3, (1,)), (4, 6, ()), (5, 7, ()),
                          (4, 7, (0, 3))]:
-            seps.set(a, b, zs)
-        table = {(5, 6, frozenset(zs)): True
+            seps.set(a, b, mask(zs))
+        table = {(5, 6, mask(zs)): True
                  for zs in [{0, 1, 3, 4, 7}, {1, 3, 4, 7}, {1, 4, 7}]}
         oracle = _ScriptedOracle(table, 8)
         _, seps2, log = dsep_search(g, seps, oracle, k=1)
-        assert seps2.get(5, 6) == {1, 4, 7}
+        assert seps2.get(5, 6) == mask({1, 4, 7})
         assert log.detected == [[(5, 6)], [(1, 2)]]
         augment = oracle.stats.stages["augment"]
         assert augment.queries == augment.distinct

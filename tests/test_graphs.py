@@ -310,14 +310,14 @@ class TestComponents:
         # latent_project walks exactly the same-component pairs that no DAG
         # edge joins; dropping either shortcut adds walks
         walks = 0
-        real = graphs.dsep_walk
+        real = graphs.dsep_reach
 
         def counted(*args):
             nonlocal walks
             walks += 1
             return real(*args)
 
-        monkeypatch.setattr(graphs, "dsep_walk", counted)
+        monkeypatch.setattr(graphs, "dsep_reach", counted)
         want = 0
         for inst in corpus:
             latent_project(inst.dag)

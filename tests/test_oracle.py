@@ -71,30 +71,35 @@ class TestDsepOracle:
         class Counting(DsepOracle):
             decided = 0
 
-            def _decide(self, x, y, zkey):
+            def _decide(self, x, y, zmask):
                 self.decided += 1
-                return super()._decide(x, y, zkey)
+                return super()._decide(x, y, zmask)
 
         dag = CausalDag(5, [(0, 1), (1, 2), (0, 3), (3, 2), (4, 2)],
                         observed=range(5))
         o = Counting(dag)
         with o.stage("pc_search"):
             answers = [o.query(0, 2, [1, 3]), o.query(2, 0, [1, 3]),
-                       o.query(0, 2, [3, 1])]
-        assert answers == [d_separated(dag, 0, 2, {1, 3})] * 3
+                       o.query(0, 2, [3, 1]), o.query(0, 2, 0b1010)]
+        assert answers == [d_separated(dag, 0, 2, {1, 3})] * 4
         st = o.stats.stages["pc_search"]
-        assert st.queries == 3 and st.distinct == 1
+        assert st.queries == 4 and st.distinct == 1
         assert o.decided == 1
 
     def test_invalid_ids_rejected_on_every_call(self):
-        # a bool, float or numpy id can equal a memoized int key; it must
-        # still be rejected on a hit, as on the miss that would validate it
+        # a bool, float or numpy id can equal a memoized int key, and a mask
+        # bit at or above n_vars can spill into the key of another pair
+        # ((1, 2, bits 4 and 6) reads as (2, 3, ())); each must still be
+        # rejected on a hit, as on a miss
         dag = CausalDag(4, [(0, 1), (1, 2)], observed=range(4))
         o = DsepOracle(dag)
         bad = [(True, 2, {3}), (1.0, 2, {3}), (np.int64(1), 2, {3}),
                (1, 2, {3.0}), (1, 2, {np.int64(3)}), (0, 2, {True}),
                (1, 4, ()), (-1, 2, ()), (1, 2, {4}), (2, 2, ()),
-               (1, 2, {1, 3}), ("1", 2, ()), (None, 2, ())]
+               (1, 2, {1, 3}), ("1", 2, ()), (None, 2, ()),
+               (1, 2, -1), (1, 2, -8), (1, 2, 1 << 4),
+               (1, 2, 1 << 4 | 1 << 6), (1, 2, 0b0010), (1, 2, 0b1100),
+               (1, 2, True), (1, 2, 3.0)]
         for memoized in (False, True):
             for x, y, z in bad:
                 for _ in range(2):
@@ -254,7 +259,7 @@ class TestStats:
 
             def query(self, x, y, z):
                 self.log.append((self.current[-1],
-                                 (min(x, y), max(x, y), frozenset(z))))
+                                 (min(x, y), max(x, y), z)))
                 return super().query(x, y, z)
 
         from fciplus.generators import canonical_examples
@@ -267,7 +272,8 @@ class TestStats:
         for stage, key in o.log:
             w = want[stage]
             w["queries"] += 1
-            w["max_cond_size"] = max(w["max_cond_size"], len(key[2]))
+            w["max_cond_size"] = max(w["max_cond_size"],
+                                     key[2].bit_count())
             stages_of.setdefault(key, set()).add(stage)
         for stages in stages_of.values():
             for stage in stages:

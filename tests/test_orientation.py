@@ -38,7 +38,7 @@ class TestVStructures:
     def test_tail_conflict_raises(self):
         skel = MixedGraph(3, [(0, 2, CIRCLE, TAIL), (1, 2, CIRCLE, CIRCLE)])
         seps = SepsetMap()
-        seps.set(0, 1, frozenset())
+        seps.set(0, 1, 0)
         with pytest.raises(ModelViolationError):
             orient_v_structures(skel, seps)
 
@@ -56,6 +56,20 @@ class TestRules:
         g = MixedGraph(3, [(0, 1, CIRCLE, ARROW), (1, 2, CIRCLE, TAIL)])
         with pytest.raises(ModelViolationError):
             apply_fci_rules(g, SepsetMap())
+
+    @pytest.mark.parametrize("shielded", [False, True])
+    def test_r3_needs_nonadjacent_colliding_ends(self, shielded):
+        # a *-> b <-* c, a *-o d o-* c and d *-o b (a, b, c, d = 0, 1, 2,
+        # 3): R3 puts an arrowhead at b on d *-o b only when a and c are
+        # nonadjacent
+        edges = [(0, 1, CIRCLE, ARROW), (2, 1, CIRCLE, ARROW),
+                 (0, 3, CIRCLE, CIRCLE), (2, 3, CIRCLE, CIRCLE),
+                 (3, 1, CIRCLE, CIRCLE)]
+        if shielded:
+            edges.append((0, 2, CIRCLE, CIRCLE))
+        s = MixedGraph(4, edges).builder()
+        assert orientation._r3(s, SepsetMap()) is not shielded
+        assert s.mark(1, 3) == (CIRCLE if shielded else ARROW)
 
     def test_two_node_graph_unchanged(self):
         g = MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)])
@@ -108,7 +122,7 @@ class TestRules:
         g = MixedGraph(4, [(0, 1, CIRCLE, ARROW), (1, 2, ARROW, ARROW),
                            (1, 3, TAIL, ARROW), (2, 3, CIRCLE, CIRCLE)])
         seps = SepsetMap()
-        seps.set(0, 3, {2})
+        seps.set(0, 3, 1 << 2)
         out = apply_fci_rules(g, seps)
         assert out.mark(2, 3) == TAIL and out.mark(3, 2) == ARROW
 
@@ -118,7 +132,7 @@ class TestRules:
         g = MixedGraph(4, [(0, 1, CIRCLE, ARROW), (1, 2, ARROW, ARROW),
                            (1, 3, TAIL, ARROW), (2, 3, CIRCLE, CIRCLE)])
         seps = SepsetMap()
-        seps.set(0, 3, frozenset())
+        seps.set(0, 3, 0)
         out = apply_fci_rules(g, seps)
         assert out.mark(2, 3) == ARROW and out.mark(3, 2) == ARROW
         assert out.mark(1, 2) == ARROW and out.mark(2, 1) == ARROW
