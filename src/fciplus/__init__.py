@@ -15,7 +15,7 @@ from .sepsets import SepsetMap
 from .pc import pc_adjacency_search
 from .augment import augment_graph
 from .dsep_search import (
-    DsepLog, dsep_search, find_possible_dsep_links, hie, minimal_dsep,
+    dsep_search, find_possible_dsep_links, hie, minimal_dsep,
 )
 from .orientation import apply_fci_rules, orient_v_structures
 from .reference import (

@@ -29,6 +29,10 @@ class AugmentedSkeleton:
     sets registered since it was last evaluated. Sets are indexed by the
     nodes of their core {x, y} union Z, so arrow(a, b) remembers how far
     down b's list it has looked.
+
+    The augment queries run under whatever oracle stage the caller has
+    entered: dsep_search enters "augment" once per detection pass,
+    augment_graph once around its loop.
     """
 
     def __init__(self, graph, sepsets, oracle):
@@ -78,9 +82,8 @@ class AugmentedSkeleton:
                 continue
             key = (i, a)
             if key not in self._dependent:
-                with self._oracle.stage("augment"):
-                    self._dependent[key] = not self._oracle.query(
-                        x, y, zs | 1 << a)
+                self._dependent[key] = not self._oracle.query(
+                    x, y, zs | 1 << a)
             if self._dependent[key]:
                 self._arrows.add((a, b))
                 return True
@@ -105,7 +108,8 @@ def augment_graph(g, sepsets, oracle):
     """
     aug = AugmentedSkeleton(g, sepsets, oracle)
     builder = g.builder()
-    for a, b in _endpoints(g):
-        if aug.arrow(a, b):
-            builder.set_mark(a, b, ARROW)
+    with oracle.stage("augment"):
+        for a, b in _endpoints(g):
+            if aug.arrow(a, b):
+                builder.set_mark(a, b, ARROW)
     return builder.build()

@@ -16,40 +16,10 @@ The augmented skeleton only detects candidates: the PAG is oriented from
 the final skeleton and the stored separating sets alone.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .augment import AugmentedSkeleton
 from .graphs import _bits
-
-
-@dataclass
-class DsepLog:
-    """Per-run record of the candidate-link search."""
-    detected: list = field(default_factory=list)      # candidate lists per pass
-    resolutions: list = field(default_factory=list)   # dicts per removed edge
-    combos_tried: dict = field(default_factory=dict)  # pair -> base combos tested
-    reactivations: int = 0
-    failed_final: list = field(default_factory=list)
-
-    def to_json_dict(self):
-        return {
-            "detected": [[list(p) for p in batch] for batch in self.detected],
-            "resolutions": [
-                {
-                    "pair": list(r["pair"]),
-                    "sepset": _bits(r["sepset"]),
-                    "base_x": _bits(r["base_x"]),
-                    "base_y": _bits(r["base_y"]),
-                    "candidate": _bits(r["candidate"]),
-                    "pattern_present": r["pattern_present"],
-                }
-                for r in self.resolutions
-            ],
-            "combos_tried": {"%d,%d" % p: c for p, c in sorted(self.combos_tried.items())},
-            "reactivations": self.reactivations,
-            "failed_final": [list(p) for p in self.failed_final],
-        }
 
 
 def find_possible_dsep_links(g):
@@ -135,66 +105,74 @@ def _base_combinations(base_x, base_y, k):
                     yield sum(zx), sum(zy)
 
 
-def dsep_search(skeleton, sepsets, oracle, k, log=None):
+def dsep_search(skeleton, sepsets, oracle, k):
     """Resolve every candidate link of the augmented skeleton over skeleton.
 
-    Pops pending candidates in lexicographic order. For each candidate
-    {x, y}, tries conditioning sets hie({x, y} + Zx + Zy) \\ {x, y} over all
-    base pairs Zx from Adj(x), Zy from Adj(y) with at most k nodes per side.
-    On success the separating set is minimalized and stored, the edge is
-    removed, and every previously failed candidate is reactivated.
-    Terminates when no pending candidate remains.
+    Each detection pass lists the candidates and tries them in
+    lexicographic order. For each candidate {x, y}, tries conditioning sets
+    hie({x, y} + Zx + Zy) \\ {x, y} over all base pairs Zx from Adj(x), Zy
+    from Adj(y) with at most k nodes per side. On success the separating
+    set is minimalized and stored, the edge is removed, every previously
+    failed candidate is reactivated and the next pass starts. Terminates
+    after a pass in which no candidate resolves.
 
     The arrowheads that detect candidates are evaluated on demand over the
     stored sets (AugmentedSkeleton); arrowheads skeleton already carries
-    are kept.
+    are kept. The search enters the oracle's "dsep_search" stage once, each
+    detection pass runs under one "augment" entry, and minimal_dsep enters
+    its own stage.
 
-    Returns (final skeleton, sepsets, log).
+    Returns (final skeleton, sepsets, log). The log is the JSON dict that
+    RunReport.dsep_log holds: the candidate pairs of each pass
+    ("detected"), one entry per removed edge ("resolutions", sets as
+    ascending id lists), base pairs tried per pair keyed "x,y"
+    ("combos_tried"), the number of reactivated candidates
+    ("reactivations") and the candidates still failing at the end
+    ("failed_final"); pairs are [x, y] lists.
     """
-    if log is None:
-        log = DsepLog()
     sepsets = sepsets.copy()
     g = AugmentedSkeleton(skeleton, sepsets, oracle)
-    resolved = set()
+    log = {"detected": [], "resolutions": [], "combos_tried": {},
+           "reactivations": 0, "failed_final": []}
     tried_failed = set()
-    links = find_possible_dsep_links(g)
-    log.detected.append(list(links))
-    while True:
-        pending = [p for p in links if p not in tried_failed and p not in resolved]
-        if not pending:
-            break
-        x, y = pending[0]
-        base_x = [1 << v for v in sorted(g.adj(x) - {y})]
-        base_y = [1 << v for v in sorted(g.adj(y) - {x})]
-        ends = 1 << x | 1 << y
-        found = None
-        combos = 0
-        for zx, zy in _base_combinations(base_x, base_y, k):
-            combos += 1
-            zstar = hie(ends | zx | zy, sepsets) & ~ends
-            with oracle.stage("dsep_search"):
-                independent = oracle.query(x, y, zstar)
-            if independent:
-                found = (zx, zy, zstar)
+    with oracle.stage("dsep_search"):
+        while True:
+            with oracle.stage("augment"):
+                links = find_possible_dsep_links(g)
+            log["detected"].append([[x, y] for x, y in links])
+            for x, y in links:
+                if (x, y) in tried_failed:
+                    continue
+                base_x = [1 << v for v in sorted(g.adj(x) - {y})]
+                base_y = [1 << v for v in sorted(g.adj(y) - {x})]
+                ends = 1 << x | 1 << y
+                found = None
+                combos = 0
+                for zx, zy in _base_combinations(base_x, base_y, k):
+                    combos += 1
+                    zstar = hie(ends | zx | zy, sepsets) & ~ends
+                    if oracle.query(x, y, zstar):
+                        found = (zx, zy, zstar)
+                        break
+                key = "%d,%d" % (x, y)
+                log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos
+                if found is None:
+                    tried_failed.add((x, y))
+                    continue
+                zx, zy, zstar = found
+                zmin = minimal_dsep(x, y, zstar, oracle)
+                sepsets.set(x, y, zmin)
+                g.remove_edge(x, y, zmin)
+                log["resolutions"].append({
+                    "pair": [x, y], "sepset": _bits(zmin),
+                    "base_x": _bits(zx), "base_y": _bits(zy),
+                    "candidate": _bits(zstar),
+                    "pattern_present": (x, y) in links,
+                })
+                log["reactivations"] += len(tried_failed)
+                tried_failed.clear()
                 break
-        log.combos_tried[(x, y)] = log.combos_tried.get((x, y), 0) + combos
-        if found is None:
-            tried_failed.add((x, y))
-            continue
-        zx, zy, zstar = found
-        if (x, y) in resolved:
-            raise RuntimeError("candidate link (%d, %d) resolved twice" % (x, y))
-        zmin = minimal_dsep(x, y, zstar, oracle)
-        sepsets.set(x, y, zmin)
-        g.remove_edge(x, y, zmin)
-        resolved.add((x, y))
-        log.resolutions.append({
-            "pair": (x, y), "sepset": zmin, "base_x": zx, "base_y": zy,
-            "candidate": zstar, "pattern_present": (x, y) in links,
-        })
-        log.reactivations += len(tried_failed)
-        tried_failed.clear()
-        links = find_possible_dsep_links(g)
-        log.detected.append(list(links))
-    log.failed_final = sorted(tried_failed)
+            else:
+                break
+    log["failed_final"] = [[x, y] for x, y in sorted(tried_failed)]
     return g.graph, sepsets, log

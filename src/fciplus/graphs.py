@@ -5,9 +5,9 @@ order so that every run is reproducible. Graphs are immutable values: edits
 go through MixedGraphBuilder (or `without_edge`), which returns a new graph.
 MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
 adjacent pair. Variable ids are checked once at the boundary: by the
-constructors, `MixedGraphBuilder.add_edge`, `d_separated`, `m_separated`
-and the `ancestors` methods; inner reads (`adj`, `has_edge`, `mark`) and
-`dsep_reach` trust their callers.
+constructors, `d_separated`, `m_separated` and the `ancestors` methods;
+inner reads (`adj`, `has_edge`, `mark`) and `dsep_reach` trust their
+callers.
 
 CausalDag answers ancestry from int-mask tables (bit v for node v) that
 its constructor fills once:
@@ -35,7 +35,6 @@ ends; a -- b has TAIL at both ends. An arrowhead at a on the edge to b reads
 "a is not an ancestor of b (or of the selection set)".
 """
 
-from bisect import insort
 from collections import deque
 import json
 
@@ -316,20 +315,6 @@ class MixedGraphBuilder(_MarkTable):
 
     def adj(self, v):
         return self._adj[v]
-
-    def add_edge(self, a, b, ma, mb):
-        _check_var(a, self.n)
-        _check_var(b, self.n)
-        if a == b:
-            raise GraphError("self loop at %d" % a)
-        if ma not in MARKS or mb not in MARKS:
-            raise GraphError("bad endpoint mark %r/%r" % (ma, mb))
-        if (a, b) in self._marks:
-            raise GraphError("edge {%d,%d} already present" % (min(a, b), max(a, b)))
-        self._marks[(a, b)] = ma
-        self._marks[(b, a)] = mb
-        insort(self._adj[a], b)
-        insort(self._adj[b], a)
 
     def remove_edge(self, a, b):
         if (a, b) not in self._marks:

@@ -7,6 +7,24 @@ from .graphs import CIRCLE, MixedGraph
 from .sepsets import SepsetMap
 
 
+def separating_of_size(oracle, a, b, sides, size, tested):
+    """The first mask of `size` bits that separates a and b, or None.
+
+    Tries the combinations of each side's bits in turn, skipping masks
+    already in `tested` and adding every queried mask to it, so a mask
+    that two sides share is queried once. Each side lists its bits
+    ascending; a side shorter than `size` yields no combination.
+    """
+    for side in sides:
+        for zs in combinations(side, size):
+            zmask = sum(zs)
+            if zmask not in tested:
+                tested.add(zmask)
+                if oracle.query(a, b, zmask):
+                    return zmask
+    return None
+
+
 def pc_adjacency_search(oracle, k=None):
     """Adjacency search over the oracle's variables.
 
@@ -32,33 +50,20 @@ def pc_adjacency_search(oracle, k=None):
             snapshot = {x: [1 << v for v in sorted(adj[x])] for x in range(n)}
             pairs = sorted((x, y) for x in range(n) for y in adj[x] if x < y)
             any_candidates = False
+            # each pair is visited once per level and only its own test
+            # removes its edge
             for x, y in pairs:
-                if y not in adj[x]:
-                    continue
                 xbit, ybit = 1 << x, 1 << y
-                cand_x = [b for b in snapshot[x] if b != ybit]
-                cand_y = [b for b in snapshot[y] if b != xbit]
-                if len(cand_x) < level and len(cand_y) < level:
+                sides = ([b for b in snapshot[x] if b != ybit],
+                         [b for b in snapshot[y] if b != xbit])
+                if len(sides[0]) < level and len(sides[1]) < level:
                     continue
                 any_candidates = True
-                tested = set()
-                removed = False
-                for side in (cand_x, cand_y):
-                    if len(side) < level:
-                        continue
-                    for zs in combinations(side, level):
-                        zmask = sum(zs)
-                        if zmask in tested:
-                            continue
-                        tested.add(zmask)
-                        if oracle.query(x, y, zmask):
-                            adj[x].discard(y)
-                            adj[y].discard(x)
-                            sepsets.set(x, y, zmask)
-                            removed = True
-                            break
-                    if removed:
-                        break
+                zmask = separating_of_size(oracle, x, y, sides, level, set())
+                if zmask is not None:
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                    sepsets.set(x, y, zmask)
             if not any_candidates:
                 break
             level += 1

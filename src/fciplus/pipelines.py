@@ -21,6 +21,7 @@ from .pc import pc_adjacency_search
 from .reference import fci_reference
 from .report import RunReport, graph_hash
 from .checks import run_invariant_checks
+from .graphs import default_names
 
 ALGORITHMS = ("pc", "fci", "fciplus")
 
@@ -53,11 +54,10 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
         removed = {"pc_search": n * (n - 1) // 2 - final.n_edges}
         if algorithm == "fciplus":
             skeleton = final
-            final, sepsets, log = _timed(
+            final, sepsets, dsep_log = _timed(
                 timings, "dsep_search",
                 lambda: dsep_search(skeleton, sepsets, oracle, k))
-            removed["dsep_search"] = len(log.resolutions)
-            dsep_log = log.to_json_dict()
+            removed["dsep_search"] = len(dsep_log["resolutions"])
 
         def orient():
             with oracle.stage("orientation"):
@@ -77,8 +77,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
         config["alpha"] = oracle.alpha
     return RunReport(
         algorithm=algorithm, n=n,
-        names=list(oracle.names) if oracle.names else
-        ["X%d" % i for i in range(n)],
+        names=list(oracle.names or default_names(n)),
         pag=pag, stats=oracle.stats.to_dict(), config=config,
         seed=seed, input_hash=input_hash, timings=timings,
         dsep_log=dsep_log, checks=checks,

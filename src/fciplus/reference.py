@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .graphs import ARROW, CIRCLE, MixedGraph, _bits
 from .orientation import apply_fci_rules, orient_v_structures
-from .pc import pc_adjacency_search
+from .pc import pc_adjacency_search, separating_of_size
 from .sepsets import SepsetMap
 
 
@@ -47,17 +47,12 @@ def possible_dsep(g, a, b):
 
 def _first_separating(oracle, a, b, sides):
     """The first mask that separates a and b among the combinations of one
-    side's bits, or None: sizes ascending and, within a size, the sides in
-    turn, each mask queried once. Each side lists its bits ascending."""
+    side's bits, or None: separating_of_size over sizes ascending."""
     tested = set()
     for size in range(max(map(len, sides)) + 1):
-        for side in sides:
-            for zs in combinations(side, size):
-                zmask = sum(zs)
-                if zmask not in tested:
-                    tested.add(zmask)
-                    if oracle.query(a, b, zmask):
-                        return zmask
+        found = separating_of_size(oracle, a, b, sides, size, tested)
+        if found is not None:
+            return found
     return None
 
 

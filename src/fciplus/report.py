@@ -9,7 +9,7 @@ one JSON object per line; replaying the same seed and configuration must
 reproduce the report bit-identically up to the timing fields.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 import hashlib
 import json
 
@@ -42,36 +42,22 @@ class RunReport:
         return all(c.get("ok", True) for c in self.checks.values())
 
     def to_json_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "names": list(self.names),
-            "pag": self.pag.to_json_dict(),
-            "stats": self.stats,
-            "config": self.config,
-            "seed": self.seed,
-            "input_hash": self.input_hash,
-            "timings": self.timings,
-            "dsep_log": self.dsep_log,
-            "checks": self.checks,
-            "edges_removed": self.edges_removed,
-            "test_errors": self.test_errors,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["names"] = list(self.names)
+        d["pag"] = self.pag.to_json_dict()
+        return d
 
     def to_json_line(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            algorithm=d["algorithm"], n=d["n"], names=d["names"],
-            pag=MixedGraph.from_json_dict(d["pag"]), stats=d["stats"],
-            config=d.get("config", {}), seed=d.get("seed"),
-            input_hash=d.get("input_hash"), timings=d.get("timings", {}),
-            dsep_log=d.get("dsep_log"), checks=d.get("checks", {}),
-            edges_removed=d.get("edges_removed", {}),
-            test_errors=d.get("test_errors", 0),
-        )
+        """A field missing from d takes its default; a missing field
+        without one raises KeyError."""
+        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d or
+              f.default is MISSING and f.default_factory is MISSING}
+        kw["pag"] = MixedGraph.from_json_dict(kw["pag"])
+        return cls(**kw)
 
     @classmethod
     def from_json_line(cls, line):
@@ -104,23 +90,16 @@ def diff_graphs(a, b):
 def compare_runs(a, b):
     """Diff two reports; identical PAGs yield an empty diff.
 
-    Returns a dict with the structural diff, per-stage query deltas, and an
-    `identical` flag for the graphs.
+    Returns a dict with the structural diff and an `identical` flag for
+    the graphs.
     """
     d = diff_graphs(a.pag, b.pag)
     identical = not (d["only_a"] or d["only_b"] or d["mark_diffs"])
-    stats_delta = {}
-    for stage in set(a.stats) | set(b.stats):
-        qa = a.stats.get(stage, {}).get("queries", 0)
-        qb = b.stats.get(stage, {}).get("queries", 0)
-        if qa or qb:
-            stats_delta[stage] = qb - qa
     return {
         "identical": identical,
         "edges_only_in_a": d["only_a"],
         "edges_only_in_b": d["only_b"],
         "mark_diffs": d["mark_diffs"],
-        "stats_delta": stats_delta,
     }
 
 

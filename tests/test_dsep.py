@@ -1,5 +1,6 @@
 """Candidate-link detection, hierarchies, minimal separators, the search."""
 
+import collections
 import itertools
 import random
 
@@ -176,8 +177,8 @@ class TestDsepSearch:
         assert not g2.has_edge(x, y)
         assert seps2.get(x, y) == mask({m["U"], m["V"], m["Z"]})
         assert m["Z"] not in g2.adj(x) | g2.adj(y)
-        assert len(log.resolutions) == 1
-        assert log.resolutions[0]["pattern_present"]
+        assert len(log["resolutions"]) == 1
+        assert log["resolutions"][0]["pattern_present"]
 
     def test_no_pattern_means_no_stage_queries(self):
         dag = CausalDag(3, [(0, 1), (1, 2)], observed=range(3))
@@ -187,7 +188,7 @@ class TestDsepSearch:
         g2, _, log = dsep_search(gplus, seps, oracle, k=3)
         assert g2 == gplus
         assert oracle.stats.stages["dsep_search"].queries == 0
-        assert log.resolutions == [] and log.detected == [[]]
+        assert log["resolutions"] == [] and log["detected"] == [[]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_final_skeleton_matches_truth(self, seed):
@@ -219,9 +220,9 @@ class TestDsepSearch:
         skel, seps = pc_adjacency_search(oracle, k=ex.k)
         gplus = augment_graph(skel, seps, oracle)
         g2, _, log = dsep_search(gplus, seps, oracle, k=ex.k)
-        assert len(log.resolutions) == 2
-        assert len(log.resolutions) <= gplus.n_edges
-        assert log.failed_final == []
+        assert len(log["resolutions"]) == 2
+        assert len(log["resolutions"]) <= gplus.n_edges
+        assert log["failed_final"] == []
 
     @pytest.mark.parametrize("source", [
         "five_node_deep_link", "hierarchical_links", "transitive_hierarchy",
@@ -253,6 +254,26 @@ class TestDsepSearch:
                 bare.remove_edge(*r["pair"])
                 stored.set(*r["pair"], mask(r["sepset"]))
 
+    def test_one_stage_entry_per_pass(self):
+        # the search enters its own stage once and "augment" once per
+        # detection pass, not once per augment query
+        ex = canonical_examples()["transitive_hierarchy"]
+        oracle = DsepOracle(ex.dag)
+        skel, seps = pc_adjacency_search(oracle, k=ex.k)
+        entries = collections.Counter()
+        enter = oracle.stage
+
+        def counted(name):
+            entries[name] += 1
+            return enter(name)
+
+        oracle.stage = counted
+        _, _, log = dsep_search(skel, seps, oracle, k=ex.k)
+        assert entries["dsep_search"] == 1
+        assert entries["augment"] == len(log["resolutions"]) + 1
+        assert entries["minimal_dsep"] == len(log["resolutions"])
+        assert oracle.stats.stages["augment"].queries == 65
+
     @pytest.mark.parametrize("seed", range(5))
     def test_reactivations_bounded(self, seed):
         dag = random_sparse_dag(9, 3, n_latent=2, edge_density=0.08,
@@ -261,8 +282,8 @@ class TestDsepSearch:
         skel, seps = pc_adjacency_search(oracle, k=3)
         gplus = augment_graph(skel, seps, oracle)
         _, _, log = dsep_search(gplus, seps, oracle, k=3)
-        max_links = max((len(batch) for batch in log.detected), default=0)
-        assert log.reactivations <= len(log.resolutions) * max_links
+        max_links = max((len(batch) for batch in log["detected"]), default=0)
+        assert log["reactivations"] <= len(log["resolutions"]) * max_links
 
 
 class _ScriptedOracle(IndependenceOracle):
@@ -295,10 +316,10 @@ class TestWorkListSemantics:
         g2, seps2, log = dsep_search(g, seps, oracle, k=1)
         assert not g2.has_edge(5, 6)
         assert not g2.has_edge(1, 2), "failed candidate must be retried"
-        assert log.reactivations == 1
+        assert log["reactivations"] == 1
         assert seps2.get(5, 6) == mask({4})
         assert seps2.get(1, 2) == mask({0, 3, 4, 5, 6})
-        assert [tuple(r["pair"]) for r in log.resolutions] == [(5, 6), (1, 2)]
+        assert [r["pair"] for r in log["resolutions"]] == [[5, 6], [1, 2]]
 
     def test_double_resolution_guard(self):
         # a lying oracle cannot make the same link resolve twice: once
@@ -308,7 +329,7 @@ class TestWorkListSemantics:
         oracle = _ScriptedOracle(table, 4)
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(1, 2)
-        assert len(log.resolutions) == 1
+        assert len(log["resolutions"]) == 1
 
     def test_resolution_set_exposes_new_candidate(self):
         # Bare circle chains 0-1-2-3 and 4-5-6-7; every augment query not
@@ -328,6 +349,6 @@ class TestWorkListSemantics:
         oracle = _ScriptedOracle(table, 8)
         _, seps2, log = dsep_search(g, seps, oracle, k=1)
         assert seps2.get(5, 6) == mask({1, 4, 7})
-        assert log.detected == [[(5, 6)], [(1, 2)]]
+        assert log["detected"] == [[[5, 6]], [[1, 2]]]
         augment = oracle.stats.stages["augment"]
         assert augment.queries == augment.distinct

