@@ -10,7 +10,9 @@ accumulate; placing one over a committed tail is a model violation.
 The marks serve only to detect candidate links for the deep search, which
 reads few of them, so AugmentedSkeleton answers `arrow(a, b)` on demand and
 caches every answer: each (stored set, node) pair is queried at most once.
-The PAG is oriented from the bare final skeleton.
+A bi-directed test reads the arrowhead with fewer stored sets pending
+first, so an edge that is not bi-directed is refuted as cheaply as the
+cache allows. The PAG is oriented from the bare final skeleton.
 """
 
 from .graphs import ARROW, _bits
@@ -90,8 +92,22 @@ class AugmentedSkeleton:
         self._covered[(a, b)] = len(members)
         return False
 
+    def _pending(self, a, b):
+        """Stored sets arrow(a, b) has yet to look through; -1 once the
+        arrowhead is known."""
+        if (a, b) in self._arrows:
+            return -1
+        return len(self._by_member[b]) - self._covered.get((a, b), 0)
+
     def is_bidirected(self, a, b):
-        return self.graph.has_edge(a, b) and self.arrow(a, b) and self.arrow(b, a)
+        """Both arrowheads of the edge {a, b} hold. The one with fewer
+        stored sets pending is evaluated first, so a refutation is found
+        with the fewest queries."""
+        if not self.graph.has_edge(a, b):
+            return False
+        if self._pending(b, a) < self._pending(a, b):
+            a, b = b, a
+        return self.arrow(a, b) and self.arrow(b, a)
 
 
 def _endpoints(graph):

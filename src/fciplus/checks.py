@@ -123,11 +123,13 @@ def check_hierarchy_ancestry(dag, sepsets):
 def check_resolved_links(dag, dsep_log):
     """For each removed candidate link with minimal set Z: neither endpoint
     is an ancestor of the other side plus Z plus selection, every member of
-    Z is an ancestor of the endpoints plus selection, and the detection
-    pattern was present at resolution time."""
+    Z is an ancestor of the endpoints plus selection, and the pair was
+    detected in the pass that resolved it (each pass resolves at most one
+    link, so the i-th resolution belongs to the i-th pass)."""
     back, an = dag.observed, dag._an
     bad = []
-    for r in dsep_log["resolutions"]:
+    detected = dsep_log["detected"]
+    for i, r in enumerate(dsep_log["resolutions"]):
         x, y = r["pair"]
         dx, dy = back[x], back[y]
         dz = [back[w] for w in r["sepset"]]
@@ -142,8 +144,8 @@ def check_resolved_links(dag, dsep_log):
         for w in dz:
             if not up_xy >> w & 1:
                 bad.append(("member not ancestral", x, y, w))
-        if not r["pattern_present"]:
-            bad.append(("pattern absent", x, y))
+        if i >= len(detected) or [x, y] not in detected[i]:
+            bad.append(("not detected", x, y))
     return not bad, "resolved-link violations: %r" % bad if bad else \
         "%d resolutions sound" % len(dsep_log["resolutions"])
 
@@ -188,14 +190,18 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
 
 
 def check_query_bounds(stats, n, k, augment_cap=None):
-    """Counted queries stay within their budgets: the adjacency stage within
+    """Counted queries stay within their budgets: the augment and deep-search
+    stages ask no query twice, the adjacency stage stays within
     4 * N^(k+2), the whole search within N^(2(k+2)), and, when augment_cap
     is given, the augment stage within it (see augment_budget)."""
-    parts = []
-    ok = True
+    repeated = [s for s in ("augment", "dsep_search")
+                if stats[s]["queries"] != stats[s]["distinct"]]
+    ok = not repeated
+    parts = ["repeated queries in %s" % ", ".join(repeated) if repeated
+             else "augment and dsep_search queries distinct"]
     if augment_cap is not None:
         aug_q = stats["augment"]["queries"]
-        ok = aug_q <= augment_cap
+        ok = ok and aug_q <= augment_cap
         parts.append("augment %d <= %d" % (aug_q, augment_cap))
     if k is None:
         parts.append("no degree bound supplied; polynomial budget not applicable")

@@ -10,7 +10,9 @@ already fit the pattern. For each candidate, conditioning-set candidates
 are built by closing {x, y} plus small adjacent "base" sets under the
 stored separating sets (the hierarchy); a successful candidate is
 minimalized, stored, and the edge removed; the candidate list is recomputed
-and previously failed candidates are retried.
+and previously failed candidates are retried. No conditioning set is asked
+twice for the same pair, so a retry asks only the sets that the grown
+hierarchy changed.
 
 The augmented skeleton only detects candidates: the PAG is oriented from
 the final skeleton and the stored separating sets alone.
@@ -49,21 +51,31 @@ def find_possible_dsep_links(g):
     return links
 
 
-def hie(seed, sepsets):
-    """Least fixpoint closure of the int mask seed under the stored
-    separating sets, as a mask.
+def hie(seed, sepsets, closed=0):
+    """Least fixpoint closure of the int mask seed | closed under the
+    stored separating sets, as a mask.
 
     Adds the members of every stored set whose pair lies inside the
     closure, until stable. Each node entering the closure is visited once
-    and looks up its stored partners, so a pair is closed over as soon as
-    its second endpoint arrives.
+    and looks up only its stored partners already inside, so a pair is
+    closed over as soon as its second endpoint arrives. closed, when given,
+    must already be closed (a result of hie): its nodes' pairs are closed
+    over, so only the seed nodes outside it and what they pull in are
+    visited.
     """
-    closure = work = seed
+    partner_mask, partners = sepsets.partner_mask, sepsets.partners
+    closure = closed | seed
+    work = seed & ~closed
     while work:
         a = work.bit_length() - 1
         work ^= 1 << a
-        for b, zs in sepsets.partners(a).items():
-            if closure >> b & 1:
+        inside = partner_mask(a) & closure
+        if inside:
+            sets = partners(a)
+            while inside:
+                b = inside.bit_length() - 1
+                inside ^= 1 << b
+                zs = sets[b]
                 work |= zs & ~closure
                 closure |= zs
     return closure
@@ -116,11 +128,19 @@ def dsep_search(skeleton, sepsets, oracle, k):
     failed candidate is reactivated and the next pass starts. Terminates
     after a pass in which no candidate resolves.
 
+    Each piece of work is done once. The closure of {x, y} + Zx is built
+    once per x-side base of an attempt and extended by each Zy (hie with a
+    closed base). The sets that failed for a pair are kept across passes
+    and skipped when a base pair yields one again: an oracle answer never
+    changes, so the first separating base pair is the same, and
+    "combos_tried" still counts every base pair walked. The deep-search
+    stage thus asks one query per (pair, conditioning set).
+
     The arrowheads that detect candidates are evaluated on demand over the
-    stored sets (AugmentedSkeleton); arrowheads skeleton already carries
-    are kept. The search enters the oracle's "dsep_search" stage once, each
-    detection pass runs under one "augment" entry, and minimal_dsep enters
-    its own stage.
+    stored sets (AugmentedSkeleton), the cheaper arrowhead of an edge
+    first; arrowheads skeleton already carries are kept. The search enters
+    the oracle's "dsep_search" stage once, each detection pass runs under
+    one "augment" entry, and minimal_dsep enters its own stage.
 
     Returns (final skeleton, sepsets, log). The log is the JSON dict that
     RunReport.dsep_log holds: the candidate pairs of each pass
@@ -135,6 +155,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
     log = {"detected": [], "resolutions": [], "combos_tried": {},
            "reactivations": 0, "failed_final": []}
     tried_failed = set()
+    refuted = {}   # pair -> the conditioning sets that failed to separate it
     with oracle.stage("dsep_search"):
         while True:
             with oracle.stage("augment"):
@@ -146,14 +167,22 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 base_x = [1 << v for v in sorted(g.adj(x) - {y})]
                 base_y = [1 << v for v in sorted(g.adj(y) - {x})]
                 ends = 1 << x | 1 << y
+                asked = refuted.setdefault((x, y), set())
+                closed = {}   # x-side base -> hie(ends | base)
                 found = None
                 combos = 0
                 for zx, zy in _base_combinations(base_x, base_y, k):
                     combos += 1
-                    zstar = hie(ends | zx | zy, sepsets) & ~ends
+                    cx = closed.get(zx)
+                    if cx is None:
+                        cx = closed[zx] = hie(ends | zx, sepsets)
+                    zstar = hie(zy, sepsets, cx) & ~ends
+                    if zstar in asked:
+                        continue
                     if oracle.query(x, y, zstar):
                         found = (zx, zy, zstar)
                         break
+                    asked.add(zstar)
                 key = "%d,%d" % (x, y)
                 log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos
                 if found is None:
@@ -167,7 +196,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     "pair": [x, y], "sepset": _bits(zmin),
                     "base_x": _bits(zx), "base_y": _bits(zy),
                     "candidate": _bits(zstar),
-                    "pattern_present": (x, y) in links,
                 })
                 log["reactivations"] += len(tried_failed)
                 tried_failed.clear()

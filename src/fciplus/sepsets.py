@@ -13,6 +13,7 @@ class SepsetMap:
     def __init__(self):
         self._sets = {}
         self._partners = {}   # node -> {partner: stored set}
+        self._partner_mask = {}   # node -> mask of its stored partners
 
     @staticmethod
     def _key(x, y):
@@ -24,6 +25,8 @@ class SepsetMap:
         self._sets[self._key(x, y)] = zmask
         self._partners.setdefault(x, {})[y] = zmask
         self._partners.setdefault(y, {})[x] = zmask
+        self._partner_mask[x] = self._partner_mask.get(x, 0) | 1 << y
+        self._partner_mask[y] = self._partner_mask.get(y, 0) | 1 << x
 
     def get(self, x, y):
         """The stored separating set, or None if the pair has no entry (the
@@ -34,6 +37,10 @@ class SepsetMap:
         """{w: stored set of the pair {v, w}} over the pairs containing v."""
         return self._partners.get(v, {})
 
+    def partner_mask(self, v):
+        """The int mask of the nodes w for which {v, w} has a stored set."""
+        return self._partner_mask.get(v, 0)
+
     def items(self):
         """Sorted (pair, set) tuples."""
         return sorted(self._sets.items())
@@ -42,6 +49,7 @@ class SepsetMap:
         out = SepsetMap()
         out._sets = dict(self._sets)
         out._partners = {v: dict(p) for v, p in self._partners.items()}
+        out._partner_mask = dict(self._partner_mask)
         return out
 
     def __len__(self):

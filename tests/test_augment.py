@@ -6,8 +6,10 @@ import pytest
 
 from fciplus import (
     ARROW, CIRCLE, CausalDag, DsepOracle, augment_graph,
-    orient_v_structures, pc_adjacency_search, run_pipeline,
+    find_possible_dsep_links, orient_v_structures, pc_adjacency_search,
+    run_pipeline,
 )
+from fciplus.augment import AugmentedSkeleton
 from fciplus.generators import canonical_examples, random_sparse_dag
 
 from .brute import mask
@@ -83,6 +85,33 @@ class TestAugment:
                 assert gplus.mark(a, b) == ARROW
             if mb == ARROW:
                 assert gplus.mark(b, a) == ARROW
+
+
+def test_on_demand_detection_matches_materialized():
+    # the on-demand skeleton, which evaluates the arrowhead with the fewest
+    # pending sets first and caches across removals, detects exactly the
+    # candidates of the fully augmented graph, before and after each
+    # resolution of the search
+    detected = 0
+    for seed in range(20):
+        dag = planted_dag(seed)
+        log = run_pipeline("fciplus", DsepOracle(dag), k=3,
+                           with_checks=False).dsep_log
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=3)
+        lazy = AugmentedSkeleton(skel, seps, oracle)
+        bare = skel.builder()
+        for r in log["resolutions"] + [None]:
+            links = find_possible_dsep_links(lazy)
+            assert links == find_possible_dsep_links(
+                augment_graph(bare.build(), seps, oracle))
+            detected += len(links)
+            if r is not None:
+                x, y = r["pair"]
+                bare.remove_edge(x, y)
+                seps.set(x, y, mask(r["sepset"]))
+                lazy.remove_edge(x, y, mask(r["sepset"]))
+    assert detected >= 10, detected
 
 
 class _FlippedOracle(DsepOracle):

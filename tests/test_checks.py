@@ -1,14 +1,15 @@
 """Invariant checks against their exhaustive forms in tests/brute.py."""
 
+import copy
 import random
 
 from fciplus import (
-    ARROW, CIRCLE, TAIL, CausalDag, MixedGraph, SepsetMap, latent_project,
-    random_sparse_dag,
+    ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
+    canonical_examples, latent_project, random_sparse_dag, run_pipeline,
 )
 from fciplus.checks import (
     _true_dsep_links, check_arrowhead_soundness, check_hierarchy_ancestry,
-    check_tail_soundness,
+    check_query_bounds, check_resolved_links, check_tail_soundness,
 )
 from fciplus.generators import GenerationError
 
@@ -137,3 +138,45 @@ class TestMarkSoundness:
                     else "all %s sound" % what)
                 found[mark] += len(bad)
         assert min(found.values()) >= 20
+
+
+def _hierarchical_run():
+    ex = canonical_examples()["hierarchical_links"]
+    return ex.dag, run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
+
+
+class TestDeepSearchChecks:
+    def test_resolution_outside_its_pass_fails(self):
+        # two resolutions: each pair must be among the candidates of the
+        # pass that resolved it
+        dag, report = _hierarchical_run()
+        log = report.dsep_log
+        assert len(log["resolutions"]) == 2
+        assert check_resolved_links(dag, log) == (True, "2 resolutions sound")
+        first, second = (r["pair"] for r in log["resolutions"])
+        # resolved in pass 0, the first pair is no candidate of pass 1
+        swapped = copy.deepcopy(log)
+        swapped["resolutions"].reverse()
+        assert first not in log["detected"][1]
+        assert check_resolved_links(dag, swapped) == (
+            False, "resolved-link violations: [('not detected', %d, %d)]"
+            % tuple(first))
+        truncated = copy.deepcopy(log)
+        del truncated["detected"][1:]
+        assert check_resolved_links(dag, truncated) == (
+            False, "resolved-link violations: [('not detected', %d, %d)]"
+            % tuple(second))
+
+    def test_repeated_stage_query_fails(self):
+        _dag, report = _hierarchical_run()
+        stats = report.stats
+        assert report.checks["query_bounds"]["ok"]
+        assert stats["augment"]["queries"] and stats["dsep_search"]["queries"]
+        assert check_query_bounds(stats, report.n, 3)[0]
+        for stage in ("augment", "dsep_search"):
+            doctored = copy.deepcopy(stats)
+            doctored[stage]["queries"] += 1
+            ok, detail = check_query_bounds(doctored, report.n, 3)
+            assert not ok and detail.startswith(
+                "repeated queries in %s," % stage)
+            assert not check_query_bounds(doctored, report.n, None)[0]

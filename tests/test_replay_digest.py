@@ -19,8 +19,8 @@ from fciplus import (
     random_sparse_dag, run_pipeline,
 )
 
-REPLAY_DIGEST = "7c8fd1c039be341c9a1da19431f5af46ab3b1916821e52a2b2e05b8b9f8b4aa6"
-SAMPLE_DIGEST = "c40e985f0f27c6c34758a8113b91a58fd37953fc6f67ad5188cd9d217b6d8c66"
+REPLAY_DIGEST = "a9f812cf405c9ba7a17d0cdb4c3f81ec4038a4175cf5e179c3327fbec562f89f"
+SAMPLE_DIGEST = "9a5dee43211b6d29611bc7a79e3943dea2242983611eefe8fd8a3ac9a3900d2c"
 SAMPLE_ALPHA = 0.01
 
 
