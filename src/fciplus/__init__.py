@@ -23,7 +23,7 @@ from .reference import (
 )
 from .generators import (
     CanonicalExample, ExampleValidationError, GenerationError,
-    canonical_examples, has_dsep_link, random_sparse_dag,
+    bidirected_chain, canonical_examples, has_dsep_link, random_sparse_dag,
 )
 from .pipelines import run_pipeline
 from .report import RunReport, compare_runs

@@ -12,13 +12,15 @@ stored separating sets (the hierarchy); a successful candidate is
 minimalized, stored, and the edge removed; the candidate list is recomputed
 and previously failed candidates are retried. No conditioning set is asked
 twice for the same pair, so a retry asks only the sets that the grown
-hierarchy changed.
+hierarchy changed, and a retry whose widest closure holds no newly stored
+pair is settled by that one closure.
 
 The augmented skeleton only detects candidates: the PAG is oriented from
 the final skeleton and the stored separating sets alone.
 """
 
 from itertools import combinations
+from math import comb
 
 from .augment import AugmentedSkeleton
 from .graphs import _bits
@@ -117,6 +119,14 @@ def _base_combinations(base_x, base_y, k):
                     yield sum(zx), sum(zy)
 
 
+def _base_pair_count(nx, ny, k):
+    """The number of base-set pairs _base_combinations yields for sides of
+    nx and ny nodes."""
+    def subsets(m):
+        return sum(comb(m, i) for i in range((m if k is None else min(k, m)) + 1))
+    return subsets(nx) * subsets(ny)
+
+
 def dsep_search(skeleton, sepsets, oracle, k):
     """Resolve every candidate link of the augmented skeleton over skeleton.
 
@@ -135,6 +145,17 @@ def dsep_search(skeleton, sepsets, oracle, k):
     changes, so the first separating base pair is the same, and
     "combos_tried" still counts every base pair walked. The deep-search
     stage thus asks one query per (pair, conditioning set).
+
+    A retry first closes the widest seed once, hie({x, y} + Adj(x) +
+    Adj(y)). If no pair resolved since the candidate's last attempt lies
+    inside that closure, the candidate fails again without walking its
+    base pairs, and "combos_tried" adds their number. This is exact.
+    Edges are only removed, so every base pair of the retry was one of the
+    last attempt. Stored sets are only added and closures are monotone, so
+    a base pair's closure at the last attempt lies inside its closure now,
+    which lies inside the widest one. The earlier closure thus holds no
+    newly stored pair and is already closed under every stored set: the two
+    are equal, and the earlier one's set failed.
 
     The arrowheads that detect candidates are evaluated on demand over the
     stored sets (AugmentedSkeleton), the cheaper arrowhead of an edge
@@ -156,6 +177,8 @@ def dsep_search(skeleton, sepsets, oracle, k):
            "reactivations": 0, "failed_final": []}
     tried_failed = set()
     refuted = {}   # pair -> the conditioning sets that failed to separate it
+    last_attempt = {}   # pair -> the number of resolutions at its last attempt
+    stored = []   # the mask of each resolved pair, in resolution order
     with oracle.stage("dsep_search"):
         while True:
             with oracle.stage("augment"):
@@ -167,6 +190,16 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 base_x = [1 << v for v in sorted(g.adj(x) - {y})]
                 base_y = [1 << v for v in sorted(g.adj(y) - {x})]
                 ends = 1 << x | 1 << y
+                key = "%d,%d" % (x, y)
+                since = last_attempt.get((x, y))
+                last_attempt[(x, y)] = len(stored)
+                if since is not None:
+                    widest = hie(ends | sum(base_x) | sum(base_y), sepsets)
+                    if all(p & widest != p for p in stored[since:]):
+                        log["combos_tried"][key] += _base_pair_count(
+                            len(base_x), len(base_y), k)
+                        tried_failed.add((x, y))
+                        continue
                 asked = refuted.setdefault((x, y), set())
                 closed = {}   # x-side base -> hie(ends | base)
                 found = None
@@ -183,7 +216,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
                         found = (zx, zy, zstar)
                         break
                     asked.add(zstar)
-                key = "%d,%d" % (x, y)
                 log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos
                 if found is None:
                     tried_failed.add((x, y))
@@ -192,6 +224,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 zmin = minimal_dsep(x, y, zstar, oracle)
                 sepsets.set(x, y, zmin)
                 g.remove_edge(x, y, zmin)
+                stored.append(ends)
                 log["resolutions"].append({
                     "pair": [x, y], "sepset": _bits(zmin),
                     "base_x": _bits(zx), "base_y": _bits(zy),

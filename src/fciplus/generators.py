@@ -185,6 +185,21 @@ def has_dsep_link(dag):
     return any(p not in true_pairs for p in skeleton.edge_pairs())
 
 
+def bidirected_chain(length):
+    """L = length observed nodes X0..X(L-1) joined into the bi-directed
+    chain X0 <-> X1 <-> ... <-> X(L-1): latent Li is a parent of Xi and
+    X(i+1). Every nonadjacent pair is separated by the empty set, yet each
+    inner node is a collider between its neighbours, so the classic
+    reachability supersets span the whole chain."""
+    if length < 2:
+        raise GraphError("a bi-directed chain needs at least 2 nodes")
+    names = (["X%d" % i for i in range(length)]
+             + ["L%d" % i for i in range(length - 1)])
+    edges = [(length + i, j) for i in range(length - 1) for j in (i, i + 1)]
+    return CausalDag(len(names), edges, range(length),
+                     range(length, len(names)), names=names)
+
+
 class CanonicalExample:
     """A named reconstructed instance plus its defining facts.
 

@@ -15,25 +15,25 @@ bias), R8-R10 complete the tails on directed edges.
 
 from itertools import combinations
 
-from .graphs import ARROW, CIRCLE, TAIL
+from .graphs import ARROW, CIRCLE, TAIL, _bits
 
 DEFAULT_RULES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
 
 def orient_v_structures(skeleton, sepsets):
     """Place arrowheads at z on x *-> z <-* y for every unshielded triple
-    x - z - y whose stored separating set (an int mask) excludes z."""
+    x - z - y whose stored separating set (an int mask) excludes z.
+
+    Walks the stored pairs in ascending order and takes each one's common
+    neighbours outside its set as one mask."""
     b = skeleton.builder()
-    for x, y in combinations(range(skeleton.n), 2):
-        if skeleton.has_edge(x, y):
+    adj = [sum(1 << v for v in skeleton.adj(x)) for x in range(skeleton.n)]
+    for (x, y), zs in sepsets.items():
+        if adj[x] >> y & 1:
             continue
-        zs = sepsets.get(x, y)
-        if zs is None:
-            continue
-        for z in sorted(skeleton.adj(x) & skeleton.adj(y)):
-            if not zs >> z & 1:
-                b.set_mark(z, x, ARROW)
-                b.set_mark(z, y, ARROW)
+        for z in _bits(adj[x] & adj[y] & ~zs):
+            b.set_mark(z, x, ARROW)
+            b.set_mark(z, y, ARROW)
     return b.build()
 
 

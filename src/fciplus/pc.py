@@ -7,22 +7,38 @@ from .graphs import CIRCLE, MixedGraph
 from .sepsets import SepsetMap
 
 
-def separating_of_size(oracle, a, b, sides, size, tested):
-    """The first mask of `size` bits that separates a and b, or None.
+def separating_of_size(oracle, x, y, xside, yside, size):
+    """The first mask of `size` bits that separates x and y, or None.
 
-    Tries the combinations of each side's bits in turn, skipping masks
-    already in `tested` and adding every queried mask to it, so a mask
-    that two sides share is queried once. Each side lists its bits
-    ascending; a side shorter than `size` yields no combination.
+    xside and yside list bits ascending; xside may hold y's bit and yside
+    x's bit. Tries the combinations of xside that leave out y, then those
+    of yside that leave out x and do not lie inside xside's mask: those
+    were asked on the x side already, so no mask is asked twice. A side
+    shorter than `size` yields no combination.
     """
-    for side in sides:
-        for zs in combinations(side, size):
-            zmask = sum(zs)
-            if zmask not in tested:
-                tested.add(zmask)
-                if oracle.query(a, b, zmask):
-                    return zmask
+    query = oracle.query
+    xbit, ybit = 1 << x, 1 << y
+    for zs in combinations(xside, size):
+        zmask = sum(zs)
+        if not zmask & ybit and query(x, y, zmask):
+            return zmask
+    outside = ~sum(xside)
+    for zs in combinations(yside, size):
+        zmask = sum(zs)
+        if zmask & outside and not zmask & xbit and query(x, y, zmask):
+            return zmask
     return None
+
+
+def _bit_list(mask):
+    """The set bits of an int mask as ascending powers of two, so that a
+    combination of them sums to its mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
 def pc_adjacency_search(oracle, k=None):
@@ -30,45 +46,57 @@ def pc_adjacency_search(oracle, k=None):
 
     Starts from the complete graph and, at each level l = 0, 1, ..., tests
     every remaining edge {x, y} against conditioning sets of size l drawn
-    from Adj(x) \\ {y} and from Adj(y) \\ {x} (both sides; subsets already
-    tested for the pair at this level are not retested). Adjacency snapshots
-    are taken per level (order-independent "stable" variant). Stops when no
-    edge has enough neighbors on either side, or after level k when a degree
-    bound k is supplied.
+    from Adj(x) \\ {y} and from Adj(y) \\ {x} (both sides; a subset of
+    both is asked once, on the x side). Adjacency snapshots are taken per
+    level (order-independent "stable" variant). Stops when no edge has
+    enough neighbors on either side, or after level k when a degree bound
+    k is supplied.
+
+    Adjacency is one int mask per node. Level 0 asks each pair once against
+    the empty set. From level 1 on, each level snapshots every node's
+    neighbours as one bit list and tests the pairs x < y of the snapshot in
+    lexicographic order with separating_of_size; each pair is visited once
+    per level and only its own test removes its edge.
 
     Returns (skeleton, sepsets): the skeleton carries CIRCLE marks at every
     endpoint, and sepsets holds one minimal separating set per removed pair.
     """
     n = oracle.n_vars
-    adj = {x: set(range(n)) - {x} for x in range(n)}
+    adj = [((1 << n) - 1) ^ 1 << x for x in range(n)]
     sepsets = SepsetMap()
-    level = 0
+
+    def remove(x, y, zmask):
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+        sepsets.set(x, y, zmask)
+
     with oracle.stage("pc_search"):
-        while True:
-            # each neighbour as its bit, ascending, so that a combination
-            # of them sums to its mask
-            snapshot = {x: [1 << v for v in sorted(adj[x])] for x in range(n)}
-            pairs = sorted((x, y) for x in range(n) for y in adj[x] if x < y)
+        for x in range(n):
+            for y in range(x + 1, n):
+                if oracle.query(x, y, 0):
+                    remove(x, y, 0)
+        level = 1
+        while k is None or level <= k:
+            snapshot = [_bit_list(m) for m in adj]
             any_candidates = False
-            # each pair is visited once per level and only its own test
-            # removes its edge
-            for x, y in pairs:
-                xbit, ybit = 1 << x, 1 << y
-                sides = ([b for b in snapshot[x] if b != ybit],
-                         [b for b in snapshot[y] if b != xbit])
-                if len(sides[0]) < level and len(sides[1]) < level:
-                    continue
-                any_candidates = True
-                zmask = separating_of_size(oracle, x, y, sides, level, set())
-                if zmask is not None:
-                    adj[x].discard(y)
-                    adj[y].discard(x)
-                    sepsets.set(x, y, zmask)
+            for x in range(n):
+                xbit, xside = 1 << x, snapshot[x]
+                for ybit in xside:
+                    if ybit < xbit:
+                        continue
+                    y = ybit.bit_length() - 1
+                    yside = snapshot[y]
+                    # each side holds the other endpoint's bit
+                    if len(xside) <= level and len(yside) <= level:
+                        continue
+                    any_candidates = True
+                    zmask = separating_of_size(oracle, x, y, xside, yside,
+                                               level)
+                    if zmask is not None:
+                        remove(x, y, zmask)
             if not any_candidates:
                 break
             level += 1
-            if k is not None and level > k:
-                break
     edges = [(x, y, CIRCLE, CIRCLE)
-             for x in range(n) for y in sorted(adj[x]) if x < y]
+             for x in range(n) for y in range(x + 1, n) if adj[x] >> y & 1]
     return MixedGraph(n, edges, names=oracle.names), sepsets

@@ -8,9 +8,9 @@ query-efficient pipeline, not to replace it.
 from collections import deque
 from itertools import combinations
 
-from .graphs import ARROW, CIRCLE, MixedGraph, _bits
+from .graphs import ARROW, CIRCLE, MixedGraph
 from .orientation import apply_fci_rules, orient_v_structures
-from .pc import pc_adjacency_search, separating_of_size
+from .pc import _bit_list, pc_adjacency_search, separating_of_size
 from .sepsets import SepsetMap
 
 
@@ -45,12 +45,11 @@ def possible_dsep(g, a, b):
     return sum(1 << v for v in reach - {a, b})
 
 
-def _first_separating(oracle, a, b, sides):
-    """The first mask that separates a and b among the combinations of one
-    side's bits, or None: separating_of_size over sizes ascending."""
-    tested = set()
-    for size in range(max(map(len, sides)) + 1):
-        found = separating_of_size(oracle, a, b, sides, size, tested)
+def _first_separating(oracle, a, b, aside, bside=()):
+    """The first mask that separates a and b among the combinations of
+    either side's bits, or None: separating_of_size over sizes ascending."""
+    for size in range(max(len(aside), len(bside)) + 1):
+        found = separating_of_size(oracle, a, b, aside, bside, size)
         if found is not None:
             return found
     return None
@@ -69,7 +68,7 @@ def exhaustive_skeleton(oracle, cap=14):
     with oracle.stage("reference"):
         for x, y in combinations(range(n), 2):
             rest = [1 << v for v in range(n) if v != x and v != y]
-            found = _first_separating(oracle, x, y, [rest])
+            found = _first_separating(oracle, x, y, rest)
             if found is not None:
                 sepsets.set(x, y, found)
             else:
@@ -83,9 +82,9 @@ def _pdsep_stage(pi0, sepsets, oracle):
     removed = []
     with oracle.stage("reference"):
         for a, b in pi0.edge_pairs():
-            sides = [[1 << v for v in _bits(possible_dsep(pi0, a, b))],
-                     [1 << v for v in _bits(possible_dsep(pi0, b, a))]]
-            found = _first_separating(oracle, a, b, sides)
+            found = _first_separating(oracle, a, b,
+                                      _bit_list(possible_dsep(pi0, a, b)),
+                                      _bit_list(possible_dsep(pi0, b, a)))
             if found is not None:
                 sepsets.set(a, b, found)
                 removed.append((a, b))

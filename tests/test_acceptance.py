@@ -12,7 +12,7 @@ from fciplus import (
     ALGORITHM_STAGES, DsepOracle, d_separated, exhaustive_skeleton,
     run_pipeline,
 )
-from fciplus.generators import canonical_examples
+from fciplus.generators import bidirected_chain, canonical_examples
 from fciplus.report import compare_runs
 
 from .conftest import CORPUS_K
@@ -185,3 +185,25 @@ def test_query_count_comparison_report(corpus_runs):
         print("deep-stage query report (%s): hierarchy %d vs exhaustive %d"
               % (name, _deep_queries(a), _deep_queries(b)))
     assert n > 0
+
+
+def test_bidirected_chain_query_growth():
+    # the paper's claim on its own example: on the bi-directed chain every
+    # inner node is a collider, so the reachability supersets of fci span
+    # the whole chain and its subset search grows exponentially, while the
+    # hierarchy search grows polynomially; both end at the same PAG
+    plus, ref = [], []
+    for length in (6, 8, 10, 12):
+        dag = bidirected_chain(length)
+        a = run_pipeline("fciplus", DsepOracle(dag), k=3, with_checks=False)
+        b = run_pipeline("fci", DsepOracle(dag), k=3, with_checks=False)
+        assert a.pag == b.pag
+        plus.append(sum(a.stats[s]["queries"] for s in ALGORITHM_STAGES))
+        ref.append(sum(b.stats[s]["queries"]
+                       for s in ("pc_search", "reference")))
+        assert plus[-1] < ref[-1]
+    print("bi-directed chain queries, L = 6..12: fciplus %s vs fci %s"
+          % (plus, ref))
+    for i in (1, 2):
+        assert ref[i + 1] > 4 * ref[i]
+        assert plus[i + 1] < 2 * plus[i]

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import importlib
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from fciplus import (
     find_possible_dsep_links, hie, latent_project, minimal_dsep,
     pc_adjacency_search, run_pipeline,
 )
+from fciplus.dsep_search import _base_combinations, _base_pair_count
 from fciplus.generators import canonical_examples, random_sparse_dag
 
 from .brute import bf_separable, mask, members, naive_closure
@@ -379,6 +381,45 @@ class TestWorkListSemantics:
         assert asked_12 == {mask(zs): 1 for zs in
                             [(), (3,), (0,), (0, 3, 5, 6), (0, 3, 4, 5, 6)]}
         assert max(oracle.asked.values()) == 1
+
+    def test_retry_without_new_pair_in_closure_is_skipped(self, monkeypatch):
+        # (1, 2) fails on its four base pairs, then (5, 6) resolves with
+        # {4}. The widest closure of (1, 2), hie({0, 1, 2, 3}), holds
+        # neither 5 nor 6, so its retry could only rebuild sets that
+        # failed: it calls hie once, asks nothing and still counts every
+        # base pair
+        module = importlib.import_module("fciplus.dsep_search")
+        real_hie, calls = module.hie, []
+
+        def counting_hie(seed, sepsets, closed=0):
+            calls.append(seed | closed)
+            return real_hie(seed, sepsets, closed)
+
+        monkeypatch.setattr(module, "hie", counting_hie)
+        g = bidirected(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        oracle = _CountingOracle({(5, 6, mask({4})): True}, 8)
+        g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
+        assert not g2.has_edge(5, 6) and g2.has_edge(1, 2)
+        assert log["detected"] == [[[1, 2], [5, 6]], [[1, 2]]]
+        assert log["reactivations"] == 1
+        assert log["failed_final"] == [[1, 2]]
+        assert log["combos_tried"]["1,2"] == 8
+        asked_12 = {z: c for (x, y, z), c in oracle.asked.items()
+                    if (x, y) == (1, 2)}
+        assert asked_12 == {mask(zs): 1 for zs in [(), (3,), (0,), (0, 3)]}
+        # on (1, 2)'s side: two x-side closures and four extensions in the
+        # first attempt, then the one widest closure of the retry
+        low = [c for c in calls if c & 0b1111]
+        assert len(low) == 7
+        assert calls[-1] == 0b1111
+
+    @pytest.mark.parametrize("k", [None, 0, 1, 2, 3])
+    def test_base_pair_count_matches_enumeration(self, k):
+        for nx, ny in itertools.product(range(5), repeat=2):
+            base_x = [1 << v for v in range(nx)]
+            base_y = [1 << v for v in range(8, 8 + ny)]
+            assert _base_pair_count(nx, ny, k) == \
+                len(list(_base_combinations(base_x, base_y, k)))
 
     def test_double_resolution_guard(self):
         # a lying oracle cannot make the same link resolve twice: once

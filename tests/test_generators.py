@@ -12,7 +12,8 @@ import random
 import pytest
 
 from fciplus import (
-    CausalDag, GenerationError, latent_project, random_sparse_dag,
+    ARROW, CausalDag, GenerationError, GraphError, bidirected_chain,
+    latent_project, random_sparse_dag,
 )
 from fciplus.generators import (
     _planted_draw, _surviving_degrees, _uniform_draw,
@@ -117,3 +118,17 @@ def test_each_source_alone_pushes_a_node_over_k(source):
     parts = (6, SOURCES[source], [0, 1, 2, 3], [4], [5])
     assert _surviving_degrees(*parts)[0] == 3 > k
     assert len(latent_project(CausalDag(*parts)).adj(0)) == 3
+
+
+@pytest.mark.parametrize("length", [2, 3, 7])
+def test_bidirected_chain_projects_to_the_chain(length):
+    dag = bidirected_chain(length)
+    assert (len(dag.observed), len(dag.latent)) == (length, length - 1)
+    mag = latent_project(dag)
+    assert mag.edges() == [(i, i + 1, ARROW, ARROW)
+                           for i in range(length - 1)]
+
+
+def test_bidirected_chain_needs_two_nodes():
+    with pytest.raises(GraphError):
+        bidirected_chain(1)

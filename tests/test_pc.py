@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from fciplus import CausalDag, DsepOracle, pc_adjacency_search
+from fciplus import (
+    CausalDag, DsepOracle, IndependenceOracle, pc_adjacency_search,
+)
 
 from .brute import mask, members, skeleton_pairs
 
@@ -17,6 +19,23 @@ def random_sufficient_dag(n, density, seed):
     edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
              if rng.random() < density]
     return CausalDag(n, edges, observed=range(n))
+
+
+class _RecordingOracle(IndependenceOracle):
+    """Independent exactly on the listed (x, y, mask) keys; records every
+    query in order."""
+
+    def __init__(self, n_vars, independent):
+        super().__init__(n_vars)
+        self.independent = set(independent)
+        self.asked = []
+
+    def query(self, x, y, z):
+        self.asked.append((x, y, z))
+        return super().query(x, y, z)
+
+    def _decide(self, x, y, zmask):
+        return (x, y, zmask) in self.independent
 
 
 class TestPcSearch:
@@ -96,3 +115,24 @@ class TestPcSearch:
         assert sorted(skel.edge_pairs()) == [(0, 1), (2, 3)]
         assert all(zs == 0 for _, zs in seps.items())
         assert oracle.stats.stages["pc_search"].max_cond_size == 0
+
+    def test_ask_order_for_one_pair_and_level(self):
+        # only (0, 5) and (1, 4) are independent, marginally, so from level
+        # 1 on Adj(0) = {1, 2, 3, 4} and Adj(1) = {0, 2, 3, 5}: the pair
+        # (0, 1) asks the x-side subsets lexicographically, then the
+        # y-side subsets not inside Adj(0)
+        oracle = _RecordingOracle(6, {(0, 5, 0), (1, 4, 0)})
+        pc_adjacency_search(oracle, k=2)
+        asked = [z for x, y, z in oracle.asked if (x, y) == (0, 1)]
+        assert asked == [mask(zs) for zs in [
+            (),
+            (2,), (3,), (4,), (5,),
+            (2, 3), (2, 4), (3, 4), (2, 5), (3, 5)]]
+        assert len(set(oracle.asked)) == len(oracle.asked)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_mask_asked_twice(self, seed):
+        oracle = DsepOracle(random_sufficient_dag(9, 0.4, seed + 70))
+        pc_adjacency_search(oracle, k=3)
+        st = oracle.stats.stages["pc_search"]
+        assert st.queries == st.distinct
