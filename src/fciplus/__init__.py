@@ -13,7 +13,6 @@ from .oracles import (
 )
 from .sepsets import SepsetMap
 from .pc import pc_adjacency_search
-from .augment import augment_graph
 from .dsep_search import (
     dsep_search, find_possible_dsep_links, hie, minimal_dsep,
 )

@@ -31,54 +31,6 @@ def check_arrowhead_soundness(dag, graph):
     return not bad, "unsound arrowheads: %r" % bad if bad else "all arrowheads sound"
 
 
-def stored_candidates(skeleton, sepsets):
-    """(x, y, Z, core, candidates) per stored set (x, y, Z): its core
-    {x, y} + Z and the nodes outside the core adjacent to some member of it
-    in the adjacency-search skeleton, all as int masks (bit v for node v)."""
-    adj = [sum(1 << u for u in skeleton.adj(v)) for v in range(skeleton.n)]
-    out = []
-    for (x, y), zs in sepsets.items():
-        core = 1 << x | 1 << y | zs
-        near = 0
-        for v in _bits(core):
-            near |= adj[v]
-        out.append((x, y, zs, core, near & ~core))
-    return out
-
-
-def check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle):
-    """Every arrowhead the stored sets imply on the adjacency-search
-    skeleton is sound, whether or not the search evaluated it.
-
-    Stored set (x, y, Z) places an arrowhead at w on the edge to a core
-    member v iff x is dependent on y given Z + {w}. Such an arrowhead can
-    only be unsound where w is an ancestor of v or of the selection set in
-    the truth, so only those (set, w) pairs are queried, per the oracle
-    under the reference stage; a dependence there is an unsound arrowhead.
-    `stored` is stored_candidates(skeleton, sepsets).
-    """
-    back, an, an_sel = dag.observed, dag._an, dag._an_sel
-    # heads[w]: the neighbours v of w with w in An({v} + S)
-    heads = [sum(1 << v for v in skeleton.adj(w)
-                 if (an[back[v]] | an_sel) >> back[w] & 1)
-             for w in range(skeleton.n)]
-    bad = []
-    with oracle.stage("reference"):
-        for x, y, zs, core, cands in stored:
-            for w in _bits(cands):
-                hit = heads[w] & core
-                if hit and not oracle.query(x, y, zs | 1 << w):
-                    bad.extend((w, v) for v in _bits(hit))
-    return not bad, "unsound arrowheads: %r" % bad if bad else \
-        "all arrowheads of %d stored sets sound" % len(stored)
-
-
-def augment_budget(stored):
-    """Most augment queries a run may ask: one per (stored set, candidate)
-    pair of stored_candidates."""
-    return sum(cands.bit_count() for *_, cands in stored)
-
-
 def check_tail_soundness(dag, graph):
     """Every tail at w on an edge to v means w is an ancestor of v or of the
     selection set in the truth."""
@@ -189,20 +141,33 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
         "hierarchy separates all %d true candidate links" % len(links)
 
 
-def check_query_bounds(stats, n, k, augment_cap=None):
-    """Counted queries stay within their budgets: the augment and deep-search
-    stages ask no query twice, the adjacency stage stays within
-    4 * N^(k+2), the whole search within N^(2(k+2)), and, when augment_cap
-    is given, the augment stage within it (see augment_budget)."""
-    repeated = [s for s in ("augment", "dsep_search")
-                if stats[s]["queries"] != stats[s]["distinct"]]
-    ok = not repeated
-    parts = ["repeated queries in %s" % ", ".join(repeated) if repeated
-             else "augment and dsep_search queries distinct"]
-    if augment_cap is not None:
-        aug_q = stats["augment"]["queries"]
-        ok = ok and aug_q <= augment_cap
-        parts.append("augment %d <= %d" % (aug_q, augment_cap))
+def _minimal_dsep_budget(resolutions):
+    """Most queries minimal_dsep may ask for these resolutions. For a
+    candidate set Z* of m nodes it asks the precondition query and one query
+    per member in each elimination pass; a pass that removes nothing is the
+    last, so the passes hold at most m, m - 1, ..., 1 members: 1 +
+    m(m+1)/2 in all."""
+    return sum(1 + m * (m + 1) // 2
+               for m in (len(r["candidate"]) for r in resolutions))
+
+
+def check_query_bounds(stats, n, k, dsep_log=None):
+    """Counted queries stay within their budgets: the deep-search stage
+    asks no query twice and, given its log, at most one query per base
+    pair it counted ("combos_tried"), minimal_dsep stays within
+    _minimal_dsep_budget, the adjacency stage within 4 * N^(k+2) and the
+    whole search within N^(2(k+2))."""
+    ds = stats["dsep_search"]["queries"]
+    ok = ds == stats["dsep_search"]["distinct"]
+    parts = ["dsep_search queries distinct" if ok
+             else "repeated queries in dsep_search"]
+    if dsep_log is not None:
+        combos = sum(dsep_log["combos_tried"].values())
+        md = stats["minimal_dsep"]["queries"]
+        md_budget = _minimal_dsep_budget(dsep_log["resolutions"])
+        ok = ok and ds <= combos and md <= md_budget
+        parts.append("dsep_search %d <= %d base pairs, minimal_dsep %d <= %d"
+                     % (ds, combos, md, md_budget))
     if k is None:
         parts.append("no degree bound supplied; polynomial budget not applicable")
         return ok, ", ".join(parts)
@@ -216,11 +181,9 @@ def check_query_bounds(stats, n, k, augment_cap=None):
     return ok, ", ".join(parts)
 
 
-def run_invariant_checks(dag, oracle, k, pag, sepsets, skeleton=None,
-                         dsep_log=None):
+def run_invariant_checks(dag, oracle, k, pag, sepsets, dsep_log=None):
     """Full suite over a finished run: its PAG and stored sets and, for
-    fciplus, the adjacency-search skeleton and the deep-search log. Returns
-    {name: {ok, detail}}."""
+    fciplus, the deep-search log. Returns {name: {ok, detail}}."""
     out = {}
 
     def add(name, pair):
@@ -229,12 +192,6 @@ def run_invariant_checks(dag, oracle, k, pag, sepsets, skeleton=None,
 
     add("arrowhead_soundness_pag", check_arrowhead_soundness(dag, pag))
     add("tail_soundness_pag", check_tail_soundness(dag, pag))
-    augment_cap = None
-    if skeleton is not None:
-        stored = stored_candidates(skeleton, sepsets)
-        add("arrowhead_soundness_augmented",
-            check_arrowhead_soundness_augmented(dag, skeleton, stored, oracle))
-        augment_cap = augment_budget(stored)
     add("sepsets_minimal", check_sepsets(sepsets, oracle))
     add("hierarchy_ancestry", check_hierarchy_ancestry(dag, sepsets))
     if dsep_log is not None:
@@ -245,5 +202,5 @@ def run_invariant_checks(dag, oracle, k, pag, sepsets, skeleton=None,
                                             sepsets, oracle))
     add("query_bounds",
         check_query_bounds(oracle.stats.to_dict(), oracle.n_vars, k,
-                           augment_cap))
+                           dsep_log))
     return out

@@ -1,54 +1,39 @@
 """Search for edges separable only through nodes nonadjacent to both
 endpoints, using hierarchies of stored minimal separating sets.
 
-Candidate edges are recognized by a pattern in the augmented skeleton: a
-bi-directed edge x <-> y flanked by bi-directed edges u <-> x and y <-> v
-with u, v distinct and nonadjacent. The search starts from the bare
-adjacency-search skeleton and evaluates the arrowheads of the augmented
-skeleton on demand (augment.AugmentedSkeleton), only on edges whose flanks
-already fit the pattern. For each candidate, conditioning-set candidates
-are built by closing {x, y} plus small adjacent "base" sets under the
-stored separating sets (the hierarchy); a successful candidate is
-minimalized, stored, and the edge removed; the candidate list is recomputed
-and previously failed candidates are retried. No conditioning set is asked
+A candidate edge {x, y} is recognized by the structure of the skeleton
+alone: x and y have flanks u in Adj(x), v in Adj(y) with u != v and u, v
+nonadjacent. The paper detects candidates on the augmented skeleton, whose
+arrowheads come from single-node minimal dependencies; this module
+deliberately skips that filter. Every removal is confirmed by a separating
+set, so a looser detector costs queries but never correctness, and the
+arrowhead queries cost more than the candidates they ruled out (README,
+"Deep search"). For each candidate, conditioning-set candidates are built
+by closing {x, y} plus small adjacent "base" sets under the stored
+separating sets (the hierarchy); a successful candidate is minimalized,
+stored, and the edge removed; the candidate list is recomputed and
+previously failed candidates are retried. No conditioning set is asked
 twice for the same pair, so a retry asks only the sets that the grown
 hierarchy changed, and a retry whose widest closure holds no newly stored
 pair is settled by that one closure.
-
-The augmented skeleton only detects candidates: the PAG is oriented from
-the final skeleton and the stored separating sets alone.
 """
 
 from itertools import combinations
 from math import comb
 
-from .augment import AugmentedSkeleton
 from .graphs import _bits
 
 
 def find_possible_dsep_links(g):
-    """Ordered list of edges matching the candidate pattern in g.
-
-    An edge {x, y} qualifies iff it is bi-directed and there are nodes
-    u, v outside {x, y} with u <-> x and y <-> v bi-directed, u != v, and
-    u, v nonadjacent. This over-approximates the true set of candidate
-    edges: the directional path conditions that could prune it further are
-    deliberately not checked (extra candidates cost queries, never
-    correctness).
-
-    g is a MixedGraph or an AugmentedSkeleton. The structural part of the
-    pattern (distinct nonadjacent flanks) is checked before any arrowhead
-    is read, and the arrowhead test stops at the first matching flank pair,
-    so an on-demand graph evaluates only the arrowheads the answer needs.
+    """Ordered list of the edges {x, y} of the MixedGraph g that have
+    flanks u in Adj(x), v in Adj(y), outside {x, y}, with u != v and u, v
+    nonadjacent. Marks are not read. This over-approximates the true set of
+    candidate edges (extra candidates cost queries, never correctness).
     """
     links = []
     for x, y in g.edge_pairs():
-        flanks = [(u, v) for u in sorted(g.adj(x)) if u != y
-                  for v in sorted(g.adj(y))
-                  if v != x and u != v and not g.has_edge(u, v)]
-        if flanks and g.is_bidirected(x, y) and any(
-                g.is_bidirected(u, x) and g.is_bidirected(y, v)
-                for u, v in flanks):
+        ax, ay = g.adj(x) - {y}, g.adj(y) - {x}
+        if any(u != v and not g.has_edge(u, v) for u in ax for v in ay):
             links.append((x, y))
     return links
 
@@ -128,7 +113,7 @@ def _base_pair_count(nx, ny, k):
 
 
 def dsep_search(skeleton, sepsets, oracle, k):
-    """Resolve every candidate link of the augmented skeleton over skeleton.
+    """Resolve every candidate link of skeleton, a MixedGraph.
 
     Each detection pass lists the candidates and tries them in
     lexicographic order. For each candidate {x, y}, tries conditioning sets
@@ -157,11 +142,8 @@ def dsep_search(skeleton, sepsets, oracle, k):
     newly stored pair and is already closed under every stored set: the two
     are equal, and the earlier one's set failed.
 
-    The arrowheads that detect candidates are evaluated on demand over the
-    stored sets (AugmentedSkeleton), the cheaper arrowhead of an edge
-    first; arrowheads skeleton already carries are kept. The search enters
-    the oracle's "dsep_search" stage once, each detection pass runs under
-    one "augment" entry, and minimal_dsep enters its own stage.
+    Detection asks no queries. The search enters the oracle's
+    "dsep_search" stage once, and minimal_dsep enters its own stage.
 
     Returns (final skeleton, sepsets, log). The log is the JSON dict that
     RunReport.dsep_log holds: the candidate pairs of each pass
@@ -172,7 +154,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
     ("failed_final"); pairs are [x, y] lists.
     """
     sepsets = sepsets.copy()
-    g = AugmentedSkeleton(skeleton, sepsets, oracle)
+    g = skeleton
     log = {"detected": [], "resolutions": [], "combos_tried": {},
            "reactivations": 0, "failed_final": []}
     tried_failed = set()
@@ -181,8 +163,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
     stored = []   # the mask of each resolved pair, in resolution order
     with oracle.stage("dsep_search"):
         while True:
-            with oracle.stage("augment"):
-                links = find_possible_dsep_links(g)
+            links = find_possible_dsep_links(g)
             log["detected"].append([[x, y] for x, y in links])
             for x, y in links:
                 if (x, y) in tried_failed:
@@ -223,7 +204,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 zx, zy, zstar = found
                 zmin = minimal_dsep(x, y, zstar, oracle)
                 sepsets.set(x, y, zmin)
-                g.remove_edge(x, y, zmin)
+                g = g.without_edge(x, y)
                 stored.append(ends)
                 log["resolutions"].append({
                     "pair": [x, y], "sepset": _bits(zmin),
@@ -236,4 +217,4 @@ def dsep_search(skeleton, sepsets, oracle, k):
             else:
                 break
     log["failed_final"] = [[x, y] for x, y in sorted(tried_failed)]
-    return g.graph, sepsets, log
+    return g, sepsets, log

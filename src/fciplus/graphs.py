@@ -92,10 +92,6 @@ class _MarkTable:
         marks = self._marks
         return marks.get((x, y)) == TAIL and marks.get((y, x)) == ARROW
 
-    def is_bidirected(self, x, y):
-        marks = self._marks
-        return marks.get((x, y)) == ARROW and marks.get((y, x)) == ARROW
-
     def is_undirected(self, x, y):
         marks = self._marks
         return marks.get((x, y)) == TAIL and marks.get((y, x)) == TAIL
@@ -113,7 +109,7 @@ class _MarkTable:
 class MixedGraph(_MarkTable):
     """Immutable graph with per-endpoint marks (tail / arrow / circle).
 
-    Represents skeletons, augmented skeletons, MAGs and PAGs. At most one
+    Represents skeletons (all marks circles), MAGs and PAGs. At most one
     edge per pair, no self loops. `edges` is an iterable of tuples
     (a, b, mark_at_a, mark_at_b).
     """

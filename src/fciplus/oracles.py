@@ -17,6 +17,8 @@ import numpy as np
 
 from .graphs import _bits, dsep_reach
 
+# "augment" is never entered (candidate detection asks no queries); it stays
+# so that every report keeps the stage keys its readers index
 STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
           "orientation", "reference")
 # the stages a pipeline's own search runs under; the fci reference and the

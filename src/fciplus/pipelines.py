@@ -3,8 +3,8 @@
 Three pipelines share the adjacency search and orientation machinery:
 
   pc       adjacency search -> collider orientation -> rule set
-  fciplus  adjacency search -> hierarchy-based candidate-link search, with
-           the augmented skeleton's arrowheads evaluated on demand ->
+  fciplus  adjacency search -> hierarchy-based search of the candidate
+           links, detected from the skeleton's structure alone ->
            collider orientation of the final skeleton -> rule set
   fci      adjacency search -> collider orientation -> exhaustive subset
            search over reachability supersets -> re-orientation -> rule set
@@ -44,7 +44,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
                          % (algorithm, ALGORITHMS))
     n = oracle.n_vars
     timings = {}
-    skeleton = dsep_log = None   # fciplus only: pc skeleton, deep-search log
+    dsep_log = None   # fciplus only: the deep-search log
     if algorithm == "fci":
         pag, _, sepsets, removed = _timed(
             timings, "reference", lambda: fci_reference(oracle, k=k))
@@ -53,10 +53,9 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
                                 lambda: pc_adjacency_search(oracle, k=k))
         removed = {"pc_search": n * (n - 1) // 2 - final.n_edges}
         if algorithm == "fciplus":
-            skeleton = final
             final, sepsets, dsep_log = _timed(
                 timings, "dsep_search",
-                lambda: dsep_search(skeleton, sepsets, oracle, k))
+                lambda: dsep_search(final, sepsets, oracle, k))
             removed["dsep_search"] = len(dsep_log["resolutions"])
 
         def orient():
@@ -68,8 +67,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
     dag = getattr(oracle, "dag", None)
     checks = {}
     if with_checks and dag is not None:
-        checks = run_invariant_checks(dag, oracle, k, pag, sepsets,
-                                      skeleton, dsep_log)
+        checks = run_invariant_checks(dag, oracle, k, pag, sepsets, dsep_log)
 
     input_hash = graph_hash(dag) if dag is not None else None
     config = {"k": k, "algorithm": algorithm}

@@ -2,7 +2,8 @@
 
 Everything here enumerates paths or subsets directly from the definitions,
 or (for the Fisher z test) regresses on the raw data; none of it shares code
-with the algorithms under test.
+with the algorithms under test, except truth_pag, which orients a skeleton
+and separating sets read off the DAG with the package's complete rules.
 """
 
 from itertools import combinations, product
@@ -11,7 +12,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from fciplus.graphs import ARROW, CIRCLE, TAIL, MixedGraph, d_separated
+from fciplus.graphs import (
+    ARROW, CIRCLE, TAIL, MixedGraph, d_separated, latent_project,
+)
+from fciplus.orientation import apply_fci_rules, orient_v_structures
+from fciplus.sepsets import SepsetMap
 
 
 def mask(ids):
@@ -308,6 +313,28 @@ def bf_hierarchy_ancestry(dag, sepsets):
         if any(back[w] not in up for w in naive_closure({a, b}, sepsets)):
             return False
     return True
+
+
+def truth_pag(dag):
+    """The PAG of dag's latent projection without any search: the
+    projection's skeleton with circle marks, each nonadjacent pair {x, y}
+    separated by the observed members of An({x, y} + S) minus x and y (the
+    set the projection tests, so it separates every nonadjacent pair), then
+    orient_v_structures and apply_fci_rules, which are complete given a
+    correct skeleton and separating sets (Zhang 2008). Names are the
+    projection's; compare edges()."""
+    mag = latent_project(dag)
+    obs, sel = dag.observed, set(dag.selection)
+    index = {o: i for i, o in enumerate(obs)}
+    skeleton = MixedGraph(mag.n, [(a, b, CIRCLE, CIRCLE)
+                                  for a, b in mag.edge_pairs()])
+    seps = SepsetMap()
+    for x, y in combinations(range(mag.n), 2):
+        if not mag.has_edge(x, y):
+            up = naive_ancestors(dag, {obs[x], obs[y]} | sel)
+            seps.set(x, y, mask(index[o] for o in up
+                                if o in index and index[o] not in (x, y)))
+    return apply_fci_rules(orient_v_structures(skeleton, seps), seps)
 
 
 _EDGE_STATES = (None, (TAIL, ARROW), (ARROW, TAIL), (ARROW, ARROW), (TAIL, TAIL))

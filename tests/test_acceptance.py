@@ -10,13 +10,13 @@ from collections import Counter
 
 from fciplus import (
     ALGORITHM_STAGES, DsepOracle, d_separated, exhaustive_skeleton,
-    run_pipeline,
+    random_sparse_dag, run_pipeline,
 )
 from fciplus.generators import bidirected_chain, canonical_examples
 from fciplus.report import compare_runs
 
 from .conftest import CORPUS_K
-from .brute import equivalence_class_pag
+from .brute import equivalence_class_pag, truth_pag
 
 
 def _report(num, desc, ok, detail=""):
@@ -88,7 +88,9 @@ def test_criterion_4_query_bounds(corpus_runs):
         pc_budget = 4 * n ** (CORPUS_K + 2)
         total_budget = n ** (2 * (CORPUS_K + 2))
         worst = max(worst, total_q / total_budget)
-        if pc_q > pc_budget or total_q > total_budget:
+        # detection asks no query, so the kept "augment" stage stays empty
+        if (pc_q > pc_budget or total_q > total_budget
+                or stats["augment"]["queries"]):
             violations.append(bundle.instance.seed)
     _report(4, "per-run query counts within the polynomial budget",
             not violations,
@@ -146,7 +148,7 @@ def test_criterion_6_micro_orientation_completeness(micro_catalog):
 def _deep_queries(report):
     if report.algorithm == "fciplus":
         return sum(report.stats[s]["queries"]
-                   for s in ("augment", "dsep_search", "minimal_dsep"))
+                   for s in ("dsep_search", "minimal_dsep"))
     return report.stats["reference"]["queries"]
 
 
@@ -187,6 +189,10 @@ def test_query_count_comparison_report(corpus_runs):
     assert n > 0
 
 
+def _algorithm_queries(report):
+    return sum(report.stats[s]["queries"] for s in ALGORITHM_STAGES)
+
+
 def test_bidirected_chain_query_growth():
     # the paper's claim on its own example: on the bi-directed chain every
     # inner node is a collider, so the reachability supersets of fci span
@@ -198,7 +204,7 @@ def test_bidirected_chain_query_growth():
         a = run_pipeline("fciplus", DsepOracle(dag), k=3, with_checks=False)
         b = run_pipeline("fci", DsepOracle(dag), k=3, with_checks=False)
         assert a.pag == b.pag
-        plus.append(sum(a.stats[s]["queries"] for s in ALGORITHM_STAGES))
+        plus.append(_algorithm_queries(a))
         ref.append(sum(b.stats[s]["queries"]
                        for s in ("pc_search", "reference")))
         assert plus[-1] < ref[-1]
@@ -207,3 +213,34 @@ def test_bidirected_chain_query_growth():
     for i in (1, 2):
         assert ref[i + 1] > 4 * ref[i]
         assert plus[i + 1] < 2 * plus[i]
+    # beyond fci's reach the truth PAG is the reference, and the hierarchy
+    # search stays below L^2 queries
+    for length in (20, 30, 40):
+        dag = bidirected_chain(length)
+        a = run_pipeline("fciplus", DsepOracle(dag), k=3, with_checks=False)
+        assert a.pag.edges() == truth_pag(dag).edges()
+        assert _algorithm_queries(a) < length ** 2, length
+
+
+def sweep_dags():
+    """The sparse size sweep: n = 20, 40 and 60, plain draws (density
+    1.2/n) and planted ones (0.8/n), 3 latents and 1 selection variable,
+    seeds 1-5."""
+    for n in (20, 40, 60):
+        for planted, density in ((False, 1.2), (True, 0.8)):
+            for seed in range(1, 6):
+                yield random_sparse_dag(n, 3, 3, 1, density / n, seed=seed,
+                                        plant_dsep=planted)
+
+
+def test_truth_pag_reference(corpus_runs):
+    # the truth PAG equals fci's on the corpus, and fciplus's on the chains
+    # and on the sweep, where fci is too slow to serve
+    for bundle in corpus_runs:
+        assert truth_pag(bundle.instance.dag).edges() == \
+            bundle.fci.pag.edges(), bundle.instance.seed
+    dags = [bidirected_chain(length) for length in (8, 12, 20, 30, 40)]
+    for dag in dags + list(sweep_dags()):
+        report = run_pipeline("fciplus", DsepOracle(dag), k=3,
+                              with_checks=False)
+        assert report.pag.edges() == truth_pag(dag).edges(), dag.to_json()

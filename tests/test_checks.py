@@ -1,11 +1,14 @@
 """Invariant checks against their exhaustive forms in tests/brute.py."""
 
 import copy
+import importlib
+from itertools import combinations
 import random
 
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
-    canonical_examples, latent_project, random_sparse_dag, run_pipeline,
+    canonical_examples, dsep_search, latent_project, random_sparse_dag,
+    run_pipeline,
 )
 from fciplus.checks import (
     _true_dsep_links, check_arrowhead_soundness, check_hierarchy_ancestry,
@@ -14,8 +17,10 @@ from fciplus.checks import (
 from fciplus.generators import GenerationError
 
 from .brute import (
-    bf_hierarchy_ancestry, bf_true_dsep_links, mask, naive_ancestors,
+    bf_hierarchy_ancestry, bf_true_dsep_links, mask, members,
+    naive_ancestors,
 )
+from .test_dsep import _ScriptedOracle
 
 
 def random_dags(count, seed=0):
@@ -171,12 +176,71 @@ class TestDeepSearchChecks:
         _dag, report = _hierarchical_run()
         stats = report.stats
         assert report.checks["query_bounds"]["ok"]
-        assert stats["augment"]["queries"] and stats["dsep_search"]["queries"]
+        assert stats["augment"]["queries"] == 0
+        assert stats["dsep_search"]["queries"]
         assert check_query_bounds(stats, report.n, 3)[0]
-        for stage in ("augment", "dsep_search"):
-            doctored = copy.deepcopy(stats)
-            doctored[stage]["queries"] += 1
-            ok, detail = check_query_bounds(doctored, report.n, 3)
-            assert not ok and detail.startswith(
-                "repeated queries in %s," % stage)
-            assert not check_query_bounds(doctored, report.n, None)[0]
+        doctored = copy.deepcopy(stats)
+        doctored["dsep_search"]["queries"] += 1
+        ok, detail = check_query_bounds(doctored, report.n, 3)
+        assert not ok and detail.startswith("repeated queries in dsep_search,")
+        assert not check_query_bounds(doctored, report.n, None)[0]
+
+
+def _scripted_retry_run():
+    """The deep search over the chains 0-1-2-3 and 4-5-6-7, whose candidate
+    (1, 2) fails, then resolves on its retry once (5, 6) has resolved:
+    (stats, log). Every base pair of (1, 2)'s first attempt asks a query,
+    and its retry walks four base pairs for one new query."""
+    g = MixedGraph(8, [(a, b, CIRCLE, CIRCLE) for a, b in
+                       [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]])
+    seps = SepsetMap()
+    seps.set(0, 3, mask({5, 6}))
+    oracle = _ScriptedOracle({(5, 6, mask({4})): True,
+                              (1, 2, mask({0, 3, 4, 5, 6})): True}, 8)
+    _, _, log = dsep_search(g, seps, oracle, k=1)
+    return oracle.stats.to_dict(), log
+
+
+class TestDeepSearchBudgets:
+    def test_walk_asks_at_most_one_query_per_base_pair(self):
+        stats, log = _scripted_retry_run()
+        assert stats["dsep_search"]["queries"] == 8
+        assert sum(log["combos_tried"].values()) == 11
+        ok, detail = check_query_bounds(stats, 8, None, log)
+        assert ok and "dsep_search 8 <= 11 base pairs" in detail
+        # mutant: the retry's walk overwrites the pair's count instead of
+        # adding to it, so the queries of the first attempt go uncounted
+        mutant = copy.deepcopy(log)
+        mutant["combos_tried"]["1,2"] = 4
+        ok, detail = check_query_bounds(stats, 8, None, mutant)
+        assert not ok and "dsep_search 8 <= 7 base pairs" in detail
+
+    def test_minimal_dsep_within_its_elimination_passes(self, monkeypatch):
+        dag, report = _hierarchical_run()
+        sizes = [len(r["candidate"]) for r in report.dsep_log["resolutions"]]
+        budget = sum(1 + m * (m + 1) // 2 for m in sizes)
+        stats = report.stats
+        assert stats["minimal_dsep"]["queries"] <= budget
+        doctored = copy.deepcopy(stats)
+        doctored["minimal_dsep"]["queries"] = budget
+        assert check_query_bounds(doctored, report.n, 3, report.dsep_log)[0]
+        doctored["minimal_dsep"]["queries"] += 1
+        ok, detail = check_query_bounds(doctored, report.n, 3, report.dsep_log)
+        assert not ok and "minimal_dsep %d <= %d" % (budget + 1, budget) in detail
+
+        # mutant: minimalize by trying every subset of Z*, smallest first;
+        # the sets stay minimal, but the queries grow exponentially in |Z*|
+        def smallest_subset(x, y, z_star, oracle):
+            with oracle.stage("minimal_dsep"):
+                assert oracle.query(x, y, z_star)
+                for size in range(z_star.bit_count() + 1):
+                    for sub in combinations(sorted(members(z_star)), size):
+                        if oracle.query(x, y, mask(sub)):
+                            return mask(sub)
+
+        monkeypatch.setattr(importlib.import_module("fciplus.dsep_search"),
+                            "minimal_dsep", smallest_subset)
+        mutated = run_pipeline("fciplus", DsepOracle(dag), k=3)
+        assert mutated.checks["sepsets_minimal"]["ok"]
+        assert not mutated.checks["query_bounds"]["ok"]
+        assert mutated.stats["minimal_dsep"]["queries"] > budget

@@ -10,7 +10,7 @@ import pytest
 
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, IndependenceOracle,
-    MixedGraph, SepsetMap, augment_graph, dsep_search,
+    MixedGraph, SepsetMap, dsep_search,
     find_possible_dsep_links, hie, latent_project, minimal_dsep,
     pc_adjacency_search, run_pipeline,
 )
@@ -20,8 +20,8 @@ from fciplus.generators import canonical_examples, random_sparse_dag
 from .brute import bf_separable, mask, members, naive_closure
 
 
-def bidirected(n, pairs):
-    return MixedGraph(n, [(a, b, ARROW, ARROW) for a, b in pairs])
+def skeleton(n, pairs):
+    return MixedGraph(n, [(a, b, CIRCLE, CIRCLE) for a, b in pairs])
 
 
 def planted_dag(seed):
@@ -33,35 +33,39 @@ def planted_dag(seed):
 
 
 class TestPatternDetection:
-    def test_no_bidirected_edges_no_links(self):
-        g = MixedGraph(4, [(0, 1, CIRCLE, CIRCLE), (1, 2, TAIL, ARROW)])
-        assert find_possible_dsep_links(g) == []
+    def test_marks_not_read(self):
+        # the chain 0 - 1 - 2 - 3 has one candidate, whatever its marks
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        for ma, mb in itertools.product((ARROW, CIRCLE, TAIL), repeat=2):
+            g = MixedGraph(4, [(a, b, ma, mb) for a, b in pairs])
+            assert find_possible_dsep_links(g) == [(1, 2)]
+        assert find_possible_dsep_links(skeleton(3, pairs[:2])) == []
 
     def test_canonical_pattern_detected(self):
         ex = canonical_examples()["hierarchical_links"]
         oracle = DsepOracle(ex.dag)
-        skel, seps = pc_adjacency_search(oracle, k=ex.k)
-        gplus = augment_graph(skel, seps, oracle)
+        skel, _ = pc_adjacency_search(oracle, k=ex.k)
         m = ex.obs_index()
-        links = find_possible_dsep_links(gplus)
+        links = find_possible_dsep_links(skel)
         assert (min(m["X"], m["Z"]), max(m["X"], m["Z"])) in links
+        assert oracle.stats.stages["augment"].queries == 0
 
     def test_triangle_with_shared_flank_not_detected(self):
-        # u <-> x <-> y <-> u: the only flank candidates coincide
-        g = bidirected(3, [(0, 1), (1, 2), (0, 2)])
+        # u - x - y - u: the only flank candidates coincide
+        g = skeleton(3, [(0, 1), (1, 2), (0, 2)])
         assert find_possible_dsep_links(g) == []
 
     def test_adjacent_flanks_not_detected(self):
-        # u <-> x <-> y <-> v but u, v adjacent
-        g = bidirected(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        # u - x - y - v but u, v adjacent
+        g = skeleton(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert find_possible_dsep_links(g) == []
 
     def test_chain_of_four_detects_middle_edge(self):
-        g = bidirected(4, [(0, 1), (1, 2), (2, 3)])
+        g = skeleton(4, [(0, 1), (1, 2), (2, 3)])
         assert find_possible_dsep_links(g) == [(1, 2)]
 
     def test_ordering_is_lexicographic(self):
-        g = bidirected(8, [(2, 3), (1, 2), (3, 4), (5, 6), (6, 7), (4, 5)])
+        g = skeleton(8, [(2, 3), (1, 2), (3, 4), (5, 6), (6, 7), (4, 5)])
         links = find_possible_dsep_links(g)
         assert links == sorted(links)
 
@@ -198,11 +202,10 @@ class TestDsepSearch:
         ex = canonical_examples()["five_node_deep_link"]
         oracle = DsepOracle(ex.dag)
         skel, seps = pc_adjacency_search(oracle, k=ex.k)
-        gplus = augment_graph(skel, seps, oracle)
         m = ex.obs_index()
         x, y = m["X"], m["Y"]
-        assert gplus.has_edge(x, y)
-        g2, seps2, log = dsep_search(gplus, seps, oracle, k=ex.k)
+        assert skel.has_edge(x, y)
+        g2, seps2, log = dsep_search(skel, seps, oracle, k=ex.k)
         assert not g2.has_edge(x, y)
         assert seps2.get(x, y) == mask({m["U"], m["V"], m["Z"]})
         assert m["Z"] not in g2.adj(x) | g2.adj(y)
@@ -213,9 +216,8 @@ class TestDsepSearch:
         dag = CausalDag(3, [(0, 1), (1, 2)], observed=range(3))
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle)
-        gplus = augment_graph(skel, seps, oracle)
-        g2, _, log = dsep_search(gplus, seps, oracle, k=3)
-        assert g2 == gplus
+        g2, _, log = dsep_search(skel, seps, oracle, k=3)
+        assert g2 == skel
         assert oracle.stats.stages["dsep_search"].queries == 0
         assert log["resolutions"] == [] and log["detected"] == [[]]
 
@@ -224,8 +226,7 @@ class TestDsepSearch:
         dag = planted_dag(seed)
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle, k=3)
-        gplus = augment_graph(skel, seps, oracle)
-        g2, _, _ = dsep_search(gplus, seps, oracle, k=3)
+        g2, _, _ = dsep_search(skel, seps, oracle, k=3)
         assert sorted(g2.edge_pairs()) == sorted(latent_project(dag).edge_pairs())
 
     @pytest.mark.parametrize("seed", range(6))
@@ -236,8 +237,7 @@ class TestDsepSearch:
                                 plant_dsep=True)
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle, k=3)
-        gplus = augment_graph(skel, seps, oracle)
-        g2, _, _ = dsep_search(gplus, seps, oracle, k=3)
+        g2, _, _ = dsep_search(skel, seps, oracle, k=3)
         obs = dag.observed
         for a, b in g2.edge_pairs():
             assert not bf_separable(dag, obs[a], obs[b]), \
@@ -247,20 +247,21 @@ class TestDsepSearch:
         ex = canonical_examples()["hierarchical_links"]
         oracle = DsepOracle(ex.dag)
         skel, seps = pc_adjacency_search(oracle, k=ex.k)
-        gplus = augment_graph(skel, seps, oracle)
-        g2, _, log = dsep_search(gplus, seps, oracle, k=ex.k)
+        g2, _, log = dsep_search(skel, seps, oracle, k=ex.k)
         assert len(log["resolutions"]) == 2
-        assert len(log["resolutions"]) <= gplus.n_edges
-        assert log["failed_final"] == []
+        assert len(log["resolutions"]) <= skel.n_edges
+        # every candidate left was tried and is an edge of the truth
+        left = find_possible_dsep_links(g2)
+        assert [tuple(p) for p in log["failed_final"]] == left
+        assert set(left) <= set(latent_project(ex.dag).edge_pairs())
 
     @pytest.mark.parametrize("source", [
         "five_node_deep_link", "hierarchical_links", "transitive_hierarchy",
         0, 1, 2, 3, 4, 5])
-    def test_each_stored_set_augments_once(self, source):
-        # the on-demand arrowheads never repeat an augment query, and each
-        # pass detects exactly the candidates of the fully materialized
-        # augmented skeleton: the adjacency-search skeleton minus the pairs
-        # resolved so far, under the stored sets known at that point
+    def test_each_pass_detects_the_structural_candidates(self, source):
+        # each pass detects exactly the candidates of the adjacency-search
+        # skeleton minus the pairs resolved so far; no pass adds one, since
+        # edges are only removed, and the augment stage stays empty
         if isinstance(source, str):
             ex = canonical_examples()[source]
             dag, k = ex.dag, ex.k
@@ -268,24 +269,21 @@ class TestDsepSearch:
             dag, k = planted_dag(source), 3
         report = run_pipeline("fciplus", DsepOracle(dag), k=k,
                               with_checks=False)
-        augment = report.stats["augment"]
-        assert augment["queries"] == augment["distinct"]
-        oracle = DsepOracle(dag)
-        skel, seps = pc_adjacency_search(oracle, k=k)
-        bare, stored = skel.builder(), seps.copy()
+        assert report.stats["augment"]["queries"] == 0
+        skel, _ = pc_adjacency_search(DsepOracle(dag), k=k)
+        bare = skel.builder()
         log = report.dsep_log
         assert len(log["detected"]) == len(log["resolutions"]) + 1
         for i, batch in enumerate(log["detected"]):
-            gplus = augment_graph(bare.build(), stored, oracle)
-            assert [tuple(p) for p in batch] == find_possible_dsep_links(gplus)
+            assert [tuple(p) for p in batch] == \
+                find_possible_dsep_links(bare.build())
             if i < len(log["resolutions"]):
-                r = log["resolutions"][i]
-                bare.remove_edge(*r["pair"])
-                stored.set(*r["pair"], mask(r["sepset"]))
+                bare.remove_edge(*log["resolutions"][i]["pair"])
+                assert all(p in batch for p in log["detected"][i + 1])
 
     def test_one_stage_entry_per_pass(self):
-        # the search enters its own stage once and "augment" once per
-        # detection pass, not once per augment query
+        # the search enters its own stage once and minimal_dsep once per
+        # resolution; detection enters no stage
         ex = canonical_examples()["transitive_hierarchy"]
         oracle = DsepOracle(ex.dag)
         skel, seps = pc_adjacency_search(oracle, k=ex.k)
@@ -298,10 +296,9 @@ class TestDsepSearch:
 
         oracle.stage = counted
         _, _, log = dsep_search(skel, seps, oracle, k=ex.k)
-        assert entries["dsep_search"] == 1
-        assert entries["augment"] == len(log["resolutions"]) + 1
-        assert entries["minimal_dsep"] == len(log["resolutions"])
-        assert oracle.stats.stages["augment"].queries == 53
+        assert entries == {"dsep_search": 1,
+                           "minimal_dsep": len(log["resolutions"])}
+        assert oracle.stats.stages["augment"].queries == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reactivations_bounded(self, seed):
@@ -309,8 +306,7 @@ class TestDsepSearch:
                                 seed=seed + 7700, plant_dsep=True)
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle, k=3)
-        gplus = augment_graph(skel, seps, oracle)
-        _, _, log = dsep_search(gplus, seps, oracle, k=3)
+        _, _, log = dsep_search(skel, seps, oracle, k=3)
         max_links = max((len(batch) for batch in log["detected"]), default=0)
         assert log["reactivations"] <= len(log["resolutions"]) * max_links
 
@@ -357,7 +353,7 @@ class TestWorkListSemantics:
         # (0,3) carries the stored set {5,6}, so once (5,6) resolves with
         # {4}, the hierarchy of (1,2)'s bases grows by {4,5,6} and only
         # then does its query succeed.
-        g = bidirected(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         seps = SepsetMap()
         seps.set(0, 3, mask({5, 6}))
         table = {
@@ -396,7 +392,7 @@ class TestWorkListSemantics:
             return real_hie(seed, sepsets, closed)
 
         monkeypatch.setattr(module, "hie", counting_hie)
-        g = bidirected(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         oracle = _CountingOracle({(5, 6, mask({4})): True}, 8)
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(5, 6) and g2.has_edge(1, 2)
@@ -424,22 +420,20 @@ class TestWorkListSemantics:
     def test_double_resolution_guard(self):
         # a lying oracle cannot make the same link resolve twice: once
         # resolved, the edge is gone and cannot re-enter the pattern list
-        g = bidirected(4, [(0, 1), (1, 2), (2, 3)])
+        g = skeleton(4, [(0, 1), (1, 2), (2, 3)])
         table = {(1, 2, 0): True}
         oracle = _ScriptedOracle(table, 4)
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(1, 2)
         assert len(log["resolutions"]) == 1
 
-    def test_resolution_set_exposes_new_candidate(self):
-        # Bare circle chains 0-1-2-3 and 4-5-6-7; every augment query not
-        # in the table answers dependent. Before the search no stored core
-        # holds 1 without 0, so 0 *-> 1 is missing and only (5, 6) fits
-        # the pattern. (5, 6) resolves through the hierarchy of {4, 7}
-        # with Zmin = {1, 4, 7}, whose augment query for candidate 0 places
-        # 0 *-> 1 and makes (1, 2) a candidate in the next pass.
-        g = MixedGraph(8, [(a, b, CIRCLE, CIRCLE) for a, b in
-                           [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]])
+    def test_candidates_need_no_stored_set(self):
+        # Circle chains 0-1-2-3 and 4-5-6-7, every query not in the table
+        # dependent. Both middle edges are candidates from the first pass,
+        # whatever the stored sets say, and detection asks nothing. (5, 6)
+        # resolves through the hierarchy of {4, 7} with Zmin = {1, 4, 7};
+        # (1, 2) fails, and the next pass detects it alone.
+        g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         seps = SepsetMap()
         for a, b, zs in [(0, 2, ()), (0, 3, (1,)), (4, 6, ()), (5, 7, ()),
                          (4, 7, (0, 3))]:
@@ -449,6 +443,6 @@ class TestWorkListSemantics:
         oracle = _ScriptedOracle(table, 8)
         _, seps2, log = dsep_search(g, seps, oracle, k=1)
         assert seps2.get(5, 6) == mask({1, 4, 7})
-        assert log["detected"] == [[[5, 6]], [[1, 2]]]
-        augment = oracle.stats.stages["augment"]
-        assert augment.queries == augment.distinct
+        assert log["detected"] == [[[1, 2], [5, 6]], [[1, 2]]]
+        assert log["failed_final"] == [[1, 2]]
+        assert oracle.stats.stages["augment"].queries == 0

@@ -19,8 +19,8 @@ from fciplus import (
     random_sparse_dag, run_pipeline,
 )
 
-REPLAY_DIGEST = "a9f812cf405c9ba7a17d0cdb4c3f81ec4038a4175cf5e179c3327fbec562f89f"
-SAMPLE_DIGEST = "9a5dee43211b6d29611bc7a79e3943dea2242983611eefe8fd8a3ac9a3900d2c"
+REPLAY_DIGEST = "14ef7cce7365497622a0d2290ad71b5f0b5ef5ae789db88fb847a72da51e922c"
+SAMPLE_DIGEST = "21568ae383420f408cedf4527685e78cc8b8a21770b88adfc09fb3bd0027a666"
 SAMPLE_ALPHA = 0.01
 
 
