@@ -5,7 +5,7 @@ nonadjacent to both endpoints, plus the reference algorithms to verify it."""
 from .graphs import (
     ARROW, CIRCLE, TAIL,
     CausalDag, GraphError, MixedGraph, MixedGraphBuilder, ModelViolationError,
-    d_separated, latent_project, m_separated,
+    d_separated, latent_project,
 )
 from .oracles import (
     ALGORITHM_STAGES, STAGES, DsepOracle, GaussOracle, IndependenceOracle,

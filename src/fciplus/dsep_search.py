@@ -157,7 +157,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
     g = skeleton
     log = {"detected": [], "resolutions": [], "combos_tried": {},
            "reactivations": 0, "failed_final": []}
-    tried_failed = set()
     refuted = {}   # pair -> the conditioning sets that failed to separate it
     last_attempt = {}   # pair -> the number of resolutions at its last attempt
     stored = []   # the mask of each resolved pair, in resolution order
@@ -165,9 +164,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
         while True:
             links = find_possible_dsep_links(g)
             log["detected"].append([[x, y] for x, y in links])
-            for x, y in links:
-                if (x, y) in tried_failed:
-                    continue
+            for i, (x, y) in enumerate(links):
                 base_x = [1 << v for v in sorted(g.adj(x) - {y})]
                 base_y = [1 << v for v in sorted(g.adj(y) - {x})]
                 ends = 1 << x | 1 << y
@@ -179,7 +176,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     if all(p & widest != p for p in stored[since:]):
                         log["combos_tried"][key] += _base_pair_count(
                             len(base_x), len(base_y), k)
-                        tried_failed.add((x, y))
                         continue
                 asked = refuted.setdefault((x, y), set())
                 closed = {}   # x-side base -> hie(ends | base)
@@ -199,7 +195,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     asked.add(zstar)
                 log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos
                 if found is None:
-                    tried_failed.add((x, y))
                     continue
                 zx, zy, zstar = found
                 zmin = minimal_dsep(x, y, zstar, oracle)
@@ -211,10 +206,11 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     "base_x": _bits(zx), "base_y": _bits(zy),
                     "candidate": _bits(zstar),
                 })
-                log["reactivations"] += len(tried_failed)
-                tried_failed.clear()
+                # the i candidates before it failed in this pass
+                log["reactivations"] += i
                 break
             else:
                 break
-    log["failed_final"] = [[x, y] for x, y in sorted(tried_failed)]
+    # the last pass resolved nothing: every candidate of it failed
+    log["failed_final"] = [[x, y] for x, y in links]
     return g, sepsets, log

@@ -1,13 +1,12 @@
-"""Mixed graphs, causal DAGs, separation criteria, and latent projection.
+"""Mixed graphs, causal DAGs, d-separation, and latent projection.
 
 Variables are dense integer ids 0..n-1; iteration is always in ascending id
 order so that every run is reproducible. Graphs are immutable values: edits
 go through MixedGraphBuilder (or `without_edge`), which returns a new graph.
 MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
 adjacent pair. Variable ids are checked once at the boundary: by the
-constructors, `d_separated`, `m_separated` and the `ancestors` methods;
-inner reads (`adj`, `has_edge`, `mark`) and `dsep_reach` trust their
-callers.
+constructors, `d_separated` and `CausalDag.ancestors`; inner reads (`adj`,
+`has_edge`, `mark`), `dsep_reach` and `latent_project` trust their callers.
 
 CausalDag answers ancestry from int-mask tables (bit v for node v) that
 its constructor fills once:
@@ -35,7 +34,6 @@ ends; a -- b has TAIL at both ends. An arrowhead at a on the edge to b reads
 "a is not an ancestor of b (or of the selection set)".
 """
 
-from collections import deque
 import json
 
 TAIL = "tail"
@@ -114,7 +112,7 @@ class MixedGraph(_MarkTable):
     (a, b, mark_at_a, mark_at_b).
     """
 
-    __slots__ = ("n", "names", "_marks", "_adj", "_hash", "_cache")
+    __slots__ = ("n", "names", "_marks", "_adj", "_hash")
 
     def __init__(self, n, edges=(), names=None):
         if n < 0:
@@ -145,11 +143,11 @@ class MixedGraph(_MarkTable):
             adj[a].add(b)
         self._adj = tuple(frozenset(s) for s in adj)
         self._hash = None
-        self._cache = {}
 
     @classmethod
     def _from_table(cls, n, names, marks):
-        """A graph over an already validated mark table."""
+        """A graph over a mark table that is valid as built: from validated
+        edits (MixedGraphBuilder) or by construction (latent_project)."""
         g = cls.__new__(cls)
         g._init(n, names, marks)
         return g
@@ -165,64 +163,6 @@ class MixedGraph(_MarkTable):
 
     def max_degree(self):
         return max((len(s) for s in self._adj), default=0)
-
-    # -- ancestry ----------------------------------------------------------
-
-    def ancestors(self, xs):
-        """xs plus every node with a directed path into some member of xs.
-
-        Directed path means every edge is traversed tail-at-source,
-        arrowhead-at-target.
-        """
-        seed = set(xs)
-        for v in seed:
-            _check_var(v, self.n)
-        return self._ancestors(seed)
-
-    def _ancestors(self, xs):
-        out = set(xs)
-        stack = list(out)
-        while stack:
-            v = stack.pop()
-            for p in self._adj[v]:
-                if p not in out and self.is_directed_edge(p, v):
-                    out.add(p)
-                    stack.append(p)
-        return frozenset(out)
-
-    # -- ancestral / MAG checks ---------------------------------------------
-
-    def is_ancestral(self):
-        """Arrowhead at x on an edge to y implies x is not an ancestor of y,
-        and no arrowhead points at a node with an undirected edge."""
-        if "ancestral" not in self._cache:
-            self._cache["ancestral"] = self._compute_ancestral()
-        return self._cache["ancestral"]
-
-    def _compute_ancestral(self):
-        marks = self._marks
-        undirected_nodes = {a for (a, b), m in marks.items()
-                            if m == TAIL and marks[(b, a)] == TAIL}
-        an = {}   # node -> its ancestor set, each walked at most once
-        for (a, b), m in marks.items():
-            if m != ARROW:
-                continue
-            if a in undirected_nodes:
-                return False
-            if b not in an:
-                an[b] = self._ancestors((b,))
-            if a in an[b]:
-                return False
-        return True
-
-    def has_circles(self):
-        return CIRCLE in self._marks.values()
-
-    def require_mag(self):
-        if self.has_circles():
-            raise GraphError("graph has circle marks, not a MAG")
-        if not self.is_ancestral():
-            raise GraphError("graph is not ancestral")
 
     # -- copies and edits ---------------------------------------------------
 
@@ -596,48 +536,6 @@ def dsep_reach(dag, x, y, zmask):
     return True, seen_up | seen_down, exits
 
 
-def m_separated(mag, x, y, z):
-    """True iff no m-connecting path joins x and y given z in the MAG.
-
-    A path m-connects when every noncollider on it is outside z and every
-    collider on it is an ancestor of z. Reachability over (node, entry-mark)
-    states; the input must satisfy the MAG invariants.
-    """
-    mag.require_mag()
-    _check_var(x, mag.n)
-    _check_var(y, mag.n)
-    z = frozenset(z)
-    for v in z:
-        _check_var(v, mag.n)
-    if x == y:
-        raise GraphError("x and y must differ")
-    if x in z or y in z:
-        raise GraphError("x and y must not be in the conditioning set")
-
-    anz = mag._ancestors(z)
-    visited = set()
-    queue = deque()
-    for w in mag.adj(x):
-        queue.append((w, mag.mark(w, x)))
-    while queue:
-        v, entry = queue.popleft()
-        if v == y:
-            return False
-        if (v, entry) in visited:
-            continue
-        visited.add((v, entry))
-        for w in mag.adj(v):
-            out = mag.mark(v, w)
-            collider = entry == ARROW and out == ARROW
-            if collider:
-                if v not in anz:
-                    continue
-            elif v in z:
-                continue
-            queue.append((w, mag.mark(w, v)))
-    return True
-
-
 def latent_project(dag):
     """Project a causal DAG onto its observed variables, yielding the MAG.
 
@@ -645,18 +543,33 @@ def latent_project(dag):
     ids. Two observed variables are adjacent iff no subset of the remaining
     observed variables (together with the selection set) d-separates them;
     equivalently iff conditioning on their joint observed ancestors fails to
-    separate them. The mark at a on edge {a, b} is TAIL iff a is an ancestor
-    of {b} union the selection set, else ARROW.
+    separate them. The mark at a on edge {a, b} is TAIL iff a is in
+    An({b} + S), S the selection set, else ARROW.
 
     Only pairs in one skeleton component that no DAG edge joins need a
     walk: a pair in different components is nonadjacent, and a pair joined
     by an edge is adjacent.
+
+    The result is a MAG by construction (Richardson & Spirtes, "Ancestral
+    graph Markov models", Ann. Statist. 2002), so the table is handed over
+    without a check. It has no circles, and it is ancestral:
+
+    (i) No arrowhead at a on an edge to b when a directed path
+        a -> .. -> b exists. Each node after a has an arrowhead on the edge
+        from its predecessor, so it is outside An(S), and its tail toward
+        its successor means it is a DAG ancestor of the successor. With
+        a's own tail, a is in An({b} + S), so its mark on the edge to b is
+        a tail, not an arrowhead.
+    (ii) No arrowhead at u on any edge when u -- v. Both tails give u in
+        An({v} + S) and v in An({u} + S); as the DAG has no cycle, one of
+        them is in An(S), and then so is the other. Every mark at u is thus
+        a tail.
     """
     obs = dag.observed
     an, an_sel, pa, ch = dag._an, dag._an_sel, dag._pa, dag._ch
     obs_mask = sum(1 << v for v in obs)
     pos = {v: i for i, v in enumerate(obs)}
-    edges = []
+    marks = {}
     for i, a in enumerate(obs):
         up_a = an[a] | an_sel
         # the observed nodes after a in a's component, ascending
@@ -666,11 +579,8 @@ def latent_project(dag):
                 canonical = (up_a | up_b) & obs_mask & ~(1 << a | 1 << b)
                 if dsep_reach(dag, a, b, canonical | dag._sel)[0]:
                     continue
-            ma = TAIL if up_b >> a & 1 else ARROW
-            mb = TAIL if up_a >> b & 1 else ARROW
-            edges.append((i, pos[b], ma, mb))
-    mag = MixedGraph(len(obs), edges, names=[dag.names[o] for o in obs])
-    if not mag.is_ancestral():
-        raise RuntimeError("latent projection produced a non-ancestral graph; "
-                           "this is a bug")
-    return mag
+            j = pos[b]
+            marks[(i, j)] = TAIL if up_b >> a & 1 else ARROW
+            marks[(j, i)] = TAIL if up_a >> b & 1 else ARROW
+    return MixedGraph._from_table(len(obs), tuple(dag.names[o] for o in obs),
+                                  marks)

@@ -70,36 +70,26 @@ class RunReport:
         return json.dumps(d, sort_keys=True)
 
 
-def diff_graphs(a, b):
-    """Structural diff of two graphs over the same variable table: edges
-    present on one side only, plus per-endpoint mark differences."""
-    if a.n != b.n or a.names != b.names:
+def compare_runs(a, b):
+    """Structural diff of two reports' PAGs over the same variable table:
+    edges present on one side only, plus per-endpoint mark differences.
+    Identical PAGs yield an empty diff and `identical` True.
+    """
+    ga, gb = a.pag, b.pag
+    if ga.n != gb.n or ga.names != gb.names:
         raise ValueError("graphs have different variable tables")
-    pa, pb = set(a.edge_pairs()), set(b.edge_pairs())
-    only_a = sorted(pa - pb)
-    only_b = sorted(pb - pa)
+    pa, pb = set(ga.edge_pairs()), set(gb.edge_pairs())
     mark_diffs = []
     for x, y in sorted(pa & pb):
-        ma = (a.mark(x, y), a.mark(y, x))
-        mb = (b.mark(x, y), b.mark(y, x))
+        ma = (ga.mark(x, y), ga.mark(y, x))
+        mb = (gb.mark(x, y), gb.mark(y, x))
         if ma != mb:
             mark_diffs.append((x, y, ma, mb))
-    return {"only_a": only_a, "only_b": only_b, "mark_diffs": mark_diffs}
-
-
-def compare_runs(a, b):
-    """Diff two reports; identical PAGs yield an empty diff.
-
-    Returns a dict with the structural diff and an `identical` flag for
-    the graphs.
-    """
-    d = diff_graphs(a.pag, b.pag)
-    identical = not (d["only_a"] or d["only_b"] or d["mark_diffs"])
     return {
-        "identical": identical,
-        "edges_only_in_a": d["only_a"],
-        "edges_only_in_b": d["only_b"],
-        "mark_diffs": d["mark_diffs"],
+        "identical": pa == pb and not mark_diffs,
+        "edges_only_in_a": sorted(pa - pb),
+        "edges_only_in_b": sorted(pb - pa),
+        "mark_diffs": mark_diffs,
     }
 
 

@@ -11,18 +11,16 @@ class SepsetMap:
     """
 
     def __init__(self):
-        self._sets = {}
-        self._partners = {}   # node -> {partner: stored set}
+        self._partners = {}   # node -> {partner: stored set}, both ends
         self._partner_mask = {}   # node -> mask of its stored partners
 
     @staticmethod
-    def _key(x, y):
+    def _check(x, y):
         if x == y:
             raise ValueError("sepset pairs must have distinct endpoints")
-        return (x, y) if x < y else (y, x)
 
     def set(self, x, y, zmask):
-        self._sets[self._key(x, y)] = zmask
+        self._check(x, y)
         self._partners.setdefault(x, {})[y] = zmask
         self._partners.setdefault(y, {})[x] = zmask
         self._partner_mask[x] = self._partner_mask.get(x, 0) | 1 << y
@@ -31,7 +29,8 @@ class SepsetMap:
     def get(self, x, y):
         """The stored separating set, or None if the pair has no entry (the
         empty set is the mask 0, so test the result with `is None`)."""
-        return self._sets.get(self._key(x, y))
+        self._check(x, y)
+        return self._partners.get(x, {}).get(y)
 
     def partners(self, v):
         """{w: stored set of the pair {v, w}} over the pairs containing v."""
@@ -42,18 +41,18 @@ class SepsetMap:
         return self._partner_mask.get(v, 0)
 
     def items(self):
-        """Sorted (pair, set) tuples."""
-        return sorted(self._sets.items())
+        """Sorted ((x, y), set) tuples, x < y."""
+        return sorted(((x, y), zs) for x, sets in self._partners.items()
+                      for y, zs in sets.items() if x < y)
 
     def copy(self):
         out = SepsetMap()
-        out._sets = dict(self._sets)
         out._partners = {v: dict(p) for v, p in self._partners.items()}
         out._partner_mask = dict(self._partner_mask)
         return out
 
     def __len__(self):
-        return len(self._sets)
+        return sum(len(p) for p in self._partners.values()) // 2
 
     def __repr__(self):
-        return "SepsetMap(%d pairs)" % len(self._sets)
+        return "SepsetMap(%d pairs)" % len(self)

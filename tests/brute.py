@@ -161,11 +161,39 @@ def moral_d_separated(dag, x, y, z):
     return True
 
 
+def mag_ancestors(g, xs):
+    """xs plus every node with a directed path into some member of xs in
+    the mixed graph g: each edge walked has a tail at its source and an
+    arrowhead at its target."""
+    out = set(xs)
+    stack = list(out)
+    while stack:
+        v = stack.pop()
+        for p in g.adj(v):
+            if p not in out and g.is_directed_edge(p, v):
+                out.add(p)
+                stack.append(p)
+    return out
+
+
+def is_ancestral(g):
+    """No arrowhead at a on an edge to b when a is an ancestor of b (no
+    directed or almost directed cycle), and no arrowhead at a node with an
+    undirected edge. Circle marks are not read."""
+    for a, b, ma, mb in g.edges():
+        for u, v, mark in ((a, b, ma), (b, a, mb)):
+            if mark == ARROW and (
+                    u in mag_ancestors(g, [v])
+                    or any(g.is_undirected(u, w) for w in g.adj(u))):
+                return False
+    return True
+
+
 def bf_m_separated(mag, x, y, z):
     """Path-enumeration m-separation on a MAG: every noncollider outside z,
     every collider an ancestor of z."""
     z = set(z)
-    anz = mag.ancestors(z)
+    anz = mag_ancestors(mag, z)
     adj = {v: set(mag.adj(v)) for v in range(mag.n)}
     for path in _simple_paths(adj, x, y):
         open_path = True
@@ -248,7 +276,7 @@ def bf_true_dsep(mag, a, b):
     """The ancestral collider-path set: v qualifies iff some path a..v has
     every interior vertex a collider and every non-a vertex an ancestor of
     {a, b} in the MAG."""
-    an_ab = mag.ancestors([a, b])
+    an_ab = mag_ancestors(mag, [a, b])
     adj = {v: set(mag.adj(v)) for v in range(mag.n)}
     out = set()
     for v in range(mag.n):
@@ -347,20 +375,19 @@ def enumerate_mags(n):
         edges = [(a, b, st[0], st[1])
                  for (a, b), st in zip(pairs, assignment) if st is not None]
         g = MixedGraph(n, edges)
-        if not g.is_ancestral():
+        if not is_ancestral(g):
             continue
         if _is_maximal(g):
             yield g
 
 
 def _is_maximal(g):
-    from fciplus.graphs import m_separated
     rest = set(range(g.n))
     for a, b in combinations(range(g.n), 2):
         if g.has_edge(a, b):
             continue
         others = sorted(rest - {a, b})
-        if not any(m_separated(g, a, b, set(zs))
+        if not any(bf_m_separated(g, a, b, set(zs))
                    for r in range(len(others) + 1)
                    for zs in combinations(others, r)):
             return False
@@ -369,13 +396,12 @@ def _is_maximal(g):
 
 def msep_signature(g):
     """Full conditional-independence fingerprint of a MAG."""
-    from fciplus.graphs import m_separated
     sig = []
     for a, b in combinations(range(g.n), 2):
         others = sorted(set(range(g.n)) - {a, b})
         for r in range(len(others) + 1):
             for zs in combinations(others, r):
-                sig.append(m_separated(g, a, b, set(zs)))
+                sig.append(bf_m_separated(g, a, b, set(zs)))
     return tuple(sig)
 
 

@@ -8,14 +8,15 @@ import pytest
 
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, GraphError, MixedGraph, d_separated,
-    latent_project, m_separated,
+    latent_project,
 )
 from fciplus import graphs
 from fciplus.graphs import ModelViolationError
 
 from .brute import (
     bf_d_separated, bf_m_separated, bf_mag_adjacent, brute_projection,
-    moral_d_separated, naive_ancestors, naive_components,
+    is_ancestral, mag_ancestors, moral_d_separated, naive_ancestors,
+    naive_components,
 )
 
 
@@ -54,6 +55,11 @@ def sparse_dags(count, seed):
                               n_latent=rng.randint(0, 3),
                               n_selection=rng.randint(0, 1)))
     return out
+
+
+def is_mag(g):
+    """No circle marks, and ancestral."""
+    return all(CIRCLE not in e[2:] for e in g.edges()) and is_ancestral(g)
 
 
 def pair_kinds(dag):
@@ -109,8 +115,8 @@ class TestAncestors:
 
     def test_mixed_graph_directed_paths_only(self):
         g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, ARROW, ARROW)])
-        assert g.ancestors([1]) == {0, 1}
-        assert g.ancestors([2]) == {2}
+        assert mag_ancestors(g, [1]) == {0, 1}
+        assert mag_ancestors(g, [2]) == {2}
 
 
 class TestDSeparation:
@@ -198,23 +204,28 @@ class TestDSeparation:
 class TestMSeparation:
     def test_adjacent_never_separated(self):
         g = MixedGraph(2, [(0, 1, ARROW, ARROW)])
-        assert not m_separated(g, 0, 1, set())
+        assert not bf_m_separated(g, 0, 1, set())
 
     def test_bidirected_chain_collider(self):
         g = MixedGraph(3, [(0, 2, ARROW, ARROW), (1, 2, ARROW, ARROW)])
-        assert m_separated(g, 0, 1, set())
-        assert not m_separated(g, 0, 1, {2})
+        assert bf_m_separated(g, 0, 1, set())
+        assert not bf_m_separated(g, 0, 1, {2})
 
     def test_rejects_non_mag(self):
-        g = MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)])
-        with pytest.raises(GraphError):
-            m_separated(g, 0, 1, set())
-        bad = MixedGraph(2, [(0, 1, ARROW, TAIL)])  # 1 -> 0 is fine
-        assert m_separated is not None and bad.is_ancestral()
+        # is_mag, which test_marks_follow_ancestry_and_result_is_mag applies
+        # to every projection, rejects each kind of non-MAG
+        assert is_mag(MixedGraph(2, [(0, 1, ARROW, TAIL)]))   # 1 -> 0
+        assert is_mag(MixedGraph(3, [(0, 1, TAIL, TAIL),
+                                     (1, 2, TAIL, ARROW)]))   # 0 -- 1 -> 2
+        assert not is_mag(MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)]))
         cyc = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, TAIL, ARROW),
                              (0, 2, ARROW, TAIL)])
-        with pytest.raises(GraphError):
-            m_separated(cyc, 0, 1, set())
+        almost_cyc = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, TAIL, ARROW),
+                                    (0, 2, ARROW, ARROW)])
+        into_undirected = MixedGraph(3, [(0, 1, TAIL, TAIL),
+                                         (1, 2, ARROW, TAIL)])
+        for g in (cyc, almost_cyc, into_undirected):
+            assert not is_ancestral(g) and not is_mag(g)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_projection_consistency_exhaustive(self, seed):
@@ -233,19 +244,7 @@ class TestMSeparation:
                 for zs in itertools.combinations(others, r):
                     want = d_separated(dag, obs[x], obs[y],
                                        {obs[v] for v in zs} | sel)
-                    assert m_separated(mag, x, y, set(zs)) == want
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_agrees_with_path_enumeration(self, seed):
-        rng = random.Random(seed)
-        dag = random_dag(5, 0.35, seed, n_latent=1)
-        mag = latent_project(dag)
-        for x, y in itertools.combinations(range(mag.n), 2):
-            others = [v for v in range(mag.n) if v not in (x, y)]
-            for r in range(len(others) + 1):
-                for zs in itertools.combinations(others, r):
-                    assert m_separated(mag, x, y, set(zs)) == \
-                        bf_m_separated(mag, x, y, set(zs))
+                    assert bf_m_separated(mag, x, y, set(zs)) == want
 
 
 class TestLatentProjection:
@@ -279,7 +278,7 @@ class TestLatentProjection:
         dag = random_dag(6, 0.3, seed + 90, n_latent=rng.choice([1, 2]),
                          n_selection=rng.choice([0, 1]))
         mag = latent_project(dag)
-        mag.require_mag()
+        assert is_mag(mag)
         obs = dag.observed
         sel = list(dag.selection)
         for a, b, ma, mb in mag.edges():
