@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 structural difference or failed embedded check,
 2 invalid input.
 """
 
+from contextlib import contextmanager
 import json
 import pathlib
 import sys
@@ -15,7 +16,7 @@ from .generators import GenerationError, has_dsep_link, random_sparse_dag
 from .graphs import (
     CausalDag, GraphError, MixedGraph, ModelViolationError, latent_project,
 )
-from .oracles import ALGORITHM_STAGES, DsepOracle, GaussOracle, OracleError
+from .oracles import ALGORITHM_STAGES, DsepOracle, GaussOracle
 from .pipelines import ALGORITHMS, run_pipeline
 from .report import RunReport, compare_runs, format_diff
 
@@ -23,6 +24,16 @@ from .report import RunReport, compare_runs, format_diff
 def _fail_input(msg):
     click.echo("error: %s" % msg, err=True)
     sys.exit(2)
+
+
+@contextmanager
+def _input_guard(prefix=""):
+    """Reject input that fails to parse or has the wrong shape (GraphError
+    and OracleError are ValueErrors) with exit code 2."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        _fail_input(prefix + str(exc))
 
 
 @click.group()
@@ -70,14 +81,12 @@ def run(algorithm, graph_path, data_path, alpha, k, seed, report_path,
     """Run a pipeline against an exact or a sample-data oracle."""
     if (graph_path is None) == (data_path is None):
         _fail_input("provide exactly one of --graph or --data")
-    try:
+    with _input_guard():
         if graph_path is not None:
             dag = CausalDag.from_json(pathlib.Path(graph_path).read_text())
             oracle = DsepOracle(dag)
         else:
             oracle = GaussOracle.from_csv(data_path, alpha=alpha)
-    except (OracleError, GraphError, ValueError, KeyError) as exc:
-        _fail_input(str(exc))
     if algorithm == "fciplus" and k is None and graph_path is not None:
         # with ground truth available, default to the true degree bound
         k = max(latent_project(oracle.dag).max_degree(), 1)
@@ -115,12 +124,10 @@ def compare(path_a, path_b):
                     % (len(lines_a), len(lines_b)))
     any_diff = False
     for i, (la, lb) in enumerate(zip(lines_a, lines_b)):
-        try:
+        with _input_guard("line %d: " % (i + 1)):
             ra = RunReport.from_json_line(la)
             rb = RunReport.from_json_line(lb)
             diff = compare_runs(ra, rb)
-        except (ValueError, KeyError) as exc:
-            _fail_input("line %d: %s" % (i + 1, exc))
         if not diff["identical"]:
             any_diff = True
             click.echo("line %d: PAGs differ" % (i + 1))
@@ -151,10 +158,8 @@ def bench(corpus, algs, k, out_path):
     totals = {a: 0 for a in algorithms}
     failures = 0
     for path in paths:
-        try:
+        with _input_guard("%s: " % path):
             dag = CausalDag.from_json(path.read_text())
-        except (GraphError, ValueError, KeyError) as exc:
-            _fail_input("%s: %s" % (path, exc))
         for a in algorithms:
             report = run_pipeline(a, DsepOracle(dag), k=k)
             reports.append(report)
@@ -183,18 +188,13 @@ def bench(corpus, algs, k, out_path):
               help="write DOT here instead of stdout")
 def show(graph_path, out_path):
     """DOT export of a graph JSON file."""
-    raw = pathlib.Path(graph_path).read_text()
-    try:
-        d = json.loads(raw)
-    except ValueError as exc:
-        _fail_input("bad JSON: %s" % exc)
-    try:
-        if d.get("latent") or d.get("selection"):
+    with _input_guard("bad JSON: "):
+        d = json.loads(pathlib.Path(graph_path).read_text())
+    with _input_guard():
+        if isinstance(d, dict) and (d.get("latent") or d.get("selection")):
             dot = CausalDag.from_json_dict(d).to_dot()
         else:
             dot = MixedGraph.from_json_dict(d).to_dot()
-    except (GraphError, KeyError, ValueError) as exc:
-        _fail_input(str(exc))
     if out_path:
         pathlib.Path(out_path).write_text(dot)
         click.echo("wrote %s" % out_path)

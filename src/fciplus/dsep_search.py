@@ -25,15 +25,16 @@ from .graphs import _bits
 
 
 def find_possible_dsep_links(g):
-    """Ordered list of the edges {x, y} of the MixedGraph g that have
-    flanks u in Adj(x), v in Adj(y), outside {x, y}, with u != v and u, v
-    nonadjacent. Marks are not read. This over-approximates the true set of
-    candidate edges (extra candidates cost queries, never correctness).
+    """Ordered list of the edges {x, y} of g (a MixedGraph or a builder)
+    that have flanks u in Adj(x), v in Adj(y), outside {x, y}, with u != v
+    and u, v nonadjacent. Marks are not read. This over-approximates the
+    true set of candidate edges (extra candidates cost queries, never
+    correctness).
     """
     links = []
     for x, y in g.edge_pairs():
-        ax, ay = g.adj(x) - {y}, g.adj(y) - {x}
-        if any(u != v and not g.has_edge(u, v) for u in ax for v in ay):
+        if any(u != y and v != x and u != v and not g.has_edge(u, v)
+               for u in g.adj(x) for v in g.adj(y)):
             links.append((x, y))
     return links
 
@@ -154,7 +155,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
     ("failed_final"); pairs are [x, y] lists.
     """
     sepsets = sepsets.copy()
-    g = skeleton
+    g = skeleton.builder()
     log = {"detected": [], "resolutions": [], "combos_tried": {},
            "reactivations": 0, "failed_final": []}
     refuted = {}   # pair -> the conditioning sets that failed to separate it
@@ -165,8 +166,8 @@ def dsep_search(skeleton, sepsets, oracle, k):
             links = find_possible_dsep_links(g)
             log["detected"].append([[x, y] for x, y in links])
             for i, (x, y) in enumerate(links):
-                base_x = [1 << v for v in sorted(g.adj(x) - {y})]
-                base_y = [1 << v for v in sorted(g.adj(y) - {x})]
+                base_x = [1 << v for v in g.adj(x) if v != y]
+                base_y = [1 << v for v in g.adj(y) if v != x]
                 ends = 1 << x | 1 << y
                 key = "%d,%d" % (x, y)
                 since = last_attempt.get((x, y))
@@ -199,7 +200,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 zx, zy, zstar = found
                 zmin = minimal_dsep(x, y, zstar, oracle)
                 sepsets.set(x, y, zmin)
-                g = g.without_edge(x, y)
+                g.remove_edge(x, y)
                 stored.append(ends)
                 log["resolutions"].append({
                     "pair": [x, y], "sepset": _bits(zmin),
@@ -213,4 +214,4 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 break
     # the last pass resolved nothing: every candidate of it failed
     log["failed_final"] = [[x, y] for x, y in links]
-    return g, sepsets, log
+    return g.build(), sepsets, log

@@ -2,7 +2,7 @@
 
 Variables are dense integer ids 0..n-1; iteration is always in ascending id
 order so that every run is reproducible. Graphs are immutable values: edits
-go through MixedGraphBuilder (or `without_edge`), which returns a new graph.
+go through MixedGraphBuilder, whose `build` returns a new graph.
 MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
 adjacent pair. Variable ids are checked once at the boundary: by the
 constructors, `d_separated` and `CausalDag.ancestors`; inner reads (`adj`,
@@ -168,11 +168,6 @@ class MixedGraph(_MarkTable):
 
     def builder(self):
         return MixedGraphBuilder(self)
-
-    def without_edge(self, a, b):
-        b_ = self.builder()
-        b_.remove_edge(a, b)
-        return b_.build()
 
     # -- serialization ------------------------------------------------------
 

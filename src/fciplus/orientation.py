@@ -17,15 +17,14 @@ from itertools import combinations
 
 from .graphs import ARROW, CIRCLE, TAIL, _bits
 
-DEFAULT_RULES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-
 
 def orient_v_structures(skeleton, sepsets):
     """Place arrowheads at z on x *-> z <-* y for every unshielded triple
     x - z - y whose stored separating set (an int mask) excludes z.
 
-    Walks the stored pairs in ascending order and takes each one's common
-    neighbours outside its set as one mask."""
+    Walks the stored pairs in storage order (it only turns circles into
+    arrowheads, so the order does not change the result) and takes each
+    one's common neighbours outside its set as one mask."""
     b = skeleton.builder()
     adj = [sum(1 << v for v in skeleton.adj(x)) for x in range(skeleton.n)]
     for (x, y), zs in sepsets.items():
@@ -35,12 +34,6 @@ def orient_v_structures(skeleton, sepsets):
             b.set_mark(z, x, ARROW)
             b.set_mark(z, y, ARROW)
     return b.build()
-
-
-def _pd_edge(s, x, y):
-    """Edge traversable from x toward y on a potentially directed path: no
-    arrowhead back at x, no tail ahead at y."""
-    return s.has_edge(x, y) and s.mark(x, y) != ARROW and s.mark(y, x) != TAIL
 
 
 def _r1(s, sepsets):
@@ -139,58 +132,70 @@ def _r4(s, sepsets):
     return changed
 
 
-def _uncovered_circle_paths(s, a, b):
-    """Yield uncovered all-circle paths <a, c, ..., d, b> with at least two
-    interior vertices (consecutive triple ends nonadjacent)."""
+def _circle_edge(s, x, y):
+    """The edge between adjacent x and y is x o-o y."""
+    return s.mark(x, y) == CIRCLE and s.mark(y, x) == CIRCLE
+
+
+def _pd_edge(s, x, y):
+    """The edge between adjacent x and y is traversable from x toward y on
+    a potentially directed path: no arrowhead back at x, no tail ahead at
+    y."""
+    return s.mark(x, y) != ARROW and s.mark(y, x) != TAIL
+
+
+def _uncovered_paths(s, a, b, step):
+    """Yield the uncovered paths <a, ..., b> whose every edge passes
+    step(s, x, y), x the end nearer a: no vertex repeats and the ends of
+    every consecutive triple are nonadjacent. Depth first; extending a path
+    visits its last vertex's neighbours in ascending order and yields at
+    once each extension that reaches b."""
     stack = [(a,)]
     while stack:
         path = stack.pop()
         tail = path[-1]
         for u in s.adj(tail):
-            if u in path:
-                continue
-            if not (s.mark(tail, u) == CIRCLE and s.mark(u, tail) == CIRCLE):
+            if u in path or not step(s, tail, u):
                 continue
             if len(path) >= 2 and s.has_edge(path[-2], u):
                 continue
             if u == b:
-                if len(path) >= 3:
-                    yield path + (u,)
-                continue
-            stack.append(path + (u,))
+                yield path + (u,)
+            else:
+                stack.append(path + (u,))
 
 
 def _r5(s, sepsets):
     # a o-o b with uncovered circle path <a, c, ..., d, b>, a nonadjacent to
     # d, b nonadjacent to c: orient a - b and every path edge undirected.
+    # The search also yields <a, b> and <a, c, b>, which have no such c, d.
     changed = False
-    for a, b in combinations(range(s.n), 2):
-        if not (s.mark(a, b) == CIRCLE and s.mark(b, a) == CIRCLE):
-            continue
-        for path in _uncovered_circle_paths(s, a, b):
-            c, d = path[1], path[-2]
-            if s.has_edge(a, d) or s.has_edge(b, c):
+    for a in range(s.n):
+        for b in s.adj(a):
+            if b < a or not _circle_edge(s, a, b):
                 continue
-            changed |= s.set_mark(a, b, TAIL)
-            changed |= s.set_mark(b, a, TAIL)
-            for u, v in zip(path, path[1:]):
-                changed |= s.set_mark(u, v, TAIL)
-                changed |= s.set_mark(v, u, TAIL)
-            break
+            for path in _uncovered_paths(s, a, b, _circle_edge):
+                c, d = path[1], path[-2]
+                if len(path) < 4 or s.has_edge(a, d) or s.has_edge(b, c):
+                    continue
+                changed |= s.set_mark(a, b, TAIL)
+                changed |= s.set_mark(b, a, TAIL)
+                for u, v in zip(path, path[1:]):
+                    changed |= s.set_mark(u, v, TAIL)
+                    changed |= s.set_mark(v, u, TAIL)
+                break
     return changed
 
 
 def _r6(s, sepsets):
-    # a - b o-* c (a, c need not be nonadjacent): tail at b on b-c.
+    # a - b o-* c (a, c need not be nonadjacent): tail at b on b-c. The
+    # circle at b rules out c == a, whose mark at b is a tail.
     changed = False
     for b in range(s.n):
-        undirected_partners = [a for a in s.adj(b) if s.is_undirected(a, b)]
-        if not undirected_partners:
+        if not any(s.is_undirected(a, b) for a in s.adj(b)):
             continue
         for c in s.adj(b):
-            if s.mark(b, c) != CIRCLE:
-                continue
-            if any(a != c for a in undirected_partners):
+            if s.mark(b, c) == CIRCLE:
                 changed |= s.set_mark(b, c, TAIL)
     return changed
 
@@ -228,28 +233,6 @@ def _r8(s, sepsets):
     return changed
 
 
-def _uncovered_pd_second_vertices(s, a, target):
-    """Second vertices of uncovered potentially-directed paths from a to
-    target."""
-    out = set()
-    stack = [(a, u) for u in s.adj(a) if _pd_edge(s, a, u)]
-    while stack:
-        path = stack.pop()
-        tail = path[-1]
-        if tail == target:
-            out.add(path[1])
-            continue
-        for u in s.adj(tail):
-            if u in path:
-                continue
-            if not _pd_edge(s, tail, u):
-                continue
-            if s.has_edge(path[-2], u):
-                continue
-            stack.append(path + (u,))
-    return out
-
-
 def _r9(s, sepsets):
     # a o-> c with an uncovered pd path <a, b, ..., c>, b nonadjacent to c:
     # orient a -> c.
@@ -258,7 +241,7 @@ def _r9(s, sepsets):
         for c in s.adj(a):
             if not (s.mark(a, c) == CIRCLE and s.mark(c, a) == ARROW):
                 continue
-            seconds = _uncovered_pd_second_vertices(s, a, c)
+            seconds = {p[1] for p in _uncovered_paths(s, a, c, _pd_edge)}
             if any(b != c and not s.has_edge(b, c) for b in seconds):
                 changed |= s.set_mark(a, c, TAIL)
     return changed
@@ -275,33 +258,29 @@ def _r10(s, sepsets):
         for a in s.adj(c):
             if not (s.mark(a, c) == CIRCLE and s.mark(c, a) == ARROW):
                 continue
+            seconds = {t: {p[1] for p in _uncovered_paths(s, a, t, _pd_edge)}
+                       for t in parent_list}
             for b, d in combinations(parent_list, 2):
-                mus = _uncovered_pd_second_vertices(s, a, b)
-                omegas = _uncovered_pd_second_vertices(s, a, d)
                 if any(mu != om and not s.has_edge(mu, om)
-                       for mu in mus for om in omegas):
+                       for mu in seconds[b] for om in seconds[d]):
                     changed |= s.set_mark(a, c, TAIL)
                     break
     return changed
 
 
-_RULES = {1: _r1, 2: _r2, 3: _r3, 4: _r4, 5: _r5,
-          6: _r6, 7: _r7, 8: _r8, 9: _r9, 10: _r10}
+_RULES = (_r1, _r2, _r3, _r4, _r5, _r6, _r7, _r8, _r9, _r10)
 
 
-def apply_fci_rules(pag, sepsets, rule_order=None):
+def apply_fci_rules(pag, sepsets):
     """Apply the complete orientation rule set to fixpoint.
 
-    Rules run round-robin in the given order (default 1..10) until
-    len(order) calls in a row change nothing: every rule has then run idle
-    on the same marks, which is the fixpoint. The fixpoint is
-    order-independent; rule_order exists so tests can verify that.
+    Rules run round-robin in the order R1..R10 until ten calls in a row
+    change nothing: every rule has then run idle on the same marks, which
+    is the fixpoint (the fixpoint does not depend on the order).
     """
-    order = rule_order if rule_order is not None else DEFAULT_RULES
-    rules = [_RULES[rid] for rid in order]
     s = pag.builder()
     idle = i = 0
-    while idle < len(rules):
-        idle = 0 if rules[i](s, sepsets) else idle + 1
-        i = (i + 1) % len(rules)
+    while idle < len(_RULES):
+        idle = 0 if _RULES[i](s, sepsets) else idle + 1
+        i = (i + 1) % len(_RULES)
     return s.build()

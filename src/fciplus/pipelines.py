@@ -57,12 +57,8 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
                 timings, "dsep_search",
                 lambda: dsep_search(final, sepsets, oracle, k))
             removed["dsep_search"] = len(dsep_log["resolutions"])
-
-        def orient():
-            with oracle.stage("orientation"):
-                return apply_fci_rules(orient_v_structures(final, sepsets),
-                                       sepsets)
-        pag = _timed(timings, "orientation", orient)
+        pag = _timed(timings, "orientation", lambda: apply_fci_rules(
+            orient_v_structures(final, sepsets), sepsets))
 
     dag = getattr(oracle, "dag", None)
     checks = {}

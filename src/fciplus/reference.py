@@ -106,9 +106,8 @@ def fci_reference(oracle, k=None):
     for a, b in removed:
         builder.remove_edge(a, b)
     final_skeleton = builder.build()
-    pag = orient_v_structures(final_skeleton, sepsets)
-    with oracle.stage("orientation"):
-        pag = apply_fci_rules(pag, sepsets)
+    pag = apply_fci_rules(orient_v_structures(final_skeleton, sepsets),
+                          sepsets)
     stage_removals = {
         "pc_search": n * (n - 1) // 2 - skeleton.n_edges,
         "reference": len(removed),

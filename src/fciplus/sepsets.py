@@ -41,9 +41,12 @@ class SepsetMap:
         return self._partner_mask.get(v, 0)
 
     def items(self):
-        """Sorted ((x, y), set) tuples, x < y."""
-        return sorted(((x, y), zs) for x, sets in self._partners.items()
-                      for y, zs in sets.items() if x < y)
+        """List of ((x, y), set) tuples, x < y, in storage order, which is
+        deterministic but not sorted: x runs over the nodes in the order
+        they first entered a pair, y over x's partners in the order they
+        were stored."""
+        return [((x, y), zs) for x, sets in self._partners.items()
+                for y, zs in sets.items() if x < y]
 
     def copy(self):
         out = SepsetMap()

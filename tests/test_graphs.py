@@ -327,8 +327,11 @@ class TestComponents:
 class TestGraphValues:
     def test_edits_produce_new_graphs(self):
         g = MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)])
-        g2 = g.without_edge(0, 1)
-        assert g.has_edge(0, 1) and not g2.has_edge(0, 1)
+        b = g.builder()
+        b.remove_edge(0, 1)
+        g2 = b.build()
+        assert g.has_edge(0, 1) and g.adj(0) == {1}
+        assert not g2.has_edge(0, 1) and not g2.adj(0)
 
     def test_builder_conflict_raises(self):
         g = MixedGraph(2, [(0, 1, TAIL, ARROW)])

@@ -151,6 +151,10 @@ class TestCompareRuns:
             compare_runs(a, b)
 
 
+# JSON that parses but is not a graph or report object
+WRONG_SHAPES = ("[]", "[1, 2]", '{"n": 2, "edges": 5, "observed": [0, 1]}')
+
+
 class TestCli:
     def test_generate_run_compare_round_trip(self, tmp_path):
         runner = CliRunner()
@@ -220,6 +224,41 @@ class TestCli:
         res = CliRunner().invoke(main, ["run", "--data", str(csv)])
         assert res.exit_code == 2, res.output
         assert "NaN" in res.output
+
+    def test_run_rejects_wrong_shape(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        for text in WRONG_SHAPES:
+            bad.write_text(text)
+            res = CliRunner().invoke(main, ["run", "--graph", str(bad)])
+            assert res.exit_code == 2, (text, res.output)
+
+    def test_compare_rejects_wrong_shape(self, tmp_path):
+        runner = CliRunner()
+        g = tmp_path / "g.json"
+        g.write_text(canonical_examples()["five_node_deep_link"].dag.to_json())
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        assert runner.invoke(main, ["run", "--alg", "pc", "--graph", str(g),
+                                    "--report", str(good)]).exit_code == 0
+        for text in WRONG_SHAPES:
+            bad.write_text(text + "\n")
+            res = runner.invoke(main, ["compare", "--a", str(good),
+                                       "--b", str(bad)])
+            assert res.exit_code == 2, (text, res.output)
+
+    def test_bench_rejects_wrong_shape(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for text in WRONG_SHAPES:
+            (corpus / "g.json").write_text(text)
+            res = CliRunner().invoke(main, ["bench", "--corpus", str(corpus)])
+            assert res.exit_code == 2, (text, res.output)
+
+    def test_show_rejects_wrong_shape(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        for text in WRONG_SHAPES:
+            bad.write_text(text)
+            res = CliRunner().invoke(main, ["show", "--graph", str(bad)])
+            assert res.exit_code == 2, (text, res.output)
 
     def test_show_emits_dot(self, tmp_path):
         runner = CliRunner()

@@ -91,17 +91,22 @@ class TestRules:
     ])
     def test_loop_ends_after_one_idle_call_per_rule(self, monkeypatch, graph,
                                                     order, calls):
+        # order lists rule numbers; None runs all ten in order
         made = []
-        for rid, rule in orientation._RULES.items():
-            def counted(s, sepsets, rule=rule, rid=rid):
-                made.append(rid)
+
+        def counted(rule):
+            def call(s, sepsets):
+                made.append(rule)
                 return rule(s, sepsets)
-            monkeypatch.setitem(orientation._RULES, rid, counted)
-        apply_fci_rules(graph, SepsetMap(), rule_order=order)
+            return call
+        rules = orientation._RULES
+        monkeypatch.setattr(orientation, "_RULES", tuple(
+            counted(rules[rid - 1]) for rid in order or range(1, 11)))
+        apply_fci_rules(graph, SepsetMap())
         assert len(made) == calls
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_rule_order_does_not_change_fixpoint(self, seed):
+    def test_rule_order_does_not_change_fixpoint(self, monkeypatch, seed):
         rng = random.Random(seed)
         dag = random_sparse_dag(rng.choice([6, 7, 8]), 3,
                                 n_latent=rng.choice([0, 1, 2]),
@@ -111,10 +116,62 @@ class TestRules:
         skel, seps = pc_adjacency_search(oracle, k=3)
         start = orient_v_structures(skel, seps)
         reference = apply_fci_rules(start, seps)
-        order = list(range(1, 11))
+        rules = list(orientation._RULES)
         for _ in range(3):
-            rng.shuffle(order)
-            assert apply_fci_rules(start, seps, rule_order=order) == reference
+            rng.shuffle(rules)
+            monkeypatch.setattr(orientation, "_RULES", tuple(rules))
+            assert apply_fci_rules(start, seps) == reference
+
+    @pytest.mark.parametrize("cycle, chord, fires", [
+        # a o-o b closes the circle path <a, c, d, b> (a, b, c, d = 0, 1,
+        # 2, 3), a, d and b, c nonadjacent: every edge becomes undirected
+        ((0, 2, 3, 1), None, True),
+        # the chord a o-o d covers the path
+        ((0, 2, 3, 1), (0, 3, CIRCLE, CIRCLE), False),
+        # <a, c, e, d, b> stays uncovered, but a -> d makes a adjacent to d
+        ((0, 2, 4, 3, 1), (0, 3, TAIL, ARROW), False),
+    ])
+    def test_r5_needs_uncovered_circle_cycle(self, cycle, chord, fires):
+        edges = [(u, v, CIRCLE, CIRCLE) for u, v in zip(cycle, cycle[1:])]
+        edges.append((0, 1, CIRCLE, CIRCLE))
+        s = MixedGraph(len(cycle), edges + ([chord] if chord else [])).builder()
+        assert orientation._r5(s, SepsetMap()) is fires
+        want = TAIL if fires else CIRCLE
+        assert all(s.mark(x, y) == want and s.mark(y, x) == want
+                   for x, y, _, _ in edges)
+
+    @pytest.mark.parametrize("path, chord, fires", [
+        # a o-> c and the potentially directed path a o-o b -> d -> c (a,
+        # c, b, d = 0, 1, 2, 3), b and c nonadjacent: a -> c
+        ((0, 2, 3, 1), None, True),
+        # the chord a -> d covers the path
+        ((0, 2, 3, 1), (0, 3), False),
+        # <a, b, d, e, c> stays uncovered, but b -> c makes b adjacent to c
+        ((0, 2, 3, 4, 1), (2, 1), False),
+    ])
+    def test_r9_needs_uncovered_pd_path(self, path, chord, fires):
+        edges = [(0, 1, CIRCLE, ARROW), (0, 2, CIRCLE, CIRCLE)]
+        edges += [(u, v, TAIL, ARROW) for u, v in zip(path[1:], path[2:])]
+        if chord:
+            edges.append(chord + (TAIL, ARROW))
+        s = MixedGraph(len(path), edges).builder()
+        assert orientation._r9(s, SepsetMap()) is fires
+        assert s.mark(0, 1) == (TAIL if fires else CIRCLE)
+
+    @pytest.mark.parametrize("shielded", [False, True])
+    def test_r10_needs_nonadjacent_second_vertices(self, shielded):
+        # a o-> c <- b, c <- d, uncovered pd paths a o-o mu -> b and
+        # a o-o omega -> d (a, c, b, d, mu, omega = 0, 1, 2, 3, 4, 5):
+        # R10 orients a -> c when mu and omega are nonadjacent
+        edges = [(0, 1, CIRCLE, ARROW), (2, 1, TAIL, ARROW),
+                 (3, 1, TAIL, ARROW), (0, 4, CIRCLE, CIRCLE),
+                 (4, 2, TAIL, ARROW), (0, 5, CIRCLE, CIRCLE),
+                 (5, 3, TAIL, ARROW)]
+        if shielded:
+            edges.append((4, 5, CIRCLE, CIRCLE))
+        s = MixedGraph(6, edges).builder()
+        assert orientation._r10(s, SepsetMap()) is not shielded
+        assert s.mark(0, 1) == (CIRCLE if shielded else TAIL)
 
     def test_discriminating_path_endpoint_in_sepset(self):
         # path <t, v, b, c>: v a collider and a parent of c, t and c
