@@ -4,7 +4,7 @@ nonadjacent to both endpoints, plus the reference algorithms to verify it."""
 
 from .graphs import (
     ARROW, CIRCLE, TAIL,
-    CausalDag, GraphError, MixedGraph, MixedGraphBuilder, ModelViolationError,
+    CausalDag, GraphError, MixedGraph, ModelViolationError,
     d_separated, latent_project,
 )
 from .oracles import (

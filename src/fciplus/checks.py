@@ -120,8 +120,8 @@ def _true_dsep_links(dag, mag):
         if not comp[dx] >> dy & 1 or mag.has_edge(x, y):
             continue
         up = an[dx] | an[dy] | dag._an_sel
-        aa = [v for v in (mag.adj(x) | mag.adj(y)) - {x, y}
-              if up >> back[v] & 1]
+        # x and y are nonadjacent, so neither is in the pool
+        aa = {v for v in mag.adj(x) + mag.adj(y) if up >> back[v] & 1}
         if not dsep_reach(dag, dx, dy,
                           sum(1 << back[v] for v in aa) | dag._sel)[0]:
             links[(x, y)] = sum(1 << v for v in aa)

@@ -32,7 +32,9 @@ def _input_guard(prefix=""):
     and OracleError are ValueErrors) with exit code 2."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        _fail_input("%smissing field %s" % (prefix, exc))
+    except (TypeError, ValueError) as exc:
         _fail_input(prefix + str(exc))
 
 
@@ -71,7 +73,8 @@ def generate(n, k, latents, selection, density, seed, plant_dsep, out):
 @click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False),
               help="CSV samples (Gaussian partial-correlation oracle)")
 @click.option("--alpha", default=0.01, type=float, show_default=True)
-@click.option("--k", default=None, type=int, help="degree bound for the search")
+@click.option("--k", default=None, type=click.IntRange(min=0),
+              help="degree bound for the search")
 @click.option("--seed", default=None, type=int)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               help="append the run report to this JSON-lines file")
@@ -141,7 +144,7 @@ def compare(path_a, path_b):
 @click.option("--corpus", required=True,
               type=click.Path(exists=True, file_okay=False))
 @click.option("--algs", default="pc,fci,fciplus", show_default=True)
-@click.option("--k", default=3, type=int, show_default=True)
+@click.option("--k", default=3, type=click.IntRange(min=0), show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               help="write all reports to this JSON-lines file")
 def bench(corpus, algs, k, out_path):

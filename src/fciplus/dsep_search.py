@@ -25,11 +25,10 @@ from .graphs import _bits
 
 
 def find_possible_dsep_links(g):
-    """Ordered list of the edges {x, y} of g (a MixedGraph or a builder)
-    that have flanks u in Adj(x), v in Adj(y), outside {x, y}, with u != v
-    and u, v nonadjacent. Marks are not read. This over-approximates the
-    true set of candidate edges (extra candidates cost queries, never
-    correctness).
+    """Ordered list of the edges {x, y} of g that have flanks u in Adj(x),
+    v in Adj(y), outside {x, y}, with u != v and u, v nonadjacent. Marks
+    are not read. This over-approximates the true set of candidate edges
+    (extra candidates cost queries, never correctness).
     """
     links = []
     for x, y in g.edge_pairs():
@@ -155,7 +154,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
     ("failed_final"); pairs are [x, y] lists.
     """
     sepsets = sepsets.copy()
-    g = skeleton.builder()
+    g = skeleton.copy()
     log = {"detected": [], "resolutions": [], "combos_tried": {},
            "reactivations": 0, "failed_final": []}
     refuted = {}   # pair -> the conditioning sets that failed to separate it
@@ -214,4 +213,4 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 break
     # the last pass resolved nothing: every candidate of it failed
     log["failed_final"] = [[x, y] for x, y in links]
-    return g.build(), sepsets, log
+    return g, sepsets, log

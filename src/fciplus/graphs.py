@@ -1,12 +1,13 @@
 """Mixed graphs, causal DAGs, d-separation, and latent projection.
 
 Variables are dense integer ids 0..n-1; iteration is always in ascending id
-order so that every run is reproducible. Graphs are immutable values: edits
-go through MixedGraphBuilder, whose `build` returns a new graph.
-MixedGraph and MixedGraphBuilder share one mark table, keyed by ordered
-adjacent pair. Variable ids are checked once at the boundary: by the
-constructors, `d_separated` and `CausalDag.ancestors`; inner reads (`adj`,
-`has_edge`, `mark`), `dsep_reach` and `latent_project` trust their callers.
+order so that every run is reproducible. A MixedGraph holds one mark
+table, keyed by ordered adjacent pair, and one ascending neighbour list
+per node; `remove_edge` and `set_mark` edit both in place, and a search
+that must keep its input edits a `copy()`. Variable ids are checked once
+at the boundary: by the public constructors, `d_separated` and
+`CausalDag.ancestors`; inner reads (`adj`, `has_edge`, `mark`),
+`dsep_reach` and `latent_project` trust their callers.
 
 CausalDag answers ancestry from int-mask tables (bit v for node v) that
 its constructor fills once:
@@ -72,47 +73,35 @@ def default_names(n, prefix="X"):
     return tuple("%s%d" % (prefix, i) for i in range(n))
 
 
-class _MarkTable:
-    """Read methods over a mark table: a dict from each ordered adjacent
-    pair (x, y) to the mark at x on the edge {x, y}, both orders stored."""
-
-    __slots__ = ()
-
-    def has_edge(self, x, y):
-        return (x, y) in self._marks
-
-    def mark(self, x, y):
-        """Mark at x on the edge {x, y}, or None when x, y are nonadjacent."""
-        return self._marks.get((x, y))
-
-    def is_directed_edge(self, x, y):
-        """True iff the edge x -> y exists (tail at x, arrow at y)."""
-        marks = self._marks
-        return marks.get((x, y)) == TAIL and marks.get((y, x)) == ARROW
-
-    def is_undirected(self, x, y):
-        marks = self._marks
-        return marks.get((x, y)) == TAIL and marks.get((y, x)) == TAIL
-
-    def edge_pairs(self):
-        """Sorted (a, b) pairs with a < b."""
-        return sorted(p for p in self._marks if p[0] < p[1])
-
-    def edges(self):
-        """Sorted list of (a, b, mark_at_a, mark_at_b) with a < b."""
-        marks = self._marks
-        return [(a, b, marks[(a, b)], marks[(b, a)]) for a, b in self.edge_pairs()]
+def _json_object(value, what):
+    """value, checked to be a JSON object; `what` names it in the error."""
+    if not isinstance(value, dict):
+        raise GraphError("%s must be a JSON object, not %s"
+                         % (what, type(value).__name__))
+    return value
 
 
-class MixedGraph(_MarkTable):
-    """Immutable graph with per-endpoint marks (tail / arrow / circle).
+def _json_edges(d):
+    """The "edges" field of graph JSON d, checked to be a list of objects."""
+    edges = _json_object(d, "the top level").get("edges")
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise GraphError('field "edges" must be a list of objects')
+    return edges
+
+
+class MixedGraph:
+    """Graph with per-endpoint marks (tail / arrow / circle), edited in place.
 
     Represents skeletons (all marks circles), MAGs and PAGs. At most one
     edge per pair, no self loops. `edges` is an iterable of tuples
-    (a, b, mark_at_a, mark_at_b).
+    (a, b, mark_at_a, mark_at_b). The mark table maps each ordered adjacent
+    pair (x, y) to the mark at x on the edge {x, y}, both orders stored;
+    `adj(v)` is v's own ascending neighbour list, which callers only read.
+    Mark updates are monotone: CIRCLE may become ARROW or TAIL; overwriting
+    a committed ARROW with TAIL (or vice versa) raises ModelViolationError.
     """
 
-    __slots__ = ("n", "names", "_marks", "_adj", "_hash")
+    __slots__ = ("n", "names", "_marks", "_adj")
 
     def __init__(self, n, edges=(), names=None):
         if n < 0:
@@ -132,27 +121,24 @@ class MixedGraph(_MarkTable):
                 raise GraphError("duplicate edge {%d,%d}" % (min(a, b), max(a, b)))
             marks[(a, b)] = ma
             marks[(b, a)] = mb
-        self._init(n, names, marks)
-
-    def _init(self, n, names, marks):
-        self.n = n
-        self.names = names
-        self._marks = marks
-        adj = [set() for _ in range(n)]
-        for a, b in marks:
-            adj[a].add(b)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._hash = None
+        adj = [[] for _ in range(n)]
+        for a, b in sorted(marks):
+            adj[a].append(b)
+        self.n, self.names, self._marks, self._adj = n, names, marks, adj
 
     @classmethod
-    def _from_table(cls, n, names, marks):
-        """A graph over a mark table that is valid as built: from validated
-        edits (MixedGraphBuilder) or by construction (latent_project)."""
+    def _unchecked(cls, n, names, marks, adj):
+        """A graph that takes over a mark table and ascending neighbour lists
+        valid by construction (a copy, a skeleton, a MAG) without a check."""
         g = cls.__new__(cls)
-        g._init(n, names, marks)
+        g.n, g.names, g._marks, g._adj = n, names, marks, adj
         return g
 
-    # -- basic queries ----------------------------------------------------
+    def copy(self):
+        return MixedGraph._unchecked(self.n, self.names, dict(self._marks),
+                                     [list(nb) for nb in self._adj])
+
+    # -- reads ------------------------------------------------------------
 
     @property
     def n_edges(self):
@@ -162,12 +148,58 @@ class MixedGraph(_MarkTable):
         return self._adj[x]
 
     def max_degree(self):
-        return max((len(s) for s in self._adj), default=0)
+        return max((len(nb) for nb in self._adj), default=0)
 
-    # -- copies and edits ---------------------------------------------------
+    def has_edge(self, x, y):
+        return (x, y) in self._marks
 
-    def builder(self):
-        return MixedGraphBuilder(self)
+    def mark(self, x, y):
+        """Mark at x on the edge {x, y}, or None when x, y are nonadjacent."""
+        return self._marks.get((x, y))
+
+    def is_directed_edge(self, x, y):
+        """True iff the edge x -> y exists (tail at x, arrow at y)."""
+        marks = self._marks
+        return marks.get((x, y)) == TAIL and marks.get((y, x)) == ARROW
+
+    def is_undirected(self, x, y):
+        marks = self._marks
+        return marks.get((x, y)) == TAIL and marks.get((y, x)) == TAIL
+
+    def edge_pairs(self):
+        """Sorted (a, b) pairs with a < b."""
+        return [(a, b) for a, nb in enumerate(self._adj) for b in nb if a < b]
+
+    def edges(self):
+        """Sorted list of (a, b, mark_at_a, mark_at_b) with a < b."""
+        marks = self._marks
+        return [(a, b, marks[(a, b)], marks[(b, a)]) for a, b in self.edge_pairs()]
+
+    # -- edits --------------------------------------------------------------
+
+    def remove_edge(self, a, b):
+        if (a, b) not in self._marks:
+            raise GraphError("no edge {%r,%r} to remove" % (a, b))
+        del self._marks[(a, b)]
+        del self._marks[(b, a)]
+        self._adj[a].remove(b)
+        self._adj[b].remove(a)
+
+    def set_mark(self, x, y, new_mark):
+        """Set the mark at x on edge {x, y}; returns True if it changed."""
+        cur = self._marks.get((x, y))
+        if cur is None:
+            raise GraphError("no edge {%r,%r}" % (x, y))
+        if cur == new_mark:
+            return False
+        if cur != CIRCLE:
+            raise ModelViolationError(
+                "mark conflict at %d on edge {%d,%d}: %s -> %s"
+                % (x, min(x, y), max(x, y), cur, new_mark))
+        if new_mark not in MARKS:
+            raise GraphError("bad endpoint mark %r" % (new_mark,))
+        self._marks[(x, y)] = new_mark
+        return True
 
     # -- serialization ------------------------------------------------------
 
@@ -186,7 +218,8 @@ class MixedGraph(_MarkTable):
 
     @classmethod
     def from_json_dict(cls, d):
-        edges = [(e["a"], e["b"], e["mark_a"], e["mark_b"]) for e in d["edges"]]
+        edges = [(e["a"], e["b"], e["mark_a"], e["mark_b"])
+                 for e in _json_edges(d)]
         return cls(d["n"], edges, names=d.get("names"))
 
     def to_json(self):
@@ -210,72 +243,14 @@ class MixedGraph(_MarkTable):
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    # -- comparison -----------------------------------------------------------
-
     def __eq__(self, other):
         if not isinstance(other, MixedGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.names == other.names
-            and self._marks == other._marks
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.names, frozenset(self._marks.items())))
-        return self._hash
+        return (self.n, self.names, self._marks) == \
+            (other.n, other.names, other._marks)
 
     def __repr__(self):
         return "MixedGraph(n=%d, edges=%d)" % (self.n, self.n_edges)
-
-
-class MixedGraphBuilder(_MarkTable):
-    """Mutable copy of a graph's mark table; `build` returns a new MixedGraph.
-
-    `adj(v)` lists v's neighbours in ascending order. Mark updates are
-    monotone: CIRCLE may become ARROW or TAIL; overwriting a committed ARROW
-    with TAIL (or vice versa) raises ModelViolationError.
-    """
-
-    def __init__(self, graph):
-        self.n = graph.n
-        self.names = graph.names
-        self._marks = dict(graph._marks)
-        self._adj = [sorted(s) for s in graph._adj]
-
-    def adj(self, v):
-        return self._adj[v]
-
-    def remove_edge(self, a, b):
-        if (a, b) not in self._marks:
-            raise GraphError("no edge {%r,%r} to remove" % (a, b))
-        del self._marks[(a, b)]
-        del self._marks[(b, a)]
-        self._adj[a].remove(b)
-        self._adj[b].remove(a)
-
-    def set_mark(self, x, y, new_mark):
-        """Set the mark at x on edge {x, y}; returns True if it changed."""
-        cur = self._marks.get((x, y))
-        if cur is None:
-            raise GraphError("no edge {%r,%r}" % (x, y))
-        if cur == new_mark:
-            return False
-        if cur != CIRCLE:
-            raise ModelViolationError(
-                "mark conflict at %d on edge {%d,%d}: %s -> %s"
-                % (x, min(x, y), max(x, y), cur, new_mark)
-            )
-        if new_mark not in MARKS:
-            raise GraphError("bad endpoint mark %r" % (new_mark,))
-        self._marks[(x, y)] = new_mark
-        return True
-
-    def build(self):
-        """The edited graph; every edit was validated, so the table is
-        handed over without validating it again."""
-        return MixedGraph._from_table(self.n, self.names, dict(self._marks))
 
 
 class CausalDag:
@@ -399,7 +374,7 @@ class CausalDag:
     @classmethod
     def from_json_dict(cls, d):
         edges = []
-        for e in d["edges"]:
+        for e in _json_edges(d):
             if e["mark_a"] != TAIL or e["mark_b"] != ARROW:
                 raise GraphError("causal DAG edges must be directed a -> b")
             edges.append((e["a"], e["b"]))
@@ -547,7 +522,8 @@ def latent_project(dag):
 
     The result is a MAG by construction (Richardson & Spirtes, "Ancestral
     graph Markov models", Ann. Statist. 2002), so the table is handed over
-    without a check. It has no circles, and it is ancestral:
+    without a check; pairs are visited in lexicographic order, so every
+    neighbour list fills ascending. It has no circles, and it is ancestral:
 
     (i) No arrowhead at a on an edge to b when a directed path
         a -> .. -> b exists. Each node after a has an arrowhead on the edge
@@ -565,6 +541,7 @@ def latent_project(dag):
     obs_mask = sum(1 << v for v in obs)
     pos = {v: i for i, v in enumerate(obs)}
     marks = {}
+    adj = [[] for _ in obs]
     for i, a in enumerate(obs):
         up_a = an[a] | an_sel
         # the observed nodes after a in a's component, ascending
@@ -577,5 +554,7 @@ def latent_project(dag):
             j = pos[b]
             marks[(i, j)] = TAIL if up_b >> a & 1 else ARROW
             marks[(j, i)] = TAIL if up_a >> b & 1 else ARROW
-    return MixedGraph._from_table(len(obs), tuple(dag.names[o] for o in obs),
-                                  marks)
+            adj[i].append(j)
+            adj[j].append(i)
+    return MixedGraph._unchecked(len(obs), tuple(dag.names[o] for o in obs),
+                                 marks, adj)

@@ -80,6 +80,9 @@ class IndependenceOracle:
     def __init__(self, n_vars, names=None):
         self.n_vars = n_vars
         self.names = tuple(names) if names is not None else None
+        if names is not None and len(self.names) != n_vars:
+            raise OracleError("expected %d names, got %d"
+                              % (n_vars, len(self.names)))
         # (x * n + y) << n | zmask -> answer | stage bits
         self._memo = {}
         self.stats = OracleStats()
@@ -296,12 +299,15 @@ class GaussOracle(IndependenceOracle):
     def from_csv(cls, path, alpha=0.01):
         """Load a CSV with a header row of variable names and numeric rows."""
         with open(path) as fh:
-            header = fh.readline().strip()
-            names = [c.strip() for c in header.split(",")]
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise OracleError("non-numeric data in %s: %s" % (path, exc))
+            names = [c.strip() for c in fh.readline().split(",")]
+            # a line blank up to loadtxt's comment sign holds no data
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+        if not rows:
+            raise OracleError("%s has no data rows" % path)
+        try:
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise OracleError("non-numeric data in %s: %s" % (path, exc))
         if data.shape[1] != len(names):
             raise OracleError("header has %d columns but data has %d"
                               % (len(names), data.shape[1]))

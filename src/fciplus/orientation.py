@@ -2,12 +2,12 @@
 
 First unshielded colliders are oriented from the stored separating sets,
 then the complete rule set R1-R10 runs round-robin to fixpoint.
-Both phases edit marks through a MixedGraphBuilder, whose `set_mark` keeps
-mark changes monotone: a circle may become an arrowhead or a tail; committed
-marks never change (a conflicting derivation raises ModelViolationError,
-which cannot happen under a faithful exact oracle). The rules read and
-write the builder's mark table directly and visit neighbours in ascending
-order.
+Both phases edit the marks of one copy of their input graph in place;
+`MixedGraph.set_mark` keeps mark changes monotone: a circle may become an
+arrowhead or a tail; committed marks never change (a conflicting
+derivation raises ModelViolationError, which cannot happen under a
+faithful exact oracle). The rules read and write that copy's mark table
+and visit neighbours in ascending order.
 
 R1-R4 are the arrowhead rules, R5-R7 handle undirected edges (selection
 bias), R8-R10 complete the tails on directed edges.
@@ -25,15 +25,15 @@ def orient_v_structures(skeleton, sepsets):
     Walks the stored pairs in storage order (it only turns circles into
     arrowheads, so the order does not change the result) and takes each
     one's common neighbours outside its set as one mask."""
-    b = skeleton.builder()
-    adj = [sum(1 << v for v in skeleton.adj(x)) for x in range(skeleton.n)]
+    g = skeleton.copy()
+    adj = [sum(1 << v for v in g.adj(x)) for x in range(g.n)]
     for (x, y), zs in sepsets.items():
         if adj[x] >> y & 1:
             continue
         for z in _bits(adj[x] & adj[y] & ~zs):
-            b.set_mark(z, x, ARROW)
-            b.set_mark(z, y, ARROW)
-    return b.build()
+            g.set_mark(z, x, ARROW)
+            g.set_mark(z, y, ARROW)
+    return g
 
 
 def _r1(s, sepsets):
@@ -278,9 +278,9 @@ def apply_fci_rules(pag, sepsets):
     change nothing: every rule has then run idle on the same marks, which
     is the fixpoint (the fixpoint does not depend on the order).
     """
-    s = pag.builder()
+    s = pag.copy()
     idle = i = 0
     while idle < len(_RULES):
         idle = 0 if _RULES[i](s, sepsets) else idle + 1
         i = (i + 1) % len(_RULES)
-    return s.build()
+    return s

@@ -3,7 +3,7 @@ adjacent nodes, recording one minimal separating set per removed edge."""
 
 from itertools import combinations
 
-from .graphs import CIRCLE, MixedGraph
+from .graphs import CIRCLE, MixedGraph, _bits, default_names
 from .sepsets import SepsetMap
 
 
@@ -97,6 +97,7 @@ def pc_adjacency_search(oracle, k=None):
             if not any_candidates:
                 break
             level += 1
-    edges = [(x, y, CIRCLE, CIRCLE)
-             for x in range(n) for y in range(x + 1, n) if adj[x] >> y & 1]
-    return MixedGraph(n, edges, names=oracle.names), sepsets
+    nbrs = [_bits(m) for m in adj]
+    marks = {(x, y): CIRCLE for x in range(n) for y in nbrs[x]}
+    return MixedGraph._unchecked(n, oracle.names or default_names(n), marks,
+                                 nbrs), sepsets

@@ -37,11 +37,14 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
     """Execute one pipeline and wrap it into a RunReport.
 
     Invariant checks run when the oracle exposes a ground-truth DAG
-    (DsepOracle); their queries are attributed to the reference stage.
+    (DsepOracle); their queries are attributed to the reference stage. The
+    degree bound k is None (unbounded) or at least 0.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm %r (choose from %r)"
                          % (algorithm, ALGORITHMS))
+    if k is not None and k < 0:
+        raise ValueError("degree bound k must be >= 0, got %r" % (k,))
     n = oracle.n_vars
     timings = {}
     dsep_log = None   # fciplus only: the deep-search log

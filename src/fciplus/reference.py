@@ -28,14 +28,14 @@ def possible_dsep(g, a, b):
     """
     reach = set()
     seen = set()
-    queue = deque((a, w) for w in sorted(g.adj(a)))
+    queue = deque((a, w) for w in g.adj(a))
     while queue:
         u, v = queue.popleft()
         if (u, v) in seen:
             continue
         seen.add((u, v))
         reach.add(v)
-        for w in sorted(g.adj(v)):
+        for w in g.adj(v):
             if w == u:
                 continue
             collider = g.mark(v, u) == ARROW and g.mark(v, w) == ARROW
@@ -100,16 +100,11 @@ def fci_reference(oracle, k=None):
     """
     n = oracle.n_vars
     skeleton, sepsets = pc_adjacency_search(oracle, k)
-    pi0 = orient_v_structures(skeleton, sepsets)
-    removed = _pdsep_stage(pi0, sepsets, oracle)
-    builder = skeleton.builder()
+    stage_removals = {"pc_search": n * (n - 1) // 2 - skeleton.n_edges}
+    removed = _pdsep_stage(orient_v_structures(skeleton, sepsets), sepsets,
+                           oracle)
     for a, b in removed:
-        builder.remove_edge(a, b)
-    final_skeleton = builder.build()
-    pag = apply_fci_rules(orient_v_structures(final_skeleton, sepsets),
-                          sepsets)
-    stage_removals = {
-        "pc_search": n * (n - 1) // 2 - skeleton.n_edges,
-        "reference": len(removed),
-    }
-    return pag, final_skeleton, sepsets, stage_removals
+        skeleton.remove_edge(a, b)
+    stage_removals["reference"] = len(removed)
+    pag = apply_fci_rules(orient_v_structures(skeleton, sepsets), sepsets)
+    return pag, skeleton, sepsets, stage_removals

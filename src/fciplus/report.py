@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import hashlib
 import json
 
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _json_object
 
 
 def graph_hash(graph):
@@ -54,9 +54,11 @@ class RunReport:
     def from_json_dict(cls, d):
         """A field missing from d takes its default; a missing field
         without one raises KeyError."""
+        _json_object(d, "the top level")
         kw = {f.name: d[f.name] for f in fields(cls) if f.name in d or
               f.default is MISSING and f.default_factory is MISSING}
-        kw["pag"] = MixedGraph.from_json_dict(kw["pag"])
+        pag = _json_object(kw["pag"], 'field "pag"')
+        kw["pag"] = MixedGraph.from_json_dict(pag)
         return cls(**kw)
 
     @classmethod

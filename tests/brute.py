@@ -308,7 +308,8 @@ def bf_true_dsep_links(dag, mag):
     for x, y in combinations(range(mag.n), 2):
         if mag.has_edge(x, y):
             continue
-        pool = sorted((mag.adj(x) | mag.adj(y)) - {x, y})
+        # x and y are nonadjacent, so neither is in the pool
+        pool = sorted(set(mag.adj(x) + mag.adj(y)))
         if not any(d_separated(dag, back[x], back[y],
                                {back[v] for v in zs} | sel)
                    for r in range(len(pool) + 1)

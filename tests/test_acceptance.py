@@ -68,7 +68,7 @@ def test_criterion_3_canonical_example():
         if set(r["pair"]) == {x, y}:
             sep = set(r["sepset"])
     mag = ex.obs_index()
-    pool = fp.pag.adj(x) | fp.pag.adj(y)
+    pool = fp.pag.adj(x) + fp.pag.adj(y)
     ok = (pc.pag.has_edge(x, y)
           and not fp.pag.has_edge(x, y)
           and sep is not None

@@ -326,19 +326,18 @@ class TestComponents:
 
 class TestGraphValues:
     def test_edits_produce_new_graphs(self):
+        # editing a copy leaves the source's edges and adjacency intact
         g = MixedGraph(2, [(0, 1, CIRCLE, CIRCLE)])
-        b = g.builder()
-        b.remove_edge(0, 1)
-        g2 = b.build()
-        assert g.has_edge(0, 1) and g.adj(0) == {1}
+        g2 = g.copy()
+        g2.remove_edge(0, 1)
+        assert g.has_edge(0, 1) and g.adj(0) == [1] and g.adj(1) == [0]
         assert not g2.has_edge(0, 1) and not g2.adj(0)
 
     def test_builder_conflict_raises(self):
         g = MixedGraph(2, [(0, 1, TAIL, ARROW)])
-        b = g.builder()
         with pytest.raises(ModelViolationError):
-            b.set_mark(0, 1, ARROW)
-        assert b.set_mark(0, 1, TAIL) is False  # no-op
+            g.set_mark(0, 1, ARROW)
+        assert g.set_mark(0, 1, TAIL) is False  # no-op
 
     def test_mark_table_reads(self):
         g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)])
@@ -351,25 +350,31 @@ class TestGraphValues:
     def test_builder_round_trip(self):
         g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)],
                        names=["a", "b", "c"])
-        back = g.builder().build()
-        assert back == g and hash(back) == hash(g)
-        assert back.adj(1) == g.adj(1) == {0, 2}
+        back = g.copy()
+        assert back == g
+        assert back.adj(1) == g.adj(1) == [0, 2]
 
     def test_either_endpoint_order_builds_equal_graphs(self):
         g = MixedGraph(3, [(0, 1, TAIL, ARROW), (1, 2, CIRCLE, ARROW)])
         h = MixedGraph(3, [(2, 1, ARROW, CIRCLE), (1, 0, ARROW, TAIL)])
-        assert g == h and hash(g) == hash(h) and g.edges() == h.edges()
+        assert g == h and g.edges() == h.edges()
+
+    def test_adjacency_ascending_for_edges_out_of_order(self):
+        g = MixedGraph(40, [(0, 3, CIRCLE, CIRCLE), (0, 35, CIRCLE, CIRCLE)])
+        assert list(g.adj(0)) == [3, 35]
+        h = MixedGraph(5, [(4, 2, TAIL, ARROW), (2, 0, CIRCLE, CIRCLE),
+                           (3, 2, ARROW, ARROW), (1, 2, CIRCLE, TAIL)])
+        assert list(h.adj(2)) == [0, 1, 3, 4]
 
     def test_builder_edits(self):
-        b = MixedGraph(3, [(0, 1, TAIL, ARROW),
-                           (2, 0, ARROW, CIRCLE)]).builder()
-        assert b.adj(0) == [1, 2] and b.mark(0, 2) == CIRCLE
+        g = MixedGraph(3, [(0, 1, TAIL, ARROW), (2, 0, ARROW, CIRCLE)])
+        assert g.adj(0) == [1, 2] and g.mark(0, 2) == CIRCLE
         with pytest.raises(GraphError):
-            b.set_mark(1, 2, ARROW)       # nonadjacent pair
+            g.set_mark(1, 2, ARROW)       # nonadjacent pair
         with pytest.raises(ModelViolationError):
-            b.set_mark(1, 0, TAIL)        # tail over a committed arrowhead
-        b.remove_edge(1, 0)
-        assert b.build() == MixedGraph(3, [(0, 2, CIRCLE, ARROW)])
+            g.set_mark(1, 0, TAIL)        # tail over a committed arrowhead
+        g.remove_edge(1, 0)
+        assert g == MixedGraph(3, [(0, 2, CIRCLE, ARROW)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError):

@@ -1,6 +1,7 @@
 """Harness: generation, canonical examples, pipelines, reports, CLI."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -120,6 +121,12 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline("ges", DsepOracle(dag), k=3)
 
+    @pytest.mark.parametrize("algorithm", ["pc", "fci", "fciplus"])
+    def test_negative_degree_bound_rejected(self, algorithm):
+        dag = random_sparse_dag(6, 3, 0, 0, 0.2, seed=1)
+        with pytest.raises(ValueError, match="degree bound"):
+            run_pipeline(algorithm, DsepOracle(dag), k=-1)
+
 
 class TestCompareRuns:
     def test_identical_reports_empty_diff(self):
@@ -152,7 +159,9 @@ class TestCompareRuns:
 
 
 # JSON that parses but is not a graph or report object
-WRONG_SHAPES = ("[]", "[1, 2]", '{"n": 2, "edges": 5, "observed": [0, 1]}')
+# each wrong-shaped input, with the field its error names
+WRONG_SHAPES = (("[]", "top level"), ("[1, 2]", "top level"),
+                ('{"n": 2, "edges": 5, "observed": [0, 1]}', '"edges"'))
 
 
 class TestCli:
@@ -227,10 +236,28 @@ class TestCli:
 
     def test_run_rejects_wrong_shape(self, tmp_path):
         bad = tmp_path / "bad.json"
-        for text in WRONG_SHAPES:
+        for text, named in WRONG_SHAPES:
             bad.write_text(text)
             res = CliRunner().invoke(main, ["run", "--graph", str(bad)])
-            assert res.exit_code == 2, (text, res.output)
+            assert res.exit_code == 2 and named in res.output, (text, res.output)
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_negative_k_rejected(self, tmp_path, command):
+        g = tmp_path / "g.json"
+        g.write_text(random_sparse_dag(6, 3, 0, 0, 0.2, seed=1).to_json())
+        where = ["--graph", str(g)] if command == "run" else \
+            ["--corpus", str(tmp_path)]
+        res = CliRunner().invoke(main, [command, *where, "--k", "-1"])
+        assert res.exit_code == 2, res.output
+
+    def test_run_rejects_header_only_csv(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,c\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = CliRunner().invoke(main, ["run", "--data", str(csv)])
+        assert res.exit_code == 2, res.output
+        assert "no data rows" in res.output
 
     def test_compare_rejects_wrong_shape(self, tmp_path):
         runner = CliRunner()
@@ -239,26 +266,34 @@ class TestCli:
         good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
         assert runner.invoke(main, ["run", "--alg", "pc", "--graph", str(g),
                                     "--report", str(good)]).exit_code == 0
-        for text in WRONG_SHAPES:
-            bad.write_text(text + "\n")
-            res = runner.invoke(main, ["compare", "--a", str(good),
-                                       "--b", str(bad)])
-            assert res.exit_code == 2, (text, res.output)
+        # each shape as a whole report line, then as the pag of a good one
+        line_named = ("top level", "top level", "missing field 'algorithm'")
+        pag_named = ('field "pag"', 'field "pag"', '"edges"')
+        for (text, _), named, in_pag in zip(WRONG_SHAPES, line_named,
+                                            pag_named):
+            line = json.loads(good.read_text())
+            line["pag"] = json.loads(text)
+            for bad_line, want in ((text, named), (json.dumps(line), in_pag)):
+                bad.write_text(bad_line + "\n")
+                res = runner.invoke(main, ["compare", "--a", str(good),
+                                           "--b", str(bad)])
+                assert res.exit_code == 2 and want in res.output, \
+                    (bad_line, res.output)
 
     def test_bench_rejects_wrong_shape(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        for text in WRONG_SHAPES:
+        for text, named in WRONG_SHAPES:
             (corpus / "g.json").write_text(text)
             res = CliRunner().invoke(main, ["bench", "--corpus", str(corpus)])
-            assert res.exit_code == 2, (text, res.output)
+            assert res.exit_code == 2 and named in res.output, (text, res.output)
 
     def test_show_rejects_wrong_shape(self, tmp_path):
         bad = tmp_path / "bad.json"
-        for text in WRONG_SHAPES:
+        for text, named in WRONG_SHAPES:
             bad.write_text(text)
             res = CliRunner().invoke(main, ["show", "--graph", str(bad)])
-            assert res.exit_code == 2, (text, res.output)
+            assert res.exit_code == 2 and named in res.output, (text, res.output)
 
     def test_show_emits_dot(self, tmp_path):
         runner = CliRunner()

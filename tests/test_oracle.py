@@ -449,6 +449,20 @@ class TestGaussOracle:
         with pytest.raises(OracleError):
             GaussOracle.from_csv(path)
 
+    def test_csv_rejects_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for text in ("a,b,c\n", "a,b,c\n\n# no data yet\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OracleError, match="no data rows"):
+                    GaussOracle.from_csv(path)
+
+    def test_name_count_checked_at_construction(self):
+        data = np.random.default_rng(2).standard_normal((20, 3))
+        with pytest.raises(OracleError, match="expected 3 names"):
+            GaussOracle(data, names=["a", "b"])
+
     def test_pipeline_runs_on_sample_data(self):
         rng = np.random.default_rng(11)
         data = simulate({"xz": 0.9, "zy": 0.9}, 2000, rng)

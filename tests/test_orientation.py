@@ -67,7 +67,7 @@ class TestRules:
                  (3, 1, CIRCLE, CIRCLE)]
         if shielded:
             edges.append((0, 2, CIRCLE, CIRCLE))
-        s = MixedGraph(4, edges).builder()
+        s = MixedGraph(4, edges)
         assert orientation._r3(s, SepsetMap()) is not shielded
         assert s.mark(1, 3) == (CIRCLE if shielded else ARROW)
 
@@ -78,8 +78,12 @@ class TestRules:
     def test_fixpoint_idempotent(self):
         dag = CausalDag(5, [(0, 2), (1, 2), (2, 3), (3, 4)], observed=range(5))
         skel, seps = pc_adjacency_search(DsepOracle(dag))
-        pag = apply_fci_rules(orient_v_structures(skel, seps), seps)
+        start = orient_v_structures(skel, seps)
+        pag = apply_fci_rules(start, seps)
         assert apply_fci_rules(pag, seps) == pag
+        # both phases edit a copy and leave their input as it was
+        assert all(e[2:] == (CIRCLE, CIRCLE) for e in skel.edges())
+        assert start != pag and start == orient_v_structures(skel, seps)
 
     @pytest.mark.parametrize("graph, order, calls", [
         # no rule fires: one idle call per rule ends the loop
@@ -134,7 +138,7 @@ class TestRules:
     def test_r5_needs_uncovered_circle_cycle(self, cycle, chord, fires):
         edges = [(u, v, CIRCLE, CIRCLE) for u, v in zip(cycle, cycle[1:])]
         edges.append((0, 1, CIRCLE, CIRCLE))
-        s = MixedGraph(len(cycle), edges + ([chord] if chord else [])).builder()
+        s = MixedGraph(len(cycle), edges + ([chord] if chord else []))
         assert orientation._r5(s, SepsetMap()) is fires
         want = TAIL if fires else CIRCLE
         assert all(s.mark(x, y) == want and s.mark(y, x) == want
@@ -154,7 +158,7 @@ class TestRules:
         edges += [(u, v, TAIL, ARROW) for u, v in zip(path[1:], path[2:])]
         if chord:
             edges.append(chord + (TAIL, ARROW))
-        s = MixedGraph(len(path), edges).builder()
+        s = MixedGraph(len(path), edges)
         assert orientation._r9(s, SepsetMap()) is fires
         assert s.mark(0, 1) == (TAIL if fires else CIRCLE)
 
@@ -169,7 +173,7 @@ class TestRules:
                  (5, 3, TAIL, ARROW)]
         if shielded:
             edges.append((4, 5, CIRCLE, CIRCLE))
-        s = MixedGraph(6, edges).builder()
+        s = MixedGraph(6, edges)
         assert orientation._r10(s, SepsetMap()) is not shielded
         assert s.mark(0, 1) == (CIRCLE if shielded else TAIL)
 
