@@ -9,13 +9,11 @@ from .graphs import (
 )
 from .oracles import (
     ALGORITHM_STAGES, STAGES, DsepOracle, GaussOracle, IndependenceOracle,
-    OracleError, OracleStats, fisher_z_test,
+    OracleError, OracleStats,
 )
-from .sepsets import SepsetMap
+from .sepsets import SepsetMap, hie
 from .pc import pc_adjacency_search
-from .dsep_search import (
-    dsep_search, find_possible_dsep_links, hie, minimal_dsep,
-)
+from .dsep_search import dsep_search, find_possible_dsep_links, minimal_dsep
 from .orientation import apply_fci_rules, orient_v_structures
 from .reference import (
     CapExceededError, exhaustive_skeleton, fci_reference, possible_dsep,

@@ -10,8 +10,8 @@ clean.
 from itertools import combinations
 
 from .graphs import ARROW, TAIL, _bits, dsep_reach, latent_project
-from .dsep_search import hie
 from .oracles import ALGORITHM_STAGES
+from .sepsets import hie
 
 
 def _marks_against_truth(dag, graph, mark, ancestral):

@@ -10,9 +10,9 @@ set, so a looser detector costs queries but never correctness, and the
 arrowhead queries cost more than the candidates they ruled out (README,
 "Deep search"). For each candidate, conditioning-set candidates are built
 by closing {x, y} plus small adjacent "base" sets under the stored
-separating sets (the hierarchy); a successful candidate is minimalized,
-stored, and the edge removed; the candidate list is recomputed and
-previously failed candidates are retried. No conditioning set is asked
+separating sets (the hierarchy, `sepsets.hie`); a successful candidate is
+minimalized, stored, and the edge removed; the candidate list is recomputed
+and previously failed candidates are retried. No conditioning set is asked
 twice for the same pair, so a retry asks only the sets that the grown
 hierarchy changed, and a retry whose widest closure holds no newly stored
 pair is settled by that one closure.
@@ -22,6 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .graphs import _bits
+from .sepsets import hie
 
 
 def find_possible_dsep_links(g):
@@ -36,36 +37,6 @@ def find_possible_dsep_links(g):
                for u in g.adj(x) for v in g.adj(y)):
             links.append((x, y))
     return links
-
-
-def hie(seed, sepsets, closed=0):
-    """Least fixpoint closure of the int mask seed | closed under the
-    stored separating sets, as a mask.
-
-    Adds the members of every stored set whose pair lies inside the
-    closure, until stable. Each node entering the closure is visited once
-    and looks up only its stored partners already inside, so a pair is
-    closed over as soon as its second endpoint arrives. closed, when given,
-    must already be closed (a result of hie): its nodes' pairs are closed
-    over, so only the seed nodes outside it and what they pull in are
-    visited.
-    """
-    partner_mask, partners = sepsets.partner_mask, sepsets.partners
-    closure = closed | seed
-    work = seed & ~closed
-    while work:
-        a = work.bit_length() - 1
-        work ^= 1 << a
-        inside = partner_mask(a) & closure
-        if inside:
-            sets = partners(a)
-            while inside:
-                b = inside.bit_length() - 1
-                inside ^= 1 << b
-                zs = sets[b]
-                work |= zs & ~closure
-                closure |= zs
-    return closure
 
 
 def minimal_dsep(x, y, z_star, oracle):

@@ -69,8 +69,8 @@ def _bits(mask):
     return out
 
 
-def default_names(n, prefix="X"):
-    return tuple("%s%d" % (prefix, i) for i in range(n))
+def default_names(n):
+    return tuple("X%d" % i for i in range(n))
 
 
 def _json_object(value, what):
@@ -229,10 +229,10 @@ class MixedGraph:
     def from_json(cls, s):
         return cls.from_json_dict(json.loads(s))
 
-    def to_dot(self, graph_name="g"):
+    def to_dot(self):
         """DOT export: arrowhead -> "normal", tail -> "none", circle -> "odot"."""
         shape = {ARROW: "normal", TAIL: "none", CIRCLE: "odot"}
-        lines = ["digraph %s {" % graph_name, "  edge [dir=both];"]
+        lines = ["digraph g {", "  edge [dir=both];"]
         for i, name in enumerate(self.names):
             lines.append('  n%d [label="%s"];' % (i, name))
         for a, b, ma, mb in self.edges():
@@ -390,8 +390,8 @@ class CausalDag:
     def from_json(cls, s):
         return cls.from_json_dict(json.loads(s))
 
-    def to_dot(self, graph_name="g"):
-        lines = ["digraph %s {" % graph_name]
+    def to_dot(self):
+        lines = ["digraph g {"]
         lat, sel = set(self.latent), set(self.selection)
         for i, name in enumerate(self.names):
             style = ""

@@ -4,18 +4,18 @@ Every search stage runs its queries under a named stage so the counters can
 be partitioned afterwards; `query` answers True for independence. DsepOracle
 answers from d-separation on a ground-truth causal DAG (conditioning on the
 selection set is implicit). GaussOracle answers from partial correlations of
-Gaussian samples via the Fisher z transform.
+Gaussian samples via the Fisher z test `_fisher_z`; a degenerate test answers
+dependent and is counted in `n_test_errors` (the report's `test_errors`).
 """
 
 from contextlib import contextmanager
 from math import atanh, sqrt
 from operator import itemgetter
 from statistics import NormalDist
-import warnings
 
 import numpy as np
 
-from .graphs import _bits, dsep_reach
+from .graphs import _bits, default_names, dsep_reach
 
 # "augment" is never entered (candidate detection asks no queries); it stays
 # so that every report keeps the stage keys its readers index
@@ -57,9 +57,6 @@ class OracleStats:
     def __init__(self):
         self.stages = {s: StageStats() for s in STAGES}
 
-    def total_queries(self):
-        return sum(st.queries for st in self.stages.values())
-
     def to_dict(self):
         return {s: st.to_dict() for s, st in self.stages.items()}
 
@@ -79,8 +76,8 @@ class IndependenceOracle:
 
     def __init__(self, n_vars, names=None):
         self.n_vars = n_vars
-        self.names = tuple(names) if names is not None else None
-        if names is not None and len(self.names) != n_vars:
+        self.names = default_names(n_vars) if names is None else tuple(names)
+        if len(self.names) != n_vars:
             raise OracleError("expected %d names, got %d"
                               % (n_vars, len(self.names)))
         # (x * n + y) << n | zmask -> answer | stage bits
@@ -213,18 +210,19 @@ class DsepOracle(IndependenceOracle):
         return separated
 
 
-def _critical_value(alpha):
-    """Phi^-1(1 - alpha/2), the two-sided normal quantile at 0 < alpha < 1."""
-    if not 0 < alpha < 1:
-        raise OracleError("alpha must lie strictly between 0 and 1, got %r"
-                          % (alpha,))
-    return _PHI_INV(1 - alpha / 2)
-
-
 def _fisher_z(cov, n_samples, x, y, z, crit):
-    """fisher_z_test in plain floats on a covariance given as nested lists;
-    None for a degenerate test. z is swept out of the submatrix over
-    [x, y, *z], last to first, on its upper triangle (a Schur complement)."""
+    """Partial-correlation independence test for Gaussian data on a
+    covariance given as nested lists: True iff independent, None for a
+    degenerate test.
+
+    rho is the correlation of the residuals of x and y given z; the test
+    accepts independence iff sqrt(n-|z|-3) * |atanh(rho)| <= crit, where
+    crit = Phi^-1(1 - alpha/2). It is degenerate when n <= |z| + 3, when a
+    residual variance (of a member of z given the later members, or of x
+    or y given z) is at most 1e-10 of that variable's own variance, or when
+    1 - rho^2 <= 1e-10. z is swept out of the submatrix over [x, y, *z],
+    last to first, on its upper triangle (a Schur complement).
+    """
     m = len(z)
     if n_samples <= m + 3:
         return None
@@ -249,34 +247,13 @@ def _fisher_z(cov, n_samples, x, y, z, crit):
     return sqrt(n_samples - m - 3) * abs(atanh(rho)) <= crit
 
 
-def fisher_z_test(cov, n_samples, x, y, z, alpha):
-    """Partial-correlation independence test for Gaussian data.
-
-    rho is the correlation of the residuals of x and y given z (as from
-    inverting the covariance submatrix over {x, y} | z); the test accepts
-    independence iff sqrt(n-|z|-3) * |atanh(rho)| <= Phi^-1(1 - alpha/2).
-    A degenerate test warns and answers dependent: n <= |z| + 3, a residual
-    variance (of a member of z given the later members, or of x or y given
-    z) at most 1e-10 of that variable's own variance, or 1 - rho^2 <= 1e-10.
-    """
-    z = sorted(z)
-    result = _fisher_z(np.asarray(cov, dtype=float).tolist(), n_samples,
-                       x, y, z, _critical_value(alpha))
-    if result is None:
-        warnings.warn(("need more than |z|+3 samples (got %d for |z|=%d)"
-                       % (n_samples, len(z)) if n_samples <= len(z) + 3 else
-                       "degenerate covariance submatrix for (%d, %d | %r)"
-                       % (x, y, z)) + "; treating as dependent")
-    return bool(result)
-
-
 class GaussOracle(IndependenceOracle):
     """Sample-data oracle: Fisher z test on a sample covariance matrix.
 
     Provided for running the pipelines on real data; no exactness guarantee.
     Non-finite values, constant columns and an alpha outside (0, 1) are
-    rejected at load time; a degenerate test (see fisher_z_test) answers
-    dependent and is counted in n_test_errors.
+    rejected at load time; a degenerate test (see _fisher_z) answers
+    dependent and is counted in n_test_errors, never warned.
     """
 
     def __init__(self, data, names=None, alpha=0.01):
@@ -289,7 +266,10 @@ class GaussOracle(IndependenceOracle):
         dead = [int(i) for i in np.nonzero(spans == 0)[0]]
         if dead:
             raise OracleError("constant columns %r cannot be tested" % dead)
-        self._crit = _critical_value(alpha)
+        if not 0 < alpha < 1:
+            raise OracleError("alpha must lie strictly between 0 and 1, got"
+                              " %r" % (alpha,))
+        self._crit = _PHI_INV(1 - alpha / 2)
         self.n_samples = data.shape[0]
         self.cov = np.cov(data, rowvar=False).tolist()
         self.alpha = alpha
@@ -301,16 +281,21 @@ class GaussOracle(IndependenceOracle):
         with open(path) as fh:
             names = [c.strip() for c in fh.readline().split(",")]
             # a line blank up to loadtxt's comment sign holds no data
-            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+            rows = [(i, line) for i, line in enumerate(fh, 2)
+                    if line.split("#", 1)[0].strip()]
         if not rows:
             raise OracleError("%s has no data rows" % path)
+        for i, line in rows:
+            width = line.split("#", 1)[0].count(",") + 1
+            if width != len(names):
+                raise OracleError("%s line %d has %d column%s, header has %d"
+                                  % (path, i, width, "s" * (width > 1),
+                                     len(names)))
         try:
-            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+            data = np.loadtxt([line for _, line in rows], delimiter=",",
+                              ndmin=2)
         except ValueError as exc:
             raise OracleError("non-numeric data in %s: %s" % (path, exc))
-        if data.shape[1] != len(names):
-            raise OracleError("header has %d columns but data has %d"
-                              % (len(names), data.shape[1]))
         return cls(data, names=names, alpha=alpha)
 
     def _decide(self, x, y, zmask):

@@ -3,7 +3,7 @@ adjacent nodes, recording one minimal separating set per removed edge."""
 
 from itertools import combinations
 
-from .graphs import CIRCLE, MixedGraph, _bits, default_names
+from .graphs import CIRCLE, MixedGraph, _bits
 from .sepsets import SepsetMap
 
 
@@ -99,5 +99,4 @@ def pc_adjacency_search(oracle, k=None):
             level += 1
     nbrs = [_bits(m) for m in adj]
     marks = {(x, y): CIRCLE for x in range(n) for y in nbrs[x]}
-    return MixedGraph._unchecked(n, oracle.names or default_names(n), marks,
-                                 nbrs), sepsets
+    return MixedGraph._unchecked(n, oracle.names, marks, nbrs), sepsets

@@ -21,7 +21,6 @@ from .pc import pc_adjacency_search
 from .reference import fci_reference
 from .report import RunReport, graph_hash
 from .checks import run_invariant_checks
-from .graphs import default_names
 
 ALGORITHMS = ("pc", "fci", "fciplus")
 
@@ -74,7 +73,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
         config["alpha"] = oracle.alpha
     return RunReport(
         algorithm=algorithm, n=n,
-        names=list(oracle.names or default_names(n)),
+        names=list(oracle.names),
         pag=pag, stats=oracle.stats.to_dict(), config=config,
         seed=seed, input_hash=input_hash, timings=timings,
         dsep_log=dsep_log, checks=checks,

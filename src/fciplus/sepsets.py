@@ -1,4 +1,5 @@
-"""Storage for one minimal separating set per eliminated pair."""
+"""Storage for one minimal separating set per eliminated pair, and the
+hierarchy closure (`hie`) over the stored sets."""
 
 
 class SepsetMap:
@@ -32,14 +33,6 @@ class SepsetMap:
         self._check(x, y)
         return self._partners.get(x, {}).get(y)
 
-    def partners(self, v):
-        """{w: stored set of the pair {v, w}} over the pairs containing v."""
-        return self._partners.get(v, {})
-
-    def partner_mask(self, v):
-        """The int mask of the nodes w for which {v, w} has a stored set."""
-        return self._partner_mask.get(v, 0)
-
     def items(self):
         """List of ((x, y), set) tuples, x < y, in storage order, which is
         deterministic but not sorted: x runs over the nodes in the order
@@ -59,3 +52,33 @@ class SepsetMap:
 
     def __repr__(self):
         return "SepsetMap(%d pairs)" % len(self)
+
+
+def hie(seed, sepsets, closed=0):
+    """Least fixpoint closure of the int mask seed | closed under the
+    stored separating sets of sepsets, as a mask.
+
+    Adds the members of every stored set whose pair lies inside the
+    closure, until stable. Each node entering the closure is visited once
+    and looks up only its stored partners already inside, so a pair is
+    closed over as soon as its second endpoint arrives. closed, when given,
+    must already be closed (a result of hie): its nodes' pairs are closed
+    over, so only the seed nodes outside it and what they pull in are
+    visited.
+    """
+    partner_mask, partners = sepsets._partner_mask.get, sepsets._partners
+    closure = closed | seed
+    work = seed & ~closed
+    while work:
+        a = work.bit_length() - 1
+        work ^= 1 << a
+        inside = partner_mask(a, 0) & closure
+        if inside:
+            sets = partners[a]
+            while inside:
+                b = inside.bit_length() - 1
+                inside ^= 1 << b
+                zs = sets[b]
+                work |= zs & ~closure
+                closure |= zs
+    return closure
