@@ -15,7 +15,9 @@ minimalized, stored, and the edge removed; the candidate list is recomputed
 and previously failed candidates are retried. No conditioning set is asked
 twice for the same pair, so a retry asks only the sets that the grown
 hierarchy changed, and a retry whose widest closure holds no newly stored
-pair is settled by that one closure.
+pair is settled by that one closure. Nor is a set asked that the adjacency
+search already refuted for the pair: one of at most k nodes inside either
+endpoint's adjacency.
 """
 
 from itertools import combinations
@@ -102,6 +104,15 @@ def dsep_search(skeleton, sepsets, oracle, k):
     "combos_tried" still counts every base pair walked. The deep-search
     stage thus asks one query per (pair, conditioning set).
 
+    Precondition: skeleton and sepsets come from pc_adjacency_search(oracle,
+    k), with the same k. A set zstar of at most k nodes (any number when k
+    is None) that lies inside Adj(x) \\ {y} or inside Adj(y) \\ {x} of the
+    current graph is then skipped, unasked. Adjacency only shrinks, so
+    zstar lies inside that node's snapshot at level |zstar|. That level ran,
+    since the node still has more than |zstar| neighbours, so
+    separating_of_size asked zstar; the edge survived, so the answer was
+    "dependent". The skipped base pair still counts in "combos_tried".
+
     A retry first closes the widest seed once, hie({x, y} + Adj(x) +
     Adj(y)). If no pair resolved since the candidate's last attempt lies
     inside that closure, the candidate fails again without walking its
@@ -138,12 +149,13 @@ def dsep_search(skeleton, sepsets, oracle, k):
             for i, (x, y) in enumerate(links):
                 base_x = [1 << v for v in g.adj(x) if v != y]
                 base_y = [1 << v for v in g.adj(y) if v != x]
+                ax, ay = sum(base_x), sum(base_y)
                 ends = 1 << x | 1 << y
                 key = "%d,%d" % (x, y)
                 since = last_attempt.get((x, y))
                 last_attempt[(x, y)] = len(stored)
                 if since is not None:
-                    widest = hie(ends | sum(base_x) | sum(base_y), sepsets)
+                    widest = hie(ends | ax | ay, sepsets)
                     if all(p & widest != p for p in stored[since:]):
                         log["combos_tried"][key] += _base_pair_count(
                             len(base_x), len(base_y), k)
@@ -160,6 +172,9 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     zstar = hie(zy, sepsets, cx) & ~ends
                     if zstar in asked:
                         continue
+                    if ((k is None or zstar.bit_count() <= k)
+                            and (zstar & ~ax == 0 or zstar & ~ay == 0)):
+                        continue   # the adjacency search refuted it
                     if oracle.query(x, y, zstar):
                         found = (zx, zy, zstar)
                         break

@@ -10,8 +10,9 @@ from collections import Counter
 
 from fciplus import (
     ALGORITHM_STAGES, DsepOracle, d_separated, exhaustive_skeleton,
-    random_sparse_dag, run_pipeline,
+    pc_adjacency_search, random_sparse_dag, run_pipeline,
 )
+from fciplus import pc as pc_module
 from fciplus.generators import bidirected_chain, canonical_examples
 from fciplus.report import compare_runs
 
@@ -204,6 +205,7 @@ def test_bidirected_chain_query_growth():
         a = run_pipeline("fciplus", DsepOracle(dag), k=3, with_checks=False)
         b = run_pipeline("fci", DsepOracle(dag), k=3, with_checks=False)
         assert a.pag == b.pag
+        _assert_chain_deep_search(a, length)
         plus.append(_algorithm_queries(a))
         ref.append(sum(b.stats[s]["queries"]
                        for s in ("pc_search", "reference")))
@@ -215,11 +217,20 @@ def test_bidirected_chain_query_growth():
         assert plus[i + 1] < 2 * plus[i]
     # beyond fci's reach the truth PAG is the reference, and the hierarchy
     # search stays below L^2 queries
-    for length in (20, 30, 40):
+    for length in (20, 30, 40, 60):
         dag = bidirected_chain(length)
         a = run_pipeline("fciplus", DsepOracle(dag), k=3, with_checks=False)
         assert a.pag.edges() == truth_pag(dag).edges()
+        _assert_chain_deep_search(a, length)
         assert _algorithm_queries(a) < length ** 2, length
+
+
+def _assert_chain_deep_search(report, length):
+    # the L - 3 inner edges are the candidates and none resolves; the
+    # adjacency search refuted every set inside one endpoint's adjacency,
+    # so each candidate asks one set, the one that spans both sides
+    assert report.stats["dsep_search"]["queries"] == length - 3, length
+    assert report.stats["minimal_dsep"]["queries"] == 0, length
 
 
 def sweep_dags():
@@ -244,3 +255,53 @@ def test_truth_pag_reference(corpus_runs):
         report = run_pipeline("fciplus", DsepOracle(dag), k=3,
                               with_checks=False)
         assert report.pag.edges() == truth_pag(dag).edges(), dag.to_json()
+
+
+class _RecordingDsepOracle(DsepOracle):
+    """Exact oracle that records the (x, y, mask) key, x < y, of every
+    query."""
+
+    def __init__(self, dag):
+        super().__init__(dag)
+        self.asked = set()
+
+    def query(self, x, y, z):
+        self.asked.add((min(x, y), max(x, y), z))
+        return super().query(x, y, z)
+
+
+def _unasked_one_sided_sets(dag, k=CORPUS_K):
+    """For each edge x - y that pc_adjacency_search(oracle, k) keeps, the
+    sets of at most k members inside Adj(x) \\ {y} or Adj(y) \\ {x} that
+    the search did not ask, as (x, y, mask) keys. The deep search skips
+    every such set as refuted, so this list must be empty."""
+    oracle = _RecordingDsepOracle(dag)
+    skel, _ = pc_adjacency_search(oracle, k)
+    unasked = []
+    for x, y in skel.edge_pairs():
+        for a, b in ((x, y), (y, x)):
+            side = [v for v in skel.adj(a) if v != b]
+            for size in range(min(k, len(side)) + 1):
+                for zs in itertools.combinations(side, size):
+                    key = (x, y, sum(1 << v for v in zs))
+                    if key not in oracle.asked:
+                        unasked.append(key)
+    return unasked
+
+
+def test_adjacency_search_asks_every_one_sided_set(corpus, monkeypatch):
+    # the precondition of the deep search's skip: a kept edge was tested
+    # against every small set inside either endpoint's adjacency
+    for dag in [inst.dag for inst in corpus] + list(sweep_dags()):
+        assert _unasked_one_sided_sets(dag) == [], dag.to_json()
+
+    # mutant: the level loop asks only the x side's sets
+    def x_side_only(oracle, x, y, xside, yside, size):
+        for zs in itertools.combinations(xside, size):
+            zmask = sum(zs)
+            if not zmask & 1 << y and oracle.query(x, y, zmask):
+                return zmask
+        return None
+
+    monkeypatch.setattr(pc_module, "separating_of_size", x_side_only)
+    assert any(_unasked_one_sided_sets(inst.dag) for inst in corpus)

@@ -189,14 +189,19 @@ class TestDeepSearchChecks:
 def _scripted_retry_run():
     """The deep search over the chains 0-1-2-3 and 4-5-6-7, whose candidate
     (1, 2) fails, then resolves on its retry once (5, 6) has resolved:
-    (stats, log). Every base pair of (1, 2)'s first attempt asks a query,
-    and its retry walks four base pairs for one new query."""
+    (stats, log). The stored sets take every nonempty set that the walks
+    reach outside both endpoints' adjacencies, so each is asked. The first
+    attempt at (1, 2) walks four base pairs for three queries, (5, 6)
+    resolves on its second base pair, and the retry of (1, 2) resolves on
+    its second base pair, whose closure gained (5, 6)'s set."""
     g = MixedGraph(8, [(a, b, CIRCLE, CIRCLE) for a, b in
                        [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]])
     seps = SepsetMap()
-    seps.set(0, 3, mask({5, 6}))
-    oracle = _ScriptedOracle({(5, 6, mask({4})): True,
-                              (1, 2, mask({0, 3, 4, 5, 6})): True}, 8)
+    seps.set(0, 2, mask({4}))
+    seps.set(1, 3, mask({5, 6}))
+    seps.set(5, 7, mask({3}))
+    oracle = _ScriptedOracle({(5, 6, mask({3, 7})): True,
+                              (1, 2, mask({3, 5, 6, 7})): True}, 8)
     _, _, log = dsep_search(g, seps, oracle, k=1)
     return oracle.stats.to_dict(), log
 
@@ -204,16 +209,16 @@ def _scripted_retry_run():
 class TestDeepSearchBudgets:
     def test_walk_asks_at_most_one_query_per_base_pair(self):
         stats, log = _scripted_retry_run()
-        assert stats["dsep_search"]["queries"] == 8
-        assert sum(log["combos_tried"].values()) == 11
+        assert stats["dsep_search"]["queries"] == 5
+        assert log["combos_tried"] == {"1,2": 6, "5,6": 2}
         ok, detail = check_query_bounds(stats, 8, None, log)
-        assert ok and "dsep_search 8 <= 11 base pairs" in detail
+        assert ok and "dsep_search 5 <= 8 base pairs" in detail
         # mutant: the retry's walk overwrites the pair's count instead of
         # adding to it, so the queries of the first attempt go uncounted
         mutant = copy.deepcopy(log)
-        mutant["combos_tried"]["1,2"] = 4
+        mutant["combos_tried"]["1,2"] = 2
         ok, detail = check_query_bounds(stats, 8, None, mutant)
-        assert not ok and "dsep_search 8 <= 7 base pairs" in detail
+        assert not ok and "dsep_search 5 <= 4 base pairs" in detail
 
     def test_minimal_dsep_within_its_elimination_passes(self, monkeypatch):
         dag, report = _hierarchical_run()

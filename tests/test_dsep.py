@@ -345,16 +345,20 @@ class _CountingOracle(_ScriptedOracle):
 class TestWorkListSemantics:
     def test_failed_candidate_retried_after_resolution(self):
         # Two candidate links on bi-directed chains 0-1-2-3 and 4-5-6-7:
-        # (1,2) flanked by 0 and 3, (5,6) flanked by 4 and 7. The pair
-        # (0,3) carries the stored set {5,6}, so once (5,6) resolves with
-        # {4}, the hierarchy of (1,2)'s bases grows by {4,5,6} and only
-        # then does its query succeed.
+        # (1,2) flanked by 0 and 3, (5,6) flanked by 4 and 7. No set inside
+        # one endpoint's adjacency separates a pair, as after the adjacency
+        # search, so the walks skip them. The pair (0,3) carries the stored
+        # set {5,6}, so once (5,6) resolves with {4,7}, the closure of
+        # (1,2)'s widest bases gains 7 and only then does its query
+        # succeed. The pair (0,2) carries {4}, so the base {0} yields {0,4}
+        # in both attempts.
         g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         seps = SepsetMap()
         seps.set(0, 3, mask({5, 6}))
+        seps.set(0, 2, mask({4}))
         table = {
-            (5, 6, mask({4})): True,
-            (1, 2, mask({0, 3, 4, 5, 6})): True,
+            (5, 6, mask({4, 7})): True,
+            (1, 2, mask({0, 3, 4, 5, 6, 7})): True,
         }
         oracle = _CountingOracle(table, 8)
         assert find_possible_dsep_links(g) == [(1, 2), (5, 6)]
@@ -362,8 +366,8 @@ class TestWorkListSemantics:
         assert not g2.has_edge(5, 6)
         assert not g2.has_edge(1, 2), "failed candidate must be retried"
         assert log["reactivations"] == 1
-        assert seps2.get(5, 6) == mask({4})
-        assert seps2.get(1, 2) == mask({0, 3, 4, 5, 6})
+        assert seps2.get(5, 6) == mask({4, 7})
+        assert seps2.get(1, 2) == mask({0, 3, 4, 5, 6, 7})
         assert [r["pair"] for r in log["resolutions"]] == [[5, 6], [1, 2]]
         # both attempts at (1, 2) walk all four base pairs, but the retry
         # asks only the set its grown hierarchy changed: no failed set twice
@@ -371,12 +375,14 @@ class TestWorkListSemantics:
         asked_12 = {z: c for (x, y, z), c in oracle.asked.items()
                     if (x, y) == (1, 2)}
         assert asked_12 == {mask(zs): 1 for zs in
-                            [(), (3,), (0,), (0, 3, 5, 6), (0, 3, 4, 5, 6)]}
+                            [(0, 4), (0, 3, 4, 5, 6), (0, 3, 4, 5, 6, 7)]}
         assert max(oracle.asked.values()) == 1
 
     def test_retry_without_new_pair_in_closure_is_skipped(self, monkeypatch):
         # (1, 2) fails on its four base pairs, then (5, 6) resolves with
-        # {4}. The widest closure of (1, 2), hie({0, 1, 2, 3}), holds
+        # {4, 7}. The stored sets of (0, 2) and (1, 3) take three of
+        # (1, 2)'s sets outside both adjacencies, so the first attempt asks
+        # them. The widest closure of (1, 2), hie({0, 1, 2, 3}), holds
         # neither 5 nor 6, so its retry could only rebuild sets that
         # failed: it calls hie once, asks nothing and still counts every
         # base pair
@@ -389,8 +395,11 @@ class TestWorkListSemantics:
 
         monkeypatch.setattr(module, "hie", counting_hie)
         g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        oracle = _CountingOracle({(5, 6, mask({4})): True}, 8)
-        g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
+        seps = SepsetMap()
+        seps.set(0, 2, mask({4}))
+        seps.set(1, 3, mask({7}))
+        oracle = _CountingOracle({(5, 6, mask({4, 7})): True}, 8)
+        g2, _, log = dsep_search(g, seps, oracle, k=1)
         assert not g2.has_edge(5, 6) and g2.has_edge(1, 2)
         assert log["detected"] == [[[1, 2], [5, 6]], [[1, 2]]]
         assert log["reactivations"] == 1
@@ -398,7 +407,8 @@ class TestWorkListSemantics:
         assert log["combos_tried"]["1,2"] == 8
         asked_12 = {z: c for (x, y, z), c in oracle.asked.items()
                     if (x, y) == (1, 2)}
-        assert asked_12 == {mask(zs): 1 for zs in [(), (3,), (0,), (0, 3)]}
+        assert asked_12 == {mask(zs): 1
+                            for zs in [(3, 7), (0, 4), (0, 3, 4, 7)]}
         # on (1, 2)'s side: two x-side closures and four extensions in the
         # first attempt, then the one widest closure of the retry
         low = [c for c in calls if c & 0b1111]
@@ -417,7 +427,7 @@ class TestWorkListSemantics:
         # a lying oracle cannot make the same link resolve twice: once
         # resolved, the edge is gone and cannot re-enter the pattern list
         g = skeleton(4, [(0, 1), (1, 2), (2, 3)])
-        table = {(1, 2, 0): True}
+        table = {(1, 2, mask({0, 3})): True}
         oracle = _ScriptedOracle(table, 4)
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(1, 2)

@@ -19,8 +19,8 @@ from fciplus import (
     random_sparse_dag, run_pipeline,
 )
 
-REPLAY_DIGEST = "14ef7cce7365497622a0d2290ad71b5f0b5ef5ae789db88fb847a72da51e922c"
-SAMPLE_DIGEST = "21568ae383420f408cedf4527685e78cc8b8a21770b88adfc09fb3bd0027a666"
+REPLAY_DIGEST = "724e11237c6a71b1aa83c702a63ce225ee1abd0598fd99620df38d640242dcd2"
+SAMPLE_DIGEST = "ddb6c270f980be2bd82cf7c06f3bf642d5cc749bc9ff9234c55a32ddb1ee9e42"
 SAMPLE_ALPHA = 0.01
 
 
