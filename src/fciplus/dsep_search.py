@@ -12,12 +12,10 @@ arrowhead queries cost more than the candidates they ruled out (README,
 by closing {x, y} plus small adjacent "base" sets under the stored
 separating sets (the hierarchy, `sepsets.hie`); a successful candidate is
 minimalized, stored, and the edge removed; the candidate list is recomputed
-and previously failed candidates are retried. No conditioning set is asked
-twice for the same pair, so a retry asks only the sets that the grown
-hierarchy changed, and a retry whose widest closure holds no newly stored
-pair is settled by that one closure. Nor is a set asked that the adjacency
-search already refuted for the pair: one of at most k nodes inside either
-endpoint's adjacency.
+and previously failed candidates are retried. The search asks no test the
+oracle has already answered, in this stage or any earlier one, so a retry
+asks only the sets that the grown hierarchy changed, and a retry whose
+widest closure holds no newly stored pair is settled by that one closure.
 """
 
 from itertools import combinations
@@ -41,12 +39,18 @@ def find_possible_dsep_links(g):
     return links
 
 
+def _ask(oracle, x, y, zmask):
+    """The memoized answer to (x, y | zmask) if any, else a counted query."""
+    known = oracle.answered(x, y, zmask)
+    return oracle.query(x, y, zmask) if known is None else known
+
+
 def minimal_dsep(x, y, z_star, oracle):
     """Shrink the separating set z_star, an int mask, to a minimal one by
     eliminating redundant nodes one at a time (ascending id, passes
-    repeated until stable); returns the mask.
+    repeated until stable, no answered test asked again); returns it.
 
-    Precondition: z_star separates x and y per the oracle.
+    Precondition: z_star separates x and y per the oracle (a counted query).
     """
     with oracle.stage("minimal_dsep"):
         if not oracle.query(x, y, z_star):
@@ -58,7 +62,7 @@ def minimal_dsep(x, y, z_star, oracle):
             changed = False
             for w in _bits(current):
                 reduced = current & ~(1 << w)
-                if oracle.query(x, y, reduced):
+                if _ask(oracle, x, y, reduced):
                     current = reduced
                     changed = True
     return current
@@ -98,20 +102,11 @@ def dsep_search(skeleton, sepsets, oracle, k):
 
     Each piece of work is done once. The closure of {x, y} + Zx is built
     once per x-side base of an attempt and extended by each Zy (hie with a
-    closed base). The sets that failed for a pair are kept across passes
-    and skipped when a base pair yields one again: an oracle answer never
-    changes, so the first separating base pair is the same, and
-    "combos_tried" still counts every base pair walked. The deep-search
-    stage thus asks one query per (pair, conditioning set).
-
-    Precondition: skeleton and sepsets come from pc_adjacency_search(oracle,
-    k), with the same k. A set zstar of at most k nodes (any number when k
-    is None) that lies inside Adj(x) \\ {y} or inside Adj(y) \\ {x} of the
-    current graph is then skipped, unasked. Adjacency only shrinks, so
-    zstar lies inside that node's snapshot at level |zstar|. That level ran,
-    since the node still has more than |zstar| neighbours, so
-    separating_of_size asked zstar; the edge survived, so the answer was
-    "dependent". The skipped base pair still counts in "combos_tried".
+    closed base). The search asks no test this oracle has already answered,
+    in any stage: it uses the memoized answer, which never changes, so the
+    first separating base pair is the same, and "combos_tried" still counts
+    every base pair walked. This makes it exact for any input skeleton and
+    stored sets over the oracle's variables (ValueError otherwise).
 
     A retry first closes the widest seed once, hie({x, y} + Adj(x) +
     Adj(y)). If no pair resolved since the candidate's last attempt lies
@@ -135,11 +130,14 @@ def dsep_search(skeleton, sepsets, oracle, k):
     ("reactivations") and the candidates still failing at the end
     ("failed_final"); pairs are [x, y] lists.
     """
+    n = oracle.n_vars
+    if skeleton.n != n or any((1 << a | 1 << b | zs) >> n
+                              for (a, b), zs in sepsets.items()):
+        raise ValueError("input not over the oracle's %d variables" % n)
     sepsets = sepsets.copy()
     g = skeleton.copy()
     log = {"detected": [], "resolutions": [], "combos_tried": {},
            "reactivations": 0, "failed_final": []}
-    refuted = {}   # pair -> the conditioning sets that failed to separate it
     last_attempt = {}   # pair -> the number of resolutions at its last attempt
     stored = []   # the mask of each resolved pair, in resolution order
     with oracle.stage("dsep_search"):
@@ -160,7 +158,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
                         log["combos_tried"][key] += _base_pair_count(
                             len(base_x), len(base_y), k)
                         continue
-                asked = refuted.setdefault((x, y), set())
                 closed = {}   # x-side base -> hie(ends | base)
                 found = None
                 combos = 0
@@ -170,15 +167,9 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     if cx is None:
                         cx = closed[zx] = hie(ends | zx, sepsets)
                     zstar = hie(zy, sepsets, cx) & ~ends
-                    if zstar in asked:
-                        continue
-                    if ((k is None or zstar.bit_count() <= k)
-                            and (zstar & ~ax == 0 or zstar & ~ay == 0)):
-                        continue   # the adjacency search refuted it
-                    if oracle.query(x, y, zstar):
+                    if _ask(oracle, x, y, zstar):
                         found = (zx, zy, zstar)
                         break
-                    asked.add(zstar)
                 log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos
                 if found is None:
                     continue

@@ -71,7 +71,7 @@ class IndependenceOracle:
     only ids in range. Subclasses implement _decide(x, y, zmask) for x < y.
     `query` memoizes each answer in one int, keyed by one int, with a
     bitmask of the stages that counted its key, so _decide runs once per
-    distinct key.
+    distinct key; `answered` reads that memo without asking or counting.
     """
 
     def __init__(self, n_vars, names=None):
@@ -125,6 +125,16 @@ class IndependenceOracle:
             self._memo[key] = entry = entry | bit
             st.distinct += 1
         return bool(entry & 1)
+
+    def answered(self, x, y, zmask):
+        """The memoized answer to (x, y | zmask), or None if no query asked
+        it; counts nothing. Like dsep_reach it trusts its caller: x and y
+        are distinct ids in range, outside the int mask zmask."""
+        n = self.n_vars
+        if x > y:
+            x, y = y, x
+        entry = self._memo.get((x * n + y) << n | zmask)
+        return None if entry is None else entry & 1 == 1
 
     def _decide(self, x, y, zmask):
         raise NotImplementedError

@@ -241,8 +241,8 @@ def _r9(s, sepsets):
         for c in s.adj(a):
             if not (s.mark(a, c) == CIRCLE and s.mark(c, a) == ARROW):
                 continue
-            seconds = {p[1] for p in _uncovered_paths(s, a, c, _pd_edge)}
-            if any(b != c and not s.has_edge(b, c) for b in seconds):
+            if any(p[1] != c and not s.has_edge(p[1], c)
+                   for p in _uncovered_paths(s, a, c, _pd_edge)):
                 changed |= s.set_mark(a, c, TAIL)
     return changed
 

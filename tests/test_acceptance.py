@@ -5,12 +5,13 @@ shared corpus (500 generated instances, degree bound 3, sizes 8..14, up to
 3 latent and 1 selection variable) is built once per session; see conftest.
 """
 
+import contextlib
 import itertools
 from collections import Counter
 
 from fciplus import (
-    ALGORITHM_STAGES, DsepOracle, d_separated, exhaustive_skeleton,
-    pc_adjacency_search, random_sparse_dag, run_pipeline,
+    ALGORITHM_STAGES, DsepOracle, IndependenceOracle, d_separated,
+    exhaustive_skeleton, pc_adjacency_search, random_sparse_dag, run_pipeline,
 )
 from fciplus import pc as pc_module
 from fciplus.generators import bidirected_chain, canonical_examples
@@ -227,7 +228,7 @@ def test_bidirected_chain_query_growth():
 
 def _assert_chain_deep_search(report, length):
     # the L - 3 inner edges are the candidates and none resolves; the
-    # adjacency search refuted every set inside one endpoint's adjacency,
+    # adjacency search answered every set inside one endpoint's adjacency,
     # so each candidate asks one set, the one that spans both sides
     assert report.stats["dsep_search"]["queries"] == length - 3, length
     assert report.stats["minimal_dsep"]["queries"] == 0, length
@@ -273,8 +274,8 @@ class _RecordingDsepOracle(DsepOracle):
 def _unasked_one_sided_sets(dag, k=CORPUS_K):
     """For each edge x - y that pc_adjacency_search(oracle, k) keeps, the
     sets of at most k members inside Adj(x) \\ {y} or Adj(y) \\ {x} that
-    the search did not ask, as (x, y, mask) keys. The deep search skips
-    every such set as refuted, so this list must be empty."""
+    the search did not ask, as (x, y, mask) keys. A complete level-wise
+    search leaves this list empty."""
     oracle = _RecordingDsepOracle(dag)
     skel, _ = pc_adjacency_search(oracle, k)
     unasked = []
@@ -290,8 +291,8 @@ def _unasked_one_sided_sets(dag, k=CORPUS_K):
 
 
 def test_adjacency_search_asks_every_one_sided_set(corpus, monkeypatch):
-    # the precondition of the deep search's skip: a kept edge was tested
-    # against every small set inside either endpoint's adjacency
+    # completeness of the adjacency search: a kept edge was tested against
+    # every small set inside either endpoint's adjacency
     for dag in [inst.dag for inst in corpus] + list(sweep_dags()):
         assert _unasked_one_sided_sets(dag) == [], dag.to_json()
 
@@ -305,3 +306,53 @@ def test_adjacency_search_asks_every_one_sided_set(corpus, monkeypatch):
 
     monkeypatch.setattr(pc_module, "separating_of_size", x_side_only)
     assert any(_unasked_one_sided_sets(inst.dag) for inst in corpus)
+
+
+class _RepeatRecordingOracle(_RecordingDsepOracle):
+    """Recording oracle that also lists, as (stage, x, y, mask) with x < y,
+    each query of the deep search or minimal_dsep whose key an earlier query
+    of any stage asked; minimal_dsep's opening precondition query is
+    exempt."""
+
+    def __init__(self, dag):
+        super().__init__(dag)
+        self.repeats = []
+        self._names = []
+        self._opening = False
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        self._names.append(name)
+        self._opening = name == "minimal_dsep"
+        try:
+            with super().stage(name):
+                yield self
+        finally:
+            self._names.pop()
+
+    def query(self, x, y, z):
+        key = (min(x, y), max(x, y), z)
+        name = self._names[-1] if self._names else "reference"
+        if (name in ("dsep_search", "minimal_dsep") and key in self.asked
+                and not (name == "minimal_dsep" and self._opening)):
+            self.repeats.append((name,) + key)
+        self._opening = False
+        return super().query(x, y, z)
+
+
+def _deep_repeats(dag):
+    oracle = _RepeatRecordingOracle(dag)
+    run_pipeline("fciplus", oracle, k=CORPUS_K, with_checks=False)
+    return oracle.repeats
+
+
+def test_deep_search_asks_no_answered_test(corpus, monkeypatch):
+    # the deep search and minimal_dsep read the oracle's memo and ask no
+    # test that any stage has already answered
+    for dag in [inst.dag for inst in corpus] + list(sweep_dags()):
+        assert _deep_repeats(dag) == [], dag.to_json()
+
+    # mutant: the memo reads as empty, so answered tests are asked again
+    monkeypatch.setattr(IndependenceOracle, "answered",
+                        lambda self, x, y, zmask: None)
+    assert any(_deep_repeats(inst.dag) for inst in corpus)

@@ -20,7 +20,7 @@ from .brute import (
     bf_hierarchy_ancestry, bf_true_dsep_links, mask, members,
     naive_ancestors,
 )
-from .test_dsep import _ScriptedOracle
+from .test_dsep import _ScriptedOracle, _refute_one_sided
 
 
 def random_dags(count, seed=0):
@@ -172,6 +172,18 @@ class TestDeepSearchChecks:
             False, "resolved-link violations: [('not detected', %d, %d)]"
             % tuple(second))
 
+    def test_ancestral_endpoint_fails(self):
+        # 3 -> 5 and 4 -> 0 in the truth: a resolution of either pair, even
+        # one detected in its pass, has an endpoint ancestral to the other
+        dag, report = _hierarchical_run()
+        for pair, side in (([3, 5], "x"), ([0, 4], "y")):
+            doctored = copy.deepcopy(report.dsep_log)
+            doctored["resolutions"][0].update(pair=pair, sepset=[])
+            doctored["detected"][0].append(pair)
+            assert check_resolved_links(dag, doctored) == (
+                False, "resolved-link violations: [('%s ancestral', %d, %d)]"
+                % (side, *pair))
+
     def test_repeated_stage_query_fails(self):
         _dag, report = _hierarchical_run()
         stats = report.stats
@@ -189,9 +201,10 @@ class TestDeepSearchChecks:
 def _scripted_retry_run():
     """The deep search over the chains 0-1-2-3 and 4-5-6-7, whose candidate
     (1, 2) fails, then resolves on its retry once (5, 6) has resolved:
-    (stats, log). The stored sets take every nonempty set that the walks
-    reach outside both endpoints' adjacencies, so each is asked. The first
-    attempt at (1, 2) walks four base pairs for three queries, (5, 6)
+    (stats, log). The oracle first answers every set inside one endpoint's
+    adjacency, as the adjacency search does; the stored sets take every
+    nonempty set that the walks reach outside both, so each is asked. The
+    first attempt at (1, 2) walks four base pairs for three queries, (5, 6)
     resolves on its second base pair, and the retry of (1, 2) resolves on
     its second base pair, whose closure gained (5, 6)'s set."""
     g = MixedGraph(8, [(a, b, CIRCLE, CIRCLE) for a, b in
@@ -202,6 +215,7 @@ def _scripted_retry_run():
     seps.set(5, 7, mask({3}))
     oracle = _ScriptedOracle({(5, 6, mask({3, 7})): True,
                               (1, 2, mask({3, 5, 6, 7})): True}, 8)
+    _refute_one_sided(g, oracle, 1)
     _, _, log = dsep_search(g, seps, oracle, k=1)
     return oracle.stats.to_dict(), log
 

@@ -318,6 +318,19 @@ class _ScriptedOracle(IndependenceOracle):
         return self.table.get((x, y, zmask), False)
 
 
+def _refute_one_sided(g, oracle, k):
+    """Ask, as the adjacency search would, every set of at most k nodes
+    inside Adj(x) \\ {y} or Adj(y) \\ {x} of each edge x - y of g, under
+    the "pc_search" stage, and assert that each answer is dependent."""
+    with oracle.stage("pc_search"):
+        for x, y in g.edge_pairs():
+            for a, b in ((x, y), (y, x)):
+                side = [v for v in g.adj(a) if v != b]
+                for size in range(min(k, len(side)) + 1):
+                    for zs in itertools.combinations(side, size):
+                        assert not oracle.query(x, y, mask(zs)), (x, y, zs)
+
+
 class _CountingOracle(_ScriptedOracle):
     """Scripted oracle that counts the calls per (x, y, z) key made under
     the "dsep_search" stage, memo hits included."""
@@ -345,13 +358,13 @@ class _CountingOracle(_ScriptedOracle):
 class TestWorkListSemantics:
     def test_failed_candidate_retried_after_resolution(self):
         # Two candidate links on bi-directed chains 0-1-2-3 and 4-5-6-7:
-        # (1,2) flanked by 0 and 3, (5,6) flanked by 4 and 7. No set inside
-        # one endpoint's adjacency separates a pair, as after the adjacency
-        # search, so the walks skip them. The pair (0,3) carries the stored
-        # set {5,6}, so once (5,6) resolves with {4,7}, the closure of
-        # (1,2)'s widest bases gains 7 and only then does its query
-        # succeed. The pair (0,2) carries {4}, so the base {0} yields {0,4}
-        # in both attempts.
+        # (1,2) flanked by 0 and 3, (5,6) flanked by 4 and 7. The oracle
+        # has answered every set inside one endpoint's adjacency, as the
+        # adjacency search does, so the walks skip them. The pair (0,3)
+        # carries the stored set {5,6}, so once (5,6) resolves with {4,7},
+        # the closure of (1,2)'s widest bases gains 7 and only then does
+        # its query succeed. The pair (0,2) carries {4}, so the base {0}
+        # yields {0,4} in both attempts.
         g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         seps = SepsetMap()
         seps.set(0, 3, mask({5, 6}))
@@ -361,6 +374,7 @@ class TestWorkListSemantics:
             (1, 2, mask({0, 3, 4, 5, 6, 7})): True,
         }
         oracle = _CountingOracle(table, 8)
+        _refute_one_sided(g, oracle, 1)
         assert find_possible_dsep_links(g) == [(1, 2), (5, 6)]
         g2, seps2, log = dsep_search(g, seps, oracle, k=1)
         assert not g2.has_edge(5, 6)
@@ -399,6 +413,7 @@ class TestWorkListSemantics:
         seps.set(0, 2, mask({4}))
         seps.set(1, 3, mask({7}))
         oracle = _CountingOracle({(5, 6, mask({4, 7})): True}, 8)
+        _refute_one_sided(g, oracle, 1)
         g2, _, log = dsep_search(g, seps, oracle, k=1)
         assert not g2.has_edge(5, 6) and g2.has_edge(1, 2)
         assert log["detected"] == [[[1, 2], [5, 6]], [[1, 2]]]
@@ -432,6 +447,20 @@ class TestWorkListSemantics:
         g2, _, log = dsep_search(g, SepsetMap(), oracle, k=1)
         assert not g2.has_edge(1, 2)
         assert len(log["resolutions"]) == 1
+
+    def test_input_must_be_over_the_oracle_variables(self):
+        # the memo reads trust their caller, so the search checks its input
+        # once: a skeleton of another size, or a stored set holding an id
+        # the oracle does not know, is refused before any query
+        g = skeleton(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="oracle's 5 variables"):
+            dsep_search(g, SepsetMap(), _ScriptedOracle({}, 5), k=1)
+        seps = SepsetMap()
+        seps.set(0, 2, mask({4}))
+        oracle = _ScriptedOracle({}, 4)
+        with pytest.raises(ValueError, match="oracle's 4 variables"):
+            dsep_search(g, seps, oracle, k=1)
+        assert oracle.stats.stages["dsep_search"].queries == 0
 
     def test_candidates_need_no_stored_set(self):
         # Circle chains 0-1-2-3 and 4-5-6-7, every query not in the table

@@ -19,8 +19,8 @@ from fciplus import (
     random_sparse_dag, run_pipeline,
 )
 
-REPLAY_DIGEST = "724e11237c6a71b1aa83c702a63ce225ee1abd0598fd99620df38d640242dcd2"
-SAMPLE_DIGEST = "ddb6c270f980be2bd82cf7c06f3bf642d5cc749bc9ff9234c55a32ddb1ee9e42"
+REPLAY_DIGEST = "c6c6559fe7a81571c2877531c87850fafae109ec47cd02b25595d9bf802f4068"
+SAMPLE_DIGEST = "fe181b30d58298bf065db386212c70a31bbe5eeed7d8272ff893e5fc3670c2a0"
 SAMPLE_ALPHA = 0.01
 
 
