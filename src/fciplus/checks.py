@@ -4,7 +4,8 @@ run whose oracle is backed by a known causal DAG.
 Each check returns (ok, detail). Ground-truth ancestry questions are
 answered on the DAG directly; "per the oracle" questions go through the
 oracle under the reference stage so the algorithm-stage counters stay
-clean.
+clean. A question the run already decided is a memo hit, so the checks'
+queries are only the tests that no stage of the run asked.
 """
 
 from itertools import combinations
@@ -140,29 +141,28 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
 
 def _minimal_dsep_budget(resolutions):
     """Most queries minimal_dsep may ask for these resolutions. For a
-    candidate set Z* of m nodes it asks the precondition query and one query
+    candidate set Z* of m nodes it asks the precondition test and one test
     per member in each elimination pass; a pass that removes nothing is the
     last, so the passes hold at most m, m - 1, ..., 1 members: 1 +
-    m(m+1)/2 in all."""
+    m(m+1)/2 in all. Only the tests it decides count as queries, so it
+    asks fewer (under dsep_search the precondition is a memo hit)."""
     return sum(1 + m * (m + 1) // 2
                for m in (len(r["candidate"]) for r in resolutions))
 
 
 def check_query_bounds(stats, n, k, dsep_log=None):
-    """Counted queries stay within their budgets: the deep-search stage
-    asks no query twice and, given its log, at most one query per base
-    pair it counted ("combos_tried"), minimal_dsep stays within
-    _minimal_dsep_budget, the adjacency stage within 4 * N^(k+2) and the
-    whole search within N^(2(k+2))."""
-    ds = stats["dsep_search"]["queries"]
-    ok = ds == stats["dsep_search"]["distinct"]
-    parts = ["dsep_search queries distinct" if ok
-             else "repeated queries in dsep_search"]
+    """Counted queries, the tests each stage decided, stay within their
+    budgets: given its log, the deep-search stage asks at most one query
+    per base pair it counted ("combos_tried") and minimal_dsep stays within
+    _minimal_dsep_budget; the adjacency stage stays within 4 * N^(k+2) and
+    the whole search within N^(2(k+2))."""
+    ok, parts = True, []
     if dsep_log is not None:
+        ds = stats["dsep_search"]["queries"]
         combos = sum(dsep_log["combos_tried"].values())
         md = stats["minimal_dsep"]["queries"]
         md_budget = _minimal_dsep_budget(dsep_log["resolutions"])
-        ok = ok and ds <= combos and md <= md_budget
+        ok = ds <= combos and md <= md_budget
         parts.append("dsep_search %d <= %d base pairs, minimal_dsep %d <= %d"
                      % (ds, combos, md, md_budget))
     if k is None:

@@ -12,10 +12,11 @@ arrowhead queries cost more than the candidates they ruled out (README,
 by closing {x, y} plus small adjacent "base" sets under the stored
 separating sets (the hierarchy, `sepsets.hie`); a successful candidate is
 minimalized, stored, and the edge removed; the candidate list is recomputed
-and previously failed candidates are retried. The search asks no test the
-oracle has already answered, in this stage or any earlier one, so a retry
-asks only the sets that the grown hierarchy changed, and a retry whose
-widest closure holds no newly stored pair is settled by that one closure.
+and previously failed candidates are retried. A test the oracle has
+already decided, in this stage or any earlier one, is a memo hit and no
+query, so a retry pays only for the sets that the grown hierarchy changed,
+and a retry whose widest closure holds no newly stored pair is settled by
+that one closure.
 """
 
 from itertools import combinations
@@ -39,18 +40,13 @@ def find_possible_dsep_links(g):
     return links
 
 
-def _ask(oracle, x, y, zmask):
-    """The memoized answer to (x, y | zmask) if any, else a counted query."""
-    known = oracle.answered(x, y, zmask)
-    return oracle.query(x, y, zmask) if known is None else known
-
-
 def minimal_dsep(x, y, z_star, oracle):
     """Shrink the separating set z_star, an int mask, to a minimal one by
     eliminating redundant nodes one at a time (ascending id, passes
-    repeated until stable, no answered test asked again); returns it.
+    repeated until stable); returns it. A test already decided, such as
+    the precondition that dsep_search has just asked, is a memo hit.
 
-    Precondition: z_star separates x and y per the oracle (a counted query).
+    Precondition: z_star separates x and y per the oracle (checked).
     """
     with oracle.stage("minimal_dsep"):
         if not oracle.query(x, y, z_star):
@@ -62,7 +58,7 @@ def minimal_dsep(x, y, z_star, oracle):
             changed = False
             for w in _bits(current):
                 reduced = current & ~(1 << w)
-                if _ask(oracle, x, y, reduced):
+                if oracle.query(x, y, reduced):
                     current = reduced
                     changed = True
     return current
@@ -102,11 +98,10 @@ def dsep_search(skeleton, sepsets, oracle, k):
 
     Each piece of work is done once. The closure of {x, y} + Zx is built
     once per x-side base of an attempt and extended by each Zy (hie with a
-    closed base). The search asks no test this oracle has already answered,
-    in any stage: it uses the memoized answer, which never changes, so the
-    first separating base pair is the same, and "combos_tried" still counts
-    every base pair walked. This makes it exact for any input skeleton and
-    stored sets over the oracle's variables (ValueError otherwise).
+    closed base). A test that the oracle has already decided, in any
+    stage, is a memo hit and costs no query, and "combos_tried" counts
+    every base pair walked. The input skeleton and stored sets must be over
+    the oracle's variables (ValueError otherwise).
 
     A retry first closes the widest seed once, hie({x, y} + Adj(x) +
     Adj(y)). If no pair resolved since the candidate's last attempt lies
@@ -167,7 +162,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     if cx is None:
                         cx = closed[zx] = hie(ends | zx, sepsets)
                     zstar = hie(zy, sepsets, cx) & ~ends
-                    if _ask(oracle, x, y, zstar):
+                    if oracle.query(x, y, zstar):
                         found = (zx, zy, zstar)
                         break
                 log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos

@@ -1,7 +1,10 @@
 """Conditional-independence oracles and per-stage query accounting.
 
 Every search stage runs its queries under a named stage so the counters can
-be partitioned afterwards; `query` answers True for independence. DsepOracle
+be partitioned afterwards; `query` answers True for independence. A test
+costs one query, counted under the stage that decides it on a memo miss;
+every later call of it, in any stage, is counted as that stage's memo hit,
+which is no test. DsepOracle
 answers from d-separation on a ground-truth causal DAG (conditioning on the
 selection set is implicit). GaussOracle answers from partial correlations of
 Gaussian samples via the Fisher z test `_fisher_z`; a degenerate test answers
@@ -24,8 +27,6 @@ STAGES = ("pc_search", "augment", "dsep_search", "minimal_dsep",
 # the stages a pipeline's own search runs under; the fci reference and the
 # embedded checks run under "reference"
 ALGORITHM_STAGES = STAGES[:-1]
-# a memo entry holds its answer in bit 0 and these stage bits above it
-_STAGE_BIT = {s: 2 << i for i, s in enumerate(STAGES)}
 _PHI_INV = NormalDist().inv_cdf
 _DEGENERATE = 1e-10   # relative tolerance of a degenerate Fisher z test
 
@@ -35,23 +36,25 @@ class OracleError(ValueError):
 
 
 class StageStats:
-    __slots__ = ("queries", "distinct", "max_cond_size")
+    __slots__ = ("queries", "memo_hits", "max_cond_size")
 
     def __init__(self):
         self.queries = 0
-        self.distinct = 0
+        self.memo_hits = 0
         self.max_cond_size = 0
 
     def to_dict(self):
-        return {"queries": self.queries, "distinct": self.distinct,
+        return {"queries": self.queries, "memo_hits": self.memo_hits,
                 "max_cond_size": self.max_cond_size}
 
 
 class OracleStats:
     """Counters of independence queries, partitioned by pipeline stage.
 
-    `queries` counts every call (memoized hits included); `distinct` counts
-    keys not previously queried within the same stage.
+    `queries` counts the tests a stage decided, each on a memo miss, and
+    `max_cond_size` is the largest conditioning set among them; `memo_hits`
+    counts the stage's calls whose answer the memo already held. Each test is
+    decided once, so the stages' `queries` sum to the memo's size.
     """
 
     def __init__(self):
@@ -68,10 +71,10 @@ class IndependenceOracle:
     variable v). `query` also takes an iterable of ids and turns it into
     its mask first; then it checks, in constant time, that x and y are
     distinct ids in range and outside the mask, and that the mask holds
-    only ids in range. Subclasses implement _decide(x, y, zmask) for x < y.
-    `query` memoizes each answer in one int, keyed by one int, with a
-    bitmask of the stages that counted its key, so _decide runs once per
-    distinct key; `answered` reads that memo without asking or counting.
+    only ids in range. Subclasses implement _decide(x, y, zmask), a bool,
+    for x < y. `query` memoizes each answer, keyed by one int, so _decide
+    runs once per key; a call is counted as a query of the current
+    stage when it decides the test, and as a memo hit otherwise.
     """
 
     def __init__(self, n_vars, names=None):
@@ -80,18 +83,18 @@ class IndependenceOracle:
         if len(self.names) != n_vars:
             raise OracleError("expected %d names, got %d"
                               % (n_vars, len(self.names)))
-        # (x * n + y) << n | zmask -> answer | stage bits
+        # (x * n + y) << n | zmask -> answer
         self._memo = {}
         self.stats = OracleStats()
         self.n_test_errors = 0   # answers from a degenerate test (sample data)
-        self._stage = (self.stats.stages["reference"], _STAGE_BIT["reference"])
+        self._stage = self.stats.stages["reference"]
 
     @contextmanager
     def stage(self, name):
         if name not in STAGES:
             raise OracleError("unknown stage %r" % name)
         prev = self._stage
-        self._stage = (self.stats.stages[name], _STAGE_BIT[name])
+        self._stage = self.stats.stages[name]
         try:
             yield self
         finally:
@@ -113,28 +116,17 @@ class IndependenceOracle:
         if x > y:
             x, y = y, x
         key = (x * n + y) << n | zmask
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = 1 if self._decide(x, y, zmask) else 0
-        st, bit = self._stage
-        st.queries += 1
-        size = zmask.bit_count()
-        if size > st.max_cond_size:
-            st.max_cond_size = size
-        if not entry & bit:
-            self._memo[key] = entry = entry | bit
-            st.distinct += 1
-        return bool(entry & 1)
-
-    def answered(self, x, y, zmask):
-        """The memoized answer to (x, y | zmask), or None if no query asked
-        it; counts nothing. Like dsep_reach it trusts its caller: x and y
-        are distinct ids in range, outside the int mask zmask."""
-        n = self.n_vars
-        if x > y:
-            x, y = y, x
-        entry = self._memo.get((x * n + y) << n | zmask)
-        return None if entry is None else entry & 1 == 1
+        answer = self._memo.get(key)
+        st = self._stage
+        if answer is None:
+            answer = self._memo[key] = self._decide(x, y, zmask)
+            st.queries += 1
+            size = zmask.bit_count()
+            if size > st.max_cond_size:
+                st.max_cond_size = size
+        else:
+            st.memo_hits += 1
+        return answer
 
     def _decide(self, x, y, zmask):
         raise NotImplementedError

@@ -5,7 +5,6 @@ shared corpus (500 generated instances, degree bound 3, sizes 8..14, up to
 3 latent and 1 selection variable) is built once per session; see conftest.
 """
 
-import contextlib
 import itertools
 from collections import Counter
 
@@ -13,6 +12,7 @@ from fciplus import (
     ALGORITHM_STAGES, DsepOracle, IndependenceOracle, d_separated,
     exhaustive_skeleton, pc_adjacency_search, random_sparse_dag, run_pipeline,
 )
+from fciplus.pipelines import ALGORITHMS
 from fciplus import pc as pc_module
 from fciplus.generators import bidirected_chain, canonical_examples
 from fciplus.report import compare_runs
@@ -308,51 +308,49 @@ def test_adjacency_search_asks_every_one_sided_set(corpus, monkeypatch):
     assert any(_unasked_one_sided_sets(inst.dag) for inst in corpus)
 
 
-class _RepeatRecordingOracle(_RecordingDsepOracle):
-    """Recording oracle that also lists, as (stage, x, y, mask) with x < y,
-    each query of the deep search or minimal_dsep whose key an earlier query
-    of any stage asked; minimal_dsep's opening precondition query is
-    exempt."""
+class _DecideCountingOracle(DsepOracle):
+    """Exact oracle that counts its `_decide` calls, the tests it decides."""
 
     def __init__(self, dag):
         super().__init__(dag)
-        self.repeats = []
-        self._names = []
-        self._opening = False
+        self.decided = 0
 
-    @contextlib.contextmanager
-    def stage(self, name):
-        self._names.append(name)
-        self._opening = name == "minimal_dsep"
-        try:
-            with super().stage(name):
-                yield self
-        finally:
-            self._names.pop()
-
-    def query(self, x, y, z):
-        key = (min(x, y), max(x, y), z)
-        name = self._names[-1] if self._names else "reference"
-        if (name in ("dsep_search", "minimal_dsep") and key in self.asked
-                and not (name == "minimal_dsep" and self._opening)):
-            self.repeats.append((name,) + key)
-        self._opening = False
-        return super().query(x, y, z)
+    def _decide(self, x, y, zmask):
+        self.decided += 1
+        return super()._decide(x, y, zmask)
 
 
-def _deep_repeats(dag):
-    oracle = _RepeatRecordingOracle(dag)
-    run_pipeline("fciplus", oracle, k=CORPUS_K, with_checks=False)
-    return oracle.repeats
+def _miscounted(dag, algorithms):
+    """The algorithms whose run on dag, with its embedded checks, counts
+    other than one query per decided test: the stages' `queries` must sum
+    to the number of memo entries and of `_decide` calls."""
+    bad = []
+    for algorithm in algorithms:
+        oracle = _DecideCountingOracle(dag)
+        report = run_pipeline(algorithm, oracle, k=CORPUS_K)
+        total = sum(st["queries"] for st in report.stats.values())
+        if not total == len(oracle._memo) == oracle.decided:
+            bad.append(algorithm)
+    return bad
 
 
-def test_deep_search_asks_no_answered_test(corpus, monkeypatch):
-    # the deep search and minimal_dsep read the oracle's memo and ask no
-    # test that any stage has already answered
-    for dag in [inst.dag for inst in corpus] + list(sweep_dags()):
-        assert _deep_repeats(dag) == [], dag.to_json()
+def test_stage_queries_count_each_decided_test_once(corpus, monkeypatch):
+    # a memo hit is no test: every stage counts only the tests it decides,
+    # in fci's exhaustive reference and the embedded checks as in the search
+    for inst in corpus:
+        assert _miscounted(inst.dag, ALGORITHMS) == [], inst.seed
+    for dag in sweep_dags():
+        assert _miscounted(dag, ("pc", "fciplus")) == [], dag.to_json()
 
-    # mutant: the memo reads as empty, so answered tests are asked again
-    monkeypatch.setattr(IndependenceOracle, "answered",
-                        lambda self, x, y, zmask: None)
-    assert any(_deep_repeats(inst.dag) for inst in corpus)
+    # mutant: the memo hits are counted as queries too
+    real_query = IndependenceOracle.query
+
+    def counting_hits(self, x, y, z):
+        size = len(self._memo)
+        answer = real_query(self, x, y, z)
+        if len(self._memo) == size:
+            self._stage.queries += 1
+        return answer
+
+    monkeypatch.setattr(IndependenceOracle, "query", counting_hits)
+    assert any(_miscounted(inst.dag, ("fciplus",)) for inst in corpus)

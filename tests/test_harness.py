@@ -321,6 +321,26 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert len(out.read_text().splitlines()) == 4
 
+    def test_bench_totals_equal_the_pipelines_without_checks(self, tmp_path):
+        # bench runs the embedded checks; they ask only tests that the run
+        # already decided, which are memo hits and no queries, so every
+        # algorithm's total is its own search's
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        want = {"pc": 0, "fci": 0, "fciplus": 0}
+        for s in range(20):
+            dag = random_sparse_dag(10, 3, 2, s % 2, 0.25, seed=s)
+            (corpus / ("g%02d.json" % s)).write_text(dag.to_json())
+            for a in want:
+                report = run_pipeline(a, DsepOracle(dag), k=3,
+                                      with_checks=False)
+                want[a] += sum(st["queries"] for st in report.stats.values())
+        res = CliRunner().invoke(main, ["bench", "--corpus", str(corpus)])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines() == [
+            "%-8s 20 instances, %d queries total" % (a, want[a])
+            for a in ("pc", "fci", "fciplus")]
+
     def test_run_on_csv_data(self, tmp_path):
         import numpy as np
         rng = np.random.default_rng(0)

@@ -84,8 +84,7 @@ class TestDsepOracle:
                        o.query(0, 2, [3, 1]), o.query(0, 2, 0b1010)]
         assert answers == [d_separated(dag, 0, 2, {1, 3})] * 4
         st = o.stats.stages["pc_search"]
-        assert st.queries == 4 and st.distinct == 1
-        assert o.decided == 1
+        assert st.queries == o.decided == 1 and st.memo_hits == 3
 
     def test_invalid_ids_rejected_on_every_call(self):
         # a bool, float or numpy id can equal a memoized int key, and a mask
@@ -242,9 +241,11 @@ class TestStats:
         o.query = logged
         run_pipeline("fciplus", o, k=ex.k)
         stats = o.stats
-        # every call is counted in exactly one stage
-        assert sum(st["queries"] for st in stats.to_dict().values()) \
-            == len(calls) > 0
+        # every call is counted in exactly one stage, as the query that
+        # decides its test or as a memo hit
+        d = stats.to_dict().values()
+        assert sum(st["queries"] + st["memo_hits"] for st in d) \
+            == len(calls) > sum(st["queries"] for st in d) == len(o._memo)
         assert stats.stages["pc_search"].queries > 0
         assert stats.stages["dsep_search"].queries > 0
         assert stats.stages["minimal_dsep"].queries > 0
@@ -276,29 +277,33 @@ class TestStats:
         ex = canonical_examples()["hierarchical_links"]
         o = Logged(ex.dag)
         report = run_pipeline("fciplus", o, k=ex.k)
-        want = {s: {"queries": 0, "distinct": 0, "max_cond_size": 0}
+        want = {s: {"queries": 0, "memo_hits": 0, "max_cond_size": 0}
                 for s in o.stats.stages}
         stages_of = {}
         for stage, key in o.log:
             w = want[stage]
-            w["queries"] += 1
-            w["max_cond_size"] = max(w["max_cond_size"],
-                                     key[2].bit_count())
+            if key in stages_of:
+                w["memo_hits"] += 1
+            else:
+                # the first call of a key decides its test
+                w["queries"] += 1
+                w["max_cond_size"] = max(w["max_cond_size"],
+                                         key[2].bit_count())
             stages_of.setdefault(key, set()).add(stage)
-        for stages in stages_of.values():
-            for stage in stages:
-                want[stage]["distinct"] += 1
         assert report.stats == want
         assert any(len(stages) > 1 for stages in stages_of.values())
         assert len(o.log) > len(stages_of) == len(o._memo)
 
-    def test_repeat_queries_count_raw_but_not_distinct(self):
+    def test_repeat_query_is_a_memo_hit(self):
         o = DsepOracle(fork_dag())
         with o.stage("pc_search"):
             o.query(0, 1, set())
-            o.query(1, 0, set())  # symmetric key
-        st = o.stats.stages["pc_search"]
-        assert st.queries == 2 and st.distinct == 1
+        with o.stage("dsep_search"):
+            o.query(1, 0, set())  # symmetric key, asked in a later stage
+        st = o.stats.stages
+        assert (st["pc_search"].queries, st["pc_search"].memo_hits) == (1, 0)
+        assert (st["dsep_search"].queries, st["dsep_search"].memo_hits) \
+            == (0, 1)
 
     def test_max_cond_size_tracked(self):
         dag = CausalDag(4, [(0, 1)], observed=range(4))
@@ -313,7 +318,8 @@ class TestStats:
         d = o.stats.to_dict()
         assert set(d) == {"pc_search", "augment", "dsep_search",
                           "minimal_dsep", "orientation", "reference"}
-        assert set(d["reference"]) == {"queries", "distinct", "max_cond_size"}
+        assert set(d["reference"]) == {"queries", "memo_hits",
+                                       "max_cond_size"}
 
     def test_unknown_stage_rejected(self):
         o = DsepOracle(fork_dag())

@@ -19,8 +19,8 @@ from fciplus import (
     random_sparse_dag, run_pipeline,
 )
 
-REPLAY_DIGEST = "c6c6559fe7a81571c2877531c87850fafae109ec47cd02b25595d9bf802f4068"
-SAMPLE_DIGEST = "fe181b30d58298bf065db386212c70a31bbe5eeed7d8272ff893e5fc3670c2a0"
+REPLAY_DIGEST = "8e4ff10e2e53c924038c4fa9f71afcd86ca37e74f6cf6ed2e5cf87b7c24369fa"
+SAMPLE_DIGEST = "8220ff89a32831df1df1661a9164b240580514e431ce53acadc0c6ec2342dd05"
 SAMPLE_ALPHA = 0.01
 
 
