@@ -46,7 +46,9 @@ def minimal_dsep(x, y, z_star, oracle):
     repeated until stable); returns it. A test already decided, such as
     the precondition that dsep_search has just asked, is a memo hit.
 
-    Precondition: z_star separates x and y per the oracle (checked).
+    Precondition: z_star separates x and y per the oracle (checked, by a
+    `query` that also checks the input); the eliminations ask subsets of
+    z_star through the oracle's trusted `ask`.
     """
     with oracle.stage("minimal_dsep"):
         if not oracle.query(x, y, z_star):
@@ -58,7 +60,7 @@ def minimal_dsep(x, y, z_star, oracle):
             changed = False
             for w in _bits(current):
                 reduced = current & ~(1 << w)
-                if oracle.query(x, y, reduced):
+                if oracle.ask(x, y, reduced):
                     current = reduced
                     changed = True
     return current
@@ -101,7 +103,9 @@ def dsep_search(skeleton, sepsets, oracle, k):
     closed base). A test that the oracle has already decided, in any
     stage, is a memo hit and costs no query, and "combos_tried" counts
     every base pair walked. The input skeleton and stored sets must be over
-    the oracle's variables (ValueError otherwise).
+    the oracle's variables (ValueError otherwise); checked once here, they
+    make every set the walk builds valid, so it asks the oracle's trusted
+    `ask`.
 
     A retry first closes the widest seed once, hie({x, y} + Adj(x) +
     Adj(y)). If no pair resolved since the candidate's last attempt lies
@@ -162,7 +166,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
                     if cx is None:
                         cx = closed[zx] = hie(ends | zx, sepsets)
                     zstar = hie(zy, sepsets, cx) & ~ends
-                    if oracle.query(x, y, zstar):
+                    if oracle.ask(x, y, zstar):
                         found = (zx, zy, zstar)
                         break
                 log["combos_tried"][key] = log["combos_tried"].get(key, 0) + combos

@@ -1,19 +1,25 @@
 """Conditional-independence oracles and per-stage query accounting.
 
 Every search stage runs its queries under a named stage so the counters can
-be partitioned afterwards; `query` answers True for independence. A test
+be partitioned afterwards; a query answers True for independence. A test
 costs one query, counted under the stage that decides it on a memo miss;
 every later call of it, in any stage, is counted as that stage's memo hit,
-which is no test. DsepOracle
-answers from d-separation on a ground-truth causal DAG (conditioning on the
-selection set is implicit). GaussOracle answers from partial correlations of
-Gaussian samples via the Fisher z test `_fisher_z`; a degenerate test answers
-dependent and is counted in `n_test_errors` (the report's `test_errors`).
+which is no test. `query` is the public entry: it checks its input on
+every call. The searches build their ids and masks from valid ones, so they
+call the trusted entry `ask`, which checks nothing; `query` answers through
+it, so both share one memo and one set of counters.
+
+DsepOracle answers from d-separation on a ground-truth causal DAG
+(conditioning on the selection set is implicit). GaussOracle answers from
+partial correlations of Gaussian samples via the Fisher z test
+`_fisher_z`; a degenerate test answers dependent and is counted in
+`n_test_errors` (the report's `test_errors`). It sweeps each conditioning
+set's covariance block, and each variable's row under that set, once per
+oracle and keeps them, in memory O(tests x |Z|).
 """
 
 from contextlib import contextmanager
 from math import atanh, sqrt
-from operator import itemgetter
 from statistics import NormalDist
 
 import numpy as np
@@ -71,10 +77,11 @@ class IndependenceOracle:
     variable v). `query` also takes an iterable of ids and turns it into
     its mask first; then it checks, in constant time, that x and y are
     distinct ids in range and outside the mask, and that the mask holds
-    only ids in range. Subclasses implement _decide(x, y, zmask), a bool,
-    for x < y. `query` memoizes each answer, keyed by one int, so _decide
-    runs once per key; a call is counted as a query of the current
-    stage when it decides the test, and as a memo hit otherwise.
+    only ids in range, and answers through `ask`, which checks nothing.
+    Subclasses implement _decide(x, y, zmask), a bool, for x < y. `ask`
+    memoizes each answer, keyed by one int, so _decide runs once per key;
+    a call is counted as a query of the current stage when it decides the
+    test, and as a memo hit otherwise.
     """
 
     def __init__(self, n_vars, names=None):
@@ -102,7 +109,8 @@ class IndependenceOracle:
 
     def query(self, x, y, z):
         """True iff x is independent of y given z under the backing model;
-        z is an int mask or an iterable of ids."""
+        z is an int mask or an iterable of ids. Checks its input on every
+        call, then answers through `ask`."""
         zmask = z if type(z) is int else _mask(z)
         n = self.n_vars
         # exact ints only: True and 1.0 hash like 1 but are no ids; and
@@ -113,8 +121,17 @@ class IndependenceOracle:
             raise OracleError(
                 "invalid query (%r, %r | %r) over ids 0..%d: x and y must be"
                 " distinct ids outside z" % (x, y, z, n - 1))
+        return self.ask(x, y, zmask)
+
+    def ask(self, x, y, zmask):
+        """`query` for a caller whose input is valid by construction: x
+        and y distinct ids in range, zmask an int mask over the other ids.
+        Checks nothing: an invalid id or mask bit would make the memo key
+        collide with another test's. It holds the one memo and the one set
+        of counters, which `query` answers through."""
         if x > y:
             x, y = y, x
+        n = self.n_vars
         key = (x * n + y) << n | zmask
         answer = self._memo.get(key)
         st = self._stage
@@ -212,28 +229,18 @@ class DsepOracle(IndependenceOracle):
         return separated
 
 
-def _fisher_z(cov, n_samples, x, y, z, crit):
-    """Partial-correlation independence test for Gaussian data on a
-    covariance given as nested lists: True iff independent, None for a
-    degenerate test.
-
-    rho is the correlation of the residuals of x and y given z; the test
-    accepts independence iff sqrt(n-|z|-3) * |atanh(rho)| <= crit, where
-    crit = Phi^-1(1 - alpha/2). It is degenerate when n <= |z| + 3, when a
-    residual variance (of a member of z given the later members, or of x
-    or y given z) is at most 1e-10 of that variable's own variance, or when
-    1 - rho^2 <= 1e-10. z is swept out of the submatrix over [x, y, *z],
-    last to first, on its upper triangle (a Schur complement).
-    """
+def _sweep_set(cov, z):
+    """The Schur-complement sweep of the covariance block over z, last
+    member first, or None when a pivot is at most 1e-10 of its variable's
+    variance (a degenerate set). One (k, pivot, column above it) per step,
+    in sweep order: k is the member's position in z, and the pivot and the
+    column are as they stand when that member is swept out."""
     m = len(z)
-    if n_samples <= m + 3:
-        return None
-    idx = [x, y, *z]
-    get = itemgetter(*idx)
-    a = [list(get(cov[i])) for i in idx]
-    for k in range(m + 1, 1, -1):
+    a = [[cov[i][j] for j in z] for i in z]
+    steps = []
+    for k in range(m - 1, -1, -1):
         pivot = a[k][k]
-        if pivot <= _DEGENERATE * cov[idx[k]][idx[k]]:
+        if pivot <= _DEGENERATE * cov[z[k]][z[k]]:
             return None
         col = [row[k] for row in a[:k]]
         for i, f in enumerate(col):
@@ -241,7 +248,72 @@ def _fisher_z(cov, n_samples, x, y, z, crit):
             row = a[i]
             for j in range(i, k):
                 row[j] -= f * col[j]
-    sxx, sxy, syy = a[0][0], a[0][1], a[1][1]
+        steps.append((k, pivot, col))
+    return steps
+
+
+def _sweep_row(cov, v, z, steps):
+    """v's row swept by the steps of _sweep_set(cov, z): v's residual
+    variance given z, then per step the factor (entry / pivot) and the
+    entry of v's row at the swept member, as it stands at that step."""
+    cv = cov[v]
+    row = [cv[w] for w in z]
+    var = cv[v]
+    factors = []
+    entries = []
+    for k, pivot, col in steps:
+        e = row[k]
+        f = e / pivot
+        var -= f * e
+        factors.append(f)
+        entries.append(e)
+        for j, c in enumerate(col):
+            row[j] -= f * c
+    return var, factors, entries
+
+
+def _fisher_z(cov, sweeps, n_samples, x, y, zmask, crit):
+    """Partial-correlation independence test for Gaussian data on a
+    covariance given as nested lists: True iff independent, None for a
+    degenerate test.
+
+    rho is the correlation of the residuals of x and y given z, the members
+    of zmask; the test accepts independence iff sqrt(n-|z|-3) * |atanh(rho)|
+    <= crit, where crit = Phi^-1(1 - alpha/2). It is degenerate when n <=
+    |z| + 3, when a residual variance (of a member of z given the later
+    members, or of x or y given z) is at most 1e-10 of that variable's own
+    variance, or when 1 - rho^2 <= 1e-10.
+
+    z is swept out of the submatrix over [x, y, *z], last to first, on its
+    upper triangle (a Schur complement): a[i][j] -= (a[i][k] / pivot) *
+    a[j][k] for i <= j < k. The pivots and the columns above them depend on
+    z alone, and row x (or y) on x (or y) and z alone, so `sweeps` keeps
+    them, keyed zmask -> (members, _sweep_set or None, {v: _sweep_row}), and
+    each is swept once. The one entry that needs both rows, a[0][1], is
+    combined from x's factors and y's entries in the same order, so every
+    statistic equals a sweep of the whole submatrix bit for bit.
+    """
+    m = zmask.bit_count()
+    if n_samples <= m + 3:
+        return None
+    entry = sweeps.get(zmask)
+    if entry is None:
+        z = _bits(zmask)
+        entry = sweeps[zmask] = (z, _sweep_set(cov, z), {})
+    z, steps, rows = entry
+    if steps is None:
+        return None
+    rx = rows.get(x)
+    if rx is None:
+        rx = rows[x] = _sweep_row(cov, x, z, steps)
+    ry = rows.get(y)
+    if ry is None:
+        ry = rows[y] = _sweep_row(cov, y, z, steps)
+    sxx, fx, _ = rx
+    syy, _, ey = ry
+    sxy = cov[x][y]
+    for f, e in zip(fx, ey):
+        sxy -= f * e
     if (sxx <= _DEGENERATE * cov[x][x] or syy <= _DEGENERATE * cov[y][y]
             or sxx * syy - sxy * sxy <= _DEGENERATE * sxx * syy):
         return None
@@ -255,7 +327,9 @@ class GaussOracle(IndependenceOracle):
     Provided for running the pipelines on real data; no exactness guarantee.
     Non-finite values, constant columns and an alpha outside (0, 1) are
     rejected at load time; a degenerate test (see _fisher_z) answers
-    dependent and is counted in n_test_errors, never warned.
+    dependent and is counted in n_test_errors, never warned. The sweeps of
+    the conditioning sets and of the rows under them stay with the oracle,
+    one per set and one per (variable, set) asked.
     """
 
     def __init__(self, data, names=None, alpha=0.01):
@@ -264,8 +338,9 @@ class GaussOracle(IndependenceOracle):
             raise OracleError("data must be a 2-d array with at least 2 rows")
         if not np.isfinite(data).all():
             raise OracleError("data holds NaN or infinite values")
-        spans = data.max(axis=0) - data.min(axis=0)
-        dead = [int(i) for i in np.nonzero(spans == 0)[0]]
+        # a column is constant iff no row differs from its first
+        live = (data[1:] != data[0]).any(axis=0)
+        dead = [int(i) for i in np.nonzero(~live)[0]]
         if dead:
             raise OracleError("constant columns %r cannot be tested" % dead)
         if not 0 < alpha < 1:
@@ -275,6 +350,7 @@ class GaussOracle(IndependenceOracle):
         self.n_samples = data.shape[0]
         self.cov = np.cov(data, rowvar=False).tolist()
         self.alpha = alpha
+        self._sweeps = {}   # the Fisher z sweeps (see _fisher_z)
         super().__init__(data.shape[1], names=names)
 
     @classmethod
@@ -301,7 +377,7 @@ class GaussOracle(IndependenceOracle):
         return cls(data, names=names, alpha=alpha)
 
     def _decide(self, x, y, zmask):
-        result = _fisher_z(self.cov, self.n_samples, x, y, _bits(zmask),
-                           self._crit)
+        result = _fisher_z(self.cov, self._sweeps, self.n_samples, x, y,
+                           zmask, self._crit)
         self.n_test_errors += result is None
         return bool(result)

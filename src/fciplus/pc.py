@@ -14,18 +14,19 @@ def separating_of_size(oracle, x, y, xside, yside, size):
     x's bit. Tries the combinations of xside that leave out y, then those
     of yside that leave out x and do not lie inside xside's mask: those
     were asked on the x side already, so no mask is asked twice. A side
-    shorter than `size` yields no combination.
+    shorter than `size` yields no combination. The sides hold bits of the
+    oracle's ids, so their sums go to the oracle's trusted `ask`.
     """
-    query = oracle.query
+    ask = oracle.ask
     xbit, ybit = 1 << x, 1 << y
     for zs in combinations(xside, size):
         zmask = sum(zs)
-        if not zmask & ybit and query(x, y, zmask):
+        if not zmask & ybit and ask(x, y, zmask):
             return zmask
     outside = ~sum(xside)
     for zs in combinations(yside, size):
         zmask = sum(zs)
-        if zmask & outside and not zmask & xbit and query(x, y, zmask):
+        if zmask & outside and not zmask & xbit and ask(x, y, zmask):
             return zmask
     return None
 
@@ -73,7 +74,7 @@ def pc_adjacency_search(oracle, k=None):
     with oracle.stage("pc_search"):
         for x in range(n):
             for y in range(x + 1, n):
-                if oracle.query(x, y, 0):
+                if oracle.ask(x, y, 0):
                     remove(x, y, 0)
         level = 1
         while k is None or level <= k:

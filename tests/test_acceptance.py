@@ -260,15 +260,15 @@ def test_truth_pag_reference(corpus_runs):
 
 class _RecordingDsepOracle(DsepOracle):
     """Exact oracle that records the (x, y, mask) key, x < y, of every
-    query."""
+    call of the trusted entry `ask`, which `query` also answers through."""
 
     def __init__(self, dag):
         super().__init__(dag)
         self.asked = set()
 
-    def query(self, x, y, z):
-        self.asked.add((min(x, y), max(x, y), z))
-        return super().query(x, y, z)
+    def ask(self, x, y, zmask):
+        self.asked.add((min(x, y), max(x, y), zmask))
+        return super().ask(x, y, zmask)
 
 
 def _unasked_one_sided_sets(dag, k=CORPUS_K):
@@ -300,7 +300,7 @@ def test_adjacency_search_asks_every_one_sided_set(corpus, monkeypatch):
     def x_side_only(oracle, x, y, xside, yside, size):
         for zs in itertools.combinations(xside, size):
             zmask = sum(zs)
-            if not zmask & 1 << y and oracle.query(x, y, zmask):
+            if not zmask & 1 << y and oracle.ask(x, y, zmask):
                 return zmask
         return None
 
@@ -342,15 +342,16 @@ def test_stage_queries_count_each_decided_test_once(corpus, monkeypatch):
     for dag in sweep_dags():
         assert _miscounted(dag, ("pc", "fciplus")) == [], dag.to_json()
 
-    # mutant: the memo hits are counted as queries too
-    real_query = IndependenceOracle.query
+    # mutant: the memo hits are counted as queries too, at the trusted
+    # entry that every search and `query` answer through
+    real_ask = IndependenceOracle.ask
 
-    def counting_hits(self, x, y, z):
+    def counting_hits(self, x, y, zmask):
         size = len(self._memo)
-        answer = real_query(self, x, y, z)
+        answer = real_ask(self, x, y, zmask)
         if len(self._memo) == size:
             self._stage.queries += 1
         return answer
 
-    monkeypatch.setattr(IndependenceOracle, "query", counting_hits)
+    monkeypatch.setattr(IndependenceOracle, "ask", counting_hits)
     assert any(_miscounted(inst.dag, ("fciplus",)) for inst in corpus)

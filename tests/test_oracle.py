@@ -232,13 +232,14 @@ class TestStats:
         ex = canonical_examples()["five_node_deep_link"]
         o = DsepOracle(ex.dag)
         calls = []
-        query = o.query
+        ask = o.ask
 
         def logged(*args):
             calls.append(args)
-            return query(*args)
+            return ask(*args)
 
-        o.query = logged
+        # the searches call the trusted entry, and `query` answers through it
+        o.ask = logged
         run_pipeline("fciplus", o, k=ex.k)
         stats = o.stats
         # every call is counted in exactly one stage, as the query that
@@ -268,10 +269,10 @@ class TestStats:
                     finally:
                         self.current.pop()
 
-            def query(self, x, y, z):
+            def ask(self, x, y, zmask):
                 self.log.append((self.current[-1],
-                                 (min(x, y), max(x, y), z)))
-                return super().query(x, y, z)
+                                 (min(x, y), max(x, y), zmask)))
+                return super().ask(x, y, zmask)
 
         from fciplus.generators import canonical_examples
         ex = canonical_examples()["hierarchical_links"]
@@ -293,6 +294,37 @@ class TestStats:
         assert report.stats == want
         assert any(len(stages) > 1 for stages in stages_of.values())
         assert len(o.log) > len(stages_of) == len(o._memo)
+
+    def test_query_and_ask_share_one_memo_and_counters(self):
+        # `query` checks its input and answers through the trusted entry
+        # `ask`: a test decided by either is a memo hit for the other, in
+        # any stage, and each call is counted once
+        class Counting(DsepOracle):
+            decided = 0
+
+            def _decide(self, x, y, zmask):
+                self.decided += 1
+                return super()._decide(x, y, zmask)
+
+        dag = CausalDag(4, [(0, 1), (1, 2), (2, 3)], observed=range(4))
+        o = Counting(dag)
+        with o.stage("pc_search"):
+            assert o.query(0, 2, {1}) is True
+            assert o.ask(2, 0, 0b10) is True
+            assert o.ask(0, 3, 0) is False
+        with o.stage("dsep_search"):
+            assert o.query(3, 0, ()) is False
+            assert o.ask(1, 3, 0b100) is True
+            assert o.query(1, 3, [2]) is True
+        st = o.stats.stages
+        assert (st["pc_search"].queries, st["pc_search"].memo_hits) == (2, 1)
+        assert (st["dsep_search"].queries, st["dsep_search"].memo_hits) \
+            == (1, 2)
+        assert st["pc_search"].max_cond_size == 1
+        assert st["dsep_search"].max_cond_size == 1
+        assert o.decided == len(o._memo) == 3
+        with pytest.raises(OracleError):
+            o.query(1, 3, {3})
 
     def test_repeat_query_is_a_memo_hit(self):
         o = DsepOracle(fork_dag())
@@ -337,11 +369,12 @@ def simulate(coeffs, n, rng):
 
 
 def fisher_z(cov, n_samples, x, y, z, alpha):
-    """oracles._fisher_z on a covariance array at significance level alpha:
-    True iff independent, None for a degenerate test."""
+    """oracles._fisher_z on a covariance array at significance level alpha,
+    with empty sweep caches: True iff independent, None for a degenerate
+    test."""
     crit = NormalDist().inv_cdf(1 - alpha / 2)
-    return oracles._fisher_z(np.asarray(cov, dtype=float).tolist(),
-                             n_samples, x, y, sorted(z), crit)
+    return oracles._fisher_z(np.asarray(cov, dtype=float).tolist(), {},
+                             n_samples, x, y, sum(1 << v for v in z), crit)
 
 
 class TestFisherZ:
@@ -428,9 +461,63 @@ class TestFisherZ:
 
 class TestGaussOracle:
     def test_constant_column_rejected_at_load(self):
-        data = np.column_stack([np.ones(50), np.arange(50.0)])
-        with pytest.raises(OracleError):
+        data = np.column_stack([np.ones(50), np.arange(50.0), np.zeros(50)])
+        with pytest.raises(OracleError,
+                           match=r"constant columns \[0, 2\] cannot be"):
             GaussOracle(data)
+        # a column that differs from the others only in its last (or its
+        # first) row is not constant
+        for row in (-1, 0):
+            live = np.ones(50)
+            live[row] = 1.5
+            GaussOracle(np.column_stack([live, np.arange(50.0)]))
+
+    def test_sweep_caches_do_not_leak_between_tests(self, monkeypatch):
+        # one oracle caches the sweep of each conditioning set and of each
+        # (variable, set) row; a shuffled stream of tests that share sets
+        # must answer, and count degenerate tests, as a fresh oracle per
+        # test does. Column 5 is near-collinear with column 0, so every set
+        # holding both is degenerate, as is every test of one of them given
+        # a set holding the other
+        rng = np.random.default_rng(17)
+        data = rng.standard_normal((300, 6))
+        data[:, 2] += 0.8 * data[:, 0] - 0.6 * data[:, 1]
+        data[:, 3] += 0.7 * data[:, 2]
+        data[:, 4] += 0.5 * data[:, 1] + 0.5 * data[:, 3]
+        data[:, 5] = 2 * data[:, 0] + 1e-9 * rng.standard_normal(300)
+        stream = [(x, y, zs) for x, y in itertools.combinations(range(6), 2)
+                  for size in range(3)
+                  for zs in itertools.combinations(
+                      [v for v in range(6) if v not in (x, y)], size)]
+        random.Random(3).shuffle(stream)
+
+        def fresh(x, y, zs):
+            o = GaussOracle(data, alpha=0.2)
+            return o.query(x, y, zs), o.n_test_errors
+
+        want = [fresh(*t) for t in stream]
+
+        def shared():
+            o = GaussOracle(data, alpha=0.2)
+            answers = [o.query(x, y, zs) for x, y, zs in stream]
+            return answers, o.n_test_errors
+
+        assert shared() == ([a for a, _ in want], sum(e for _, e in want))
+        assert 0 < sum(e for _, e in want) < len(stream)
+        assert sum(a for a, _ in want) > 0 and not all(a for a, _ in want)
+
+        # mutant: rows cached by their set alone, not by (variable, set)
+        real_row = oracles._sweep_row
+        by_set = {}
+
+        def row_by_set_only(cov, v, z, steps):
+            key = (id(cov), tuple(z))
+            if key not in by_set:
+                by_set[key] = real_row(cov, v, z, steps)
+            return by_set[key]
+
+        monkeypatch.setattr(oracles, "_sweep_row", row_by_set_only)
+        assert shared() != ([a for a, _ in want], sum(e for _, e in want))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_at_load(self, bad):
@@ -530,7 +617,7 @@ class TestGaussOracle:
         o = GaussOracle(near)
         assert o.query(0, 1, ()) is False and o.n_test_errors == 1
         assert o.query(0, 2, {1}) is False and o.n_test_errors == 2
-        assert oracles._fisher_z(o.cov, 500, 1, 2, [0], o._crit) is None
+        assert oracles._fisher_z(o.cov, {}, 500, 1, 2, 0b1, o._crit) is None
         report = run_pipeline("fciplus", GaussOracle(near), k=2)
         assert report.test_errors > 0
         loose = GaussOracle(np.column_stack([a, a + 1e-4 * noise, b]))

@@ -23,16 +23,17 @@ def random_sufficient_dag(n, density, seed):
 
 class _RecordingOracle(IndependenceOracle):
     """Independent exactly on the listed (x, y, mask) keys; records every
-    query in order."""
+    call of the trusted entry `ask`, which `query` also answers through, in
+    order."""
 
     def __init__(self, n_vars, independent):
         super().__init__(n_vars)
         self.independent = set(independent)
         self.asked = []
 
-    def query(self, x, y, z):
-        self.asked.append((x, y, z))
-        return super().query(x, y, z)
+    def ask(self, x, y, zmask):
+        self.asked.append((x, y, zmask))
+        return super().ask(x, y, zmask)
 
     def _decide(self, x, y, zmask):
         return (x, y, zmask) in self.independent
