@@ -16,7 +16,9 @@ and previously failed candidates are retried. A test the oracle has
 already decided, in this stage or any earlier one, is a memo hit and no
 query, so a retry pays only for the sets that the grown hierarchy changed,
 and a retry whose widest closure holds no newly stored pair is settled by
-that one closure.
+that one closure. Each seed is closed once per search, by extending the
+closure of the seed minus one node, and a retry rebuilds only the closures
+that a newly stored pair lies inside.
 """
 
 from itertools import combinations
@@ -98,17 +100,26 @@ def dsep_search(skeleton, sepsets, oracle, k):
     failed candidate is reactivated and the next pass starts. Terminates
     after a pass in which no candidate resolves.
 
-    Each piece of work is done once. The closure of {x, y} + Zx is built
-    once per x-side base of an attempt and extended by each Zy (hie with a
-    closed base). A test that the oracle has already decided, in any
-    stage, is a memo hit and costs no query, and "combos_tried" counts
-    every base pair walked. The input skeleton and stored sets must be over
-    the oracle's variables (ValueError otherwise); checked once here, they
-    make every set the walk builds valid, so it asks the oracle's trusted
-    `ask`.
+    Each piece of work is done once. The closure of a seed {x, y} + Zx +
+    Zy is cached by the seed's mask for the whole search; it depends on the
+    seed alone, so candidates that share a seed share it. A seed is closed
+    from the closure of its prefix, the seed minus its highest node outside
+    {x, y}, by adding that one node (hie with a closed base); the walk's
+    size order closes every prefix first. Each cached closure carries the
+    number of resolutions at which it was last known to be closed, and a
+    later lookup reuses it when no pair stored since then lies inside it.
+    This is exact: stored sets are only added and closures are monotone,
+    so the closure now contains the cached one, which is still closed, and
+    the two are equal. A cached closure that a new pair lies inside is
+    built again from its prefix. A test that the oracle has already
+    decided, in any stage, is a memo hit and costs no query, and
+    "combos_tried" counts every base pair walked. The input skeleton and
+    stored sets must be over the oracle's variables (ValueError
+    otherwise); checked once here, they make every set the walk builds
+    valid, so it asks the oracle's trusted `ask`.
 
-    A retry first closes the widest seed once, hie({x, y} + Adj(x) +
-    Adj(y)). If no pair resolved since the candidate's last attempt lies
+    A retry first closes the widest seed, {x, y} + Adj(x) + Adj(y), like
+    any other. If no pair resolved since the candidate's last attempt lies
     inside that closure, the candidate fails again without walking its
     base pairs, and "combos_tried" adds their number. This is exact.
     Edges are only removed, so every base pair of the retry was one of the
@@ -116,7 +127,8 @@ def dsep_search(skeleton, sepsets, oracle, k):
     a base pair's closure at the last attempt lies inside its closure now,
     which lies inside the widest one. The earlier closure thus holds no
     newly stored pair and is already closed under every stored set: the two
-    are equal, and the earlier one's set failed.
+    are equal, and the earlier one's set failed. No cache outlives the
+    call.
 
     Detection asks no queries. The search enters the oracle's
     "dsep_search" stage once, and minimal_dsep enters its own stage.
@@ -139,6 +151,39 @@ def dsep_search(skeleton, sepsets, oracle, k):
            "reactivations": 0, "failed_final": []}
     last_attempt = {}   # pair -> the number of resolutions at its last attempt
     stored = []   # the mask of each resolved pair, in resolution order
+    # seed -> hie(seed), and seed -> the number of resolutions at which
+    # that closure was last known to be closed: dicts of ints, which the
+    # garbage collector does not track, so a large cache triggers no
+    # collection
+    closures, closed_at = {}, {}
+
+    def close(seed, ends):
+        """hie(seed) under the current stored sets. A cached closure that
+        holds no pair stored since it was last known closed is still closed,
+        so it is reused; otherwise the seed is closed from the closure of
+        its prefix, the seed minus its highest node outside ends."""
+        now = len(stored)
+        closure = closures.get(seed)
+        if closure is not None:
+            at = closed_at[seed]
+            if at == now or all(p & closure != p for p in stored[at:]):
+                closed_at[seed] = now
+                return closure
+        rest = seed & ~ends
+        if rest:
+            top = 1 << rest.bit_length() - 1
+            closure = closures.get(seed ^ top)
+            # the common case: the prefix was closed since the last resolution
+            if closure is None or closed_at[seed ^ top] != now:
+                closure = close(seed ^ top, ends)
+            if not closure & top:
+                closure = hie(top, sepsets, closure)
+        else:
+            closure = hie(seed, sepsets)
+        closures[seed] = closure
+        closed_at[seed] = now
+        return closure
+
     with oracle.stage("dsep_search"):
         while True:
             links = find_possible_dsep_links(g)
@@ -152,20 +197,16 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 since = last_attempt.get((x, y))
                 last_attempt[(x, y)] = len(stored)
                 if since is not None:
-                    widest = hie(ends | ax | ay, sepsets)
+                    widest = close(ends | ax | ay, ends)
                     if all(p & widest != p for p in stored[since:]):
                         log["combos_tried"][key] += _base_pair_count(
                             len(base_x), len(base_y), k)
                         continue
-                closed = {}   # x-side base -> hie(ends | base)
                 found = None
                 combos = 0
                 for zx, zy in _base_combinations(base_x, base_y, k):
                     combos += 1
-                    cx = closed.get(zx)
-                    if cx is None:
-                        cx = closed[zx] = hie(ends | zx, sepsets)
-                    zstar = hie(zy, sepsets, cx) & ~ends
+                    zstar = close(ends | zx | zy, ends) & ~ends
                     if oracle.ask(x, y, zstar):
                         found = (zx, zy, zstar)
                         break
@@ -187,6 +228,10 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 break
             else:
                 break
+    # close refers to itself through its cell; deleting the name breaks
+    # that cycle, so the caches are freed here and not by the garbage
+    # collector, which the cycles left behind made run ten times as often
+    del close
     # the last pass resolved nothing: every candidate of it failed
     log["failed_final"] = [[x, y] for x, y in links]
     return g, sepsets, log

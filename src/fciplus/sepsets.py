@@ -9,11 +9,16 @@ class SepsetMap:
     The invariant maintained by the callers: an entry exists iff the pair
     is nonadjacent in the current working graph, and the stored set
     separates the pair minimally.
+
+    `hie` reads a grouped index of the nonempty stored sets (`groups`). It
+    is built on the first closure and kept current by later `set` calls, so
+    a map that is never closed over, such as the adjacency search's, keeps
+    no index. A copy starts without one.
     """
 
     def __init__(self):
         self._partners = {}   # node -> {partner: stored set}, both ends
-        self._partner_mask = {}   # node -> mask of its stored partners
+        self._groups = None   # see groups(); None until first asked for
 
     @staticmethod
     def _check(x, y):
@@ -22,16 +27,42 @@ class SepsetMap:
 
     def set(self, x, y, zmask):
         self._check(x, y)
-        self._partners.setdefault(x, {})[y] = zmask
+        xs = self._partners.setdefault(x, {})
+        old = xs.get(y)
+        xs[y] = zmask
         self._partners.setdefault(y, {})[x] = zmask
-        self._partner_mask[x] = self._partner_mask.get(x, 0) | 1 << y
-        self._partner_mask[y] = self._partner_mask.get(y, 0) | 1 << x
+        if self._groups is not None:
+            for a, b in ((x, y), (y, x)):
+                sets = self._groups.setdefault(a, {})
+                if old:
+                    left = sets[old] & ~(1 << b)
+                    if left:
+                        sets[old] = left
+                    else:
+                        del sets[old]
+                if zmask:
+                    sets[zmask] = sets.get(zmask, 0) | 1 << b
 
     def get(self, x, y):
         """The stored separating set, or None if the pair has no entry (the
         empty set is the mask 0, so test the result with `is None`)."""
         self._check(x, y)
         return self._partners.get(x, {}).get(y)
+
+    def groups(self):
+        """The index `hie` reads: node -> {nonempty stored set: mask of the
+        partners that stored it with the node}. Empty sets add nothing to a
+        closure and are left out. Built on the first call and kept current
+        by `set` from then on."""
+        if self._groups is None:
+            self._groups = {}
+            for a, sets in self._partners.items():
+                grouped = {}
+                for b, zs in sets.items():
+                    if zs:
+                        grouped[zs] = grouped.get(zs, 0) | 1 << b
+                self._groups[a] = grouped
+        return self._groups
 
     def items(self):
         """List of ((x, y), set) tuples, x < y, in storage order, which is
@@ -42,9 +73,9 @@ class SepsetMap:
                 for y, zs in sets.items() if x < y]
 
     def copy(self):
+        """An independent map with the same entries and no index."""
         out = SepsetMap()
         out._partners = {v: dict(p) for v, p in self._partners.items()}
-        out._partner_mask = dict(self._partner_mask)
         return out
 
     def __len__(self):
@@ -60,25 +91,24 @@ def hie(seed, sepsets, closed=0):
 
     Adds the members of every stored set whose pair lies inside the
     closure, until stable. Each node entering the closure is visited once
-    and looks up only its stored partners already inside, so a pair is
-    closed over as soon as its second endpoint arrives. closed, when given,
-    must already be closed (a result of hie): its nodes' pairs are closed
-    over, so only the seed nodes outside it and what they pull in are
-    visited.
+    and reads its groups in `SepsetMap.groups`: a group's set is added as
+    soon as one of the partners that stored it is inside, so a pair is
+    closed over when its second endpoint arrives, and partners that stored
+    the same set cost one test. closed, when given, must already be closed
+    (a result of hie under the same stored sets): its nodes' pairs are
+    closed over, so only the seed nodes outside it and what they pull in
+    are visited.
     """
-    partner_mask, partners = sepsets._partner_mask.get, sepsets._partners
+    groups = sepsets.groups()
     closure = closed | seed
     work = seed & ~closed
     while work:
         a = work.bit_length() - 1
         work ^= 1 << a
-        inside = partner_mask(a, 0) & closure
-        if inside:
-            sets = partners[a]
-            while inside:
-                b = inside.bit_length() - 1
-                inside ^= 1 << b
-                zs = sets[b]
-                work |= zs & ~closure
-                closure |= zs
+        sets = groups.get(a)
+        if sets:
+            for zs, partners in sets.items():
+                if partners & closure:
+                    work |= zs & ~closure
+                    closure |= zs
     return closure

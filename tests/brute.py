@@ -3,7 +3,9 @@
 Everything here enumerates paths or subsets directly from the definitions,
 or (for the Fisher z test) regresses on the raw data; none of it shares code
 with the algorithms under test, except truth_pag, which orients a skeleton
-and separating sets read off the DAG with the package's complete rules.
+and separating sets read off the DAG with the package's complete rules, and
+reference_dsep_walk, which reuses the deep search's detection and
+minimal_dsep and closes every set from scratch.
 """
 
 from itertools import combinations, product
@@ -12,6 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from fciplus.dsep_search import find_possible_dsep_links, minimal_dsep
 from fciplus.graphs import (
     ARROW, CIRCLE, TAIL, MixedGraph, d_separated, latent_project,
 )
@@ -331,6 +334,49 @@ def naive_closure(seed, sepsets):
                 closure |= members(zs)
                 changed = True
     return closure
+
+
+def reference_dsep_walk(skeleton, sepsets, oracle, k):
+    """The deep search without any closure cache: every base pair's set is
+    naive_closure({x, y} + Zx + Zy) minus {x, y}, built from scratch, and a
+    retry is skipped when no pair resolved since the candidate's last
+    attempt lies inside the naive closure of {x, y} + Adj(x) + Adj(y).
+    Bases are taken with sizes ascending, the x side outer, lexicographic
+    within a size, at most k nodes per side (any number when k is None).
+    Asks the oracle what `dsep_search` asks, in the same order; returns
+    (final skeleton, sepsets)."""
+    g, sepsets = skeleton.copy(), sepsets.copy()
+    last_attempt, stored = {}, []
+    with oracle.stage("dsep_search"):
+        resolved = True
+        while resolved:
+            resolved = False
+            for x, y in find_possible_dsep_links(g):
+                base_x = [v for v in g.adj(x) if v != y]
+                base_y = [v for v in g.adj(y) if v != x]
+                since = last_attempt.get((x, y))
+                last_attempt[(x, y)] = len(stored)
+                if since is not None:
+                    widest = naive_closure({x, y, *base_x, *base_y}, sepsets)
+                    if not any(p <= widest for p in stored[since:]):
+                        continue
+                top_x = len(base_x) if k is None else min(k, len(base_x))
+                top_y = len(base_y) if k is None else min(k, len(base_y))
+                bases = [(zx, zy) for nx in range(top_x + 1)
+                         for ny in range(top_y + 1)
+                         for zx in combinations(base_x, nx)
+                         for zy in combinations(base_y, ny)]
+                for zx, zy in bases:
+                    zs = naive_closure({x, y, *zx, *zy}, sepsets) - {x, y}
+                    if oracle.ask(x, y, mask(zs)):
+                        sepsets.set(x, y, minimal_dsep(x, y, mask(zs), oracle))
+                        g.remove_edge(x, y)
+                        stored.append({x, y})
+                        resolved = True
+                        break
+                if resolved:
+                    break
+    return g, sepsets
 
 
 def bf_hierarchy_ancestry(dag, sepsets):

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import gc
 import importlib
 import itertools
 import random
@@ -17,7 +18,10 @@ from fciplus import (
 from fciplus.dsep_search import _base_combinations, _base_pair_count
 from fciplus.generators import canonical_examples, random_sparse_dag
 
-from .brute import bf_separable, mask, members, naive_closure
+from .brute import (
+    bf_separable, mask, members, naive_closure, reference_dsep_walk,
+)
+from .test_replay_digest import replay_inputs
 
 
 def skeleton(n, pairs):
@@ -30,6 +34,31 @@ def planted_dag(seed):
                              n_selection=rng.choice([0, 1]),
                              edge_density=0.08, seed=seed + 5000,
                              plant_dsep=True)
+
+
+def motif_chain(m, seed):
+    """m five-node deep-link motifs (z -> u, v; u -> y; v -> x; latents
+    over u, x and over v, y), motif i's y feeding motif i+1's z, ids
+    shuffled, and one more latent over the first and the last x: every
+    motif's x and y are separated only through its z."""
+    rng = random.Random(seed)
+    n_obs = 5 * m
+    ids = list(range(n_obs))
+    rng.shuffle(ids)
+    edges, xs, prev_y = set(), [], None
+    for i in range(m):
+        z, u, v, x, y = ids[5 * i:5 * i + 5]
+        l1, l2 = n_obs + 2 * i, n_obs + 2 * i + 1
+        edges |= {(z, u), (z, v), (u, y), (v, x), (l1, u), (l1, x),
+                  (l2, v), (l2, y)}
+        if prev_y is not None:
+            edges.add((prev_y, z))
+        prev_y = y
+        xs.append(x)
+    extra = n_obs + 2 * m
+    edges |= {(extra, xs[0]), (extra, xs[-1])}
+    return CausalDag(extra + 1, sorted(edges), range(n_obs),
+                     range(n_obs, extra + 1))
 
 
 class TestPatternDetection:
@@ -109,45 +138,112 @@ class TestHierarchy:
         assert m["Z3"] in members(hie(seed, seps))
 
 
+    @staticmethod
+    def _assert_naive(seps, seeds):
+        for seed_set in seeds:
+            assert hie(mask(seed_set), seps) == \
+                mask(naive_closure(seed_set, seps))
+        # the index kept by set equals the one built from scratch
+        assert seps.groups() == seps.copy().groups()
+
+    def test_overwritten_pair_regroups(self):
+        # a pair's set goes nonempty -> empty -> another set after the
+        # index was built; the closure follows each value
+        seps = SepsetMap()
+        seps.set(0, 1, mask({2}))
+        seps.set(3, 4, mask({5}))
+        seps.set(2, 6, mask({3, 4}))
+        hie(0, seps)
+        for zs, want in [({2}, {0, 1, 2}), (set(), {0, 1}),
+                         ({6, 2}, {0, 1, 2, 3, 4, 5, 6})]:
+            seps.set(0, 1, mask(zs))
+            assert members(hie(mask({0, 1}), seps)) == want
+            self._assert_naive(seps, [{0, 1}, {0, 1, 3}, {1, 2, 6}])
+
+    def test_partners_storing_the_same_set_form_one_group(self):
+        seps = SepsetMap()
+        for b, zs in [(1, {5}), (2, {5}), (3, {6}), (4, ())]:
+            seps.set(0, b, mask(zs))
+        assert seps.groups()[0] == {mask({5}): mask({1, 2}),
+                                    mask({6}): mask({3})}
+        assert 0 not in seps.groups()[4].values()
+        self._assert_naive(seps, [{0, 1}, {0, 2}, {0, 4}, {1, 2}])
+        # one partner leaves the group, the other keeps it
+        seps.set(0, 1, mask({6}))
+        assert seps.groups()[0] == {mask({5}): mask({2}),
+                                    mask({6}): mask({1, 3})}
+        assert members(hie(mask({0, 2}), seps)) == {0, 2, 5}
+        self._assert_naive(seps, [{0, 1}, {0, 2}, {0, 1, 2, 3}])
+
+    def test_copy_grown_after_the_copy_keeps_its_own_index(self):
+        seps = SepsetMap()
+        seps.set(0, 1, mask({2}))
+        seps.set(2, 3, mask({4}))
+        assert members(hie(mask({0, 1, 3}), seps)) == {0, 1, 2, 3, 4}
+        grown = seps.copy()
+        grown.set(0, 3, mask({5}))
+        seps.set(1, 3, mask({6}))
+        assert members(hie(mask({0, 3}), seps)) == {0, 3}
+        assert members(hie(mask({0, 3}), grown)) == {0, 3, 5}
+        assert members(hie(mask({1, 3}), grown)) == {1, 3}
+        for m in (seps, grown):
+            self._assert_naive(m, [{0, 1}, {0, 3}, {1, 3}, {0, 1, 3}])
+
+    def test_sets_stored_before_and_after_the_index_is_built(self):
+        seps = SepsetMap()
+        seps.set(0, 1, mask({2}))
+        seps.set(3, 4, 0)
+        self._assert_naive(seps, [{0, 1}, {0, 1, 3, 4}])
+        seps.set(2, 5, mask({3, 4}))
+        seps.set(0, 5, 0)
+        assert members(hie(mask({0, 1, 5}), seps)) == {0, 1, 2, 3, 4, 5}
+        seps.set(3, 4, mask({6}))
+        assert members(hie(mask({0, 1, 5}), seps)) == {0, 1, 2, 3, 4, 5, 6}
+        self._assert_naive(seps, [{0, 1}, {3, 4}, {0, 1, 5}, {2, 5}])
+
+    @staticmethod
+    def _random_map(rng, n, stores):
+        """A map filled by `stores` random set calls, with overwrites and
+        empty sets, whose index is built after a random number of them;
+        returns it with a copy grown by one more set after the copy."""
+        seps = SepsetMap()
+        build_at = rng.randint(0, stores)
+        for i in range(stores):
+            if i == build_at:
+                hie(0, seps)
+            a, b = rng.sample(range(n), 2)
+            rest = [v for v in range(n) if v not in (a, b)]
+            zs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
+            seps.set(a, b, mask(zs))
+        grown = seps.copy()
+        if rng.random() < 0.5:
+            hie(0, grown)
+        grown.set(0, 1, mask(range(2, min(n, 4))))
+        return seps, grown
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_naive_fixpoint(self, seed):
-        # random maps, overwritten entries and copies updated after the
-        # copy: the partner index must follow every change
+        # random maps, overwritten and emptied entries, indexes built
+        # before and after some sets, and copies updated after the copy:
+        # the index must follow every change
         rng = random.Random(seed)
         for _ in range(100):
             n = rng.randint(2, 9)
-            seps = SepsetMap()
-            for a, b in itertools.combinations(range(n), 2):
-                for _ in range(rng.choice([0, 0, 1, 2])):
-                    rest = [v for v in range(n) if v not in (a, b)]
-                    zs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
-                    seps.set(a, b, mask(zs))
-            maps = [seps]
-            if n > 2:
-                grown = seps.copy()
-                grown.set(0, 1, mask({2}))
-                maps.append(grown)
-            for m in maps:
+            seps, grown = self._random_map(rng, n, rng.randint(0, 3 * n))
+            for m in (seps, grown):
                 seed_set = set(rng.sample(range(n), rng.randint(0, n)))
                 assert hie(mask(seed_set), m) == \
                     mask(naive_closure(seed_set, m))
+                assert m.groups() == m.copy().groups()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_incremental_matches_from_scratch(self, seed):
         # closing an already-closed base plus new seeds equals closing the
-        # union from scratch and the naive fixpoint, on maps with
-        # overwritten entries and on copies grown after the copy
+        # union from scratch and the naive fixpoint, on the same maps
         rng = random.Random(100 + seed)
         for _ in range(100):
             n = rng.randint(3, 10)
-            seps = SepsetMap()
-            for _ in range(rng.randint(0, 2 * n)):
-                a, b = rng.sample(range(n), 2)
-                rest = [v for v in range(n) if v not in (a, b)]
-                zs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
-                seps.set(a, b, mask(zs))
-            grown = seps.copy()
-            grown.set(0, 1, mask({2}))
+            seps, grown = self._random_map(rng, n, rng.randint(0, 2 * n))
             for m in (seps, grown):
                 base = set(rng.sample(range(n), rng.randint(0, n)))
                 extra = set(rng.sample(range(n), rng.randint(0, 3)))
@@ -307,6 +403,75 @@ class TestDsepSearch:
         assert log["reactivations"] <= len(log["resolutions"]) * max_links
 
 
+def _ask_stream(oracle):
+    """Record every (x, y, zmask) the oracle's trusted entry is asked, in
+    order; `query` answers through it too."""
+    stream, ask = [], oracle.ask
+
+    def recording(x, y, zmask):
+        stream.append((x, y, zmask))
+        return ask(x, y, zmask)
+
+    oracle.ask = recording
+    return stream
+
+
+class TestClosureCache:
+    """The cached closures change no ask: dsep_search sends the oracle the
+    stream of tests that brute.reference_dsep_walk, which closes every base
+    pair from scratch, sends, retries included."""
+
+    @staticmethod
+    def _assert_same_asks(dag, k):
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=k)
+        stream = _ask_stream(oracle)
+        g, seps2, log = dsep_search(skel, seps, oracle, k)
+        ref = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(ref, k=k)
+        want = _ask_stream(ref)
+        g_ref, seps_ref = reference_dsep_walk(skel, seps, ref, k)
+        assert stream == want
+        assert g == g_ref and seps2.items() == seps_ref.items()
+        return log
+
+    def test_cache_is_freed_on_return(self):
+        # the search leaves no reference cycle for the garbage collector:
+        # its cache goes when the call returns
+        dag = motif_chain(3, 1)
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=3)
+        gc.collect()
+        gc.disable()
+        try:
+            log = dsep_search(skel, seps, oracle, 3)[2]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(log["resolutions"]) == 3
+
+    def test_replay_inputs(self):
+        # the canonical examples and the 24 draws of the replay digest
+        for dag, k in replay_inputs():
+            self._assert_same_asks(dag, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 13])
+    def test_planted_draws_with_reactivations(self, seed):
+        dag = random_sparse_dag(8 + seed % 7, 3, n_latent=2 + seed % 3,
+                                n_selection=seed % 2,
+                                edge_density=0.08 + 0.02 * (seed % 3),
+                                seed=seed, plant_dsep=True)
+        log = self._assert_same_asks(dag, 3)
+        assert log["reactivations"] > 0
+
+    @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (4, 2)])
+    def test_motif_chains_with_rebuilt_closures(self, m, seed):
+        # several resolutions per run, so retries walk and rebuild some
+        # cached closures and reuse others
+        log = self._assert_same_asks(motif_chain(m, seed), 3)
+        assert len(log["resolutions"]) == m and log["reactivations"] > m
+
+
 class _ScriptedOracle(IndependenceOracle):
     """Fixed answer table; anything not listed is dependent."""
 
@@ -400,8 +565,9 @@ class TestWorkListSemantics:
         # (1, 2)'s sets outside both adjacencies, so the first attempt asks
         # them. The widest closure of (1, 2), hie({0, 1, 2, 3}), holds
         # neither 5 nor 6, so its retry could only rebuild sets that
-        # failed: it calls hie once, asks nothing and still counts every
-        # base pair
+        # failed: it asks nothing and still counts every base pair. Its
+        # widest seed is also a base seed, closed in the first attempt and
+        # still closed, so the retry calls hie not at all
         module = importlib.import_module("fciplus.dsep_search")
         real_hie, calls = module.hie, []
 
@@ -426,11 +592,50 @@ class TestWorkListSemantics:
                     if (x, y) == (1, 2)}
         assert asked_12 == {mask(zs): 1
                             for zs in [(3, 7), (0, 4), (0, 3, 4, 7)]}
-        # on (1, 2)'s side: two x-side closures and four extensions in the
-        # first attempt, then the one widest closure of the retry
+        # on (1, 2)'s side, one closure per seed of the first attempt:
+        # {1, 2} from scratch, then {1, 2, 3} and {0, 1, 2} from the
+        # closure of {1, 2}, and {0, 1, 2, 3} from that of {0, 1, 2}
         low = [c for c in calls if c & 0b1111]
-        assert len(low) == 7
-        assert calls[-1] == 0b1111
+        assert low == [0b0110, 0b1110, 0b0111, 0b11111]
+
+    def test_retry_rebuilds_only_closures_holding_a_new_pair(self,
+                                                           monkeypatch):
+        # (1, 2) fails on its four base pairs, then (5, 6) resolves with
+        # {4, 7}. The stored set {5, 6} of (0, 2) puts the new pair inside
+        # the closures of the seeds {0, 1, 2} and {0, 1, 2, 3}, so the
+        # retry walks, and it closes those two seeds again (each from its
+        # prefix, the seed minus its highest node); the closures of
+        # {1, 2} and {1, 2, 3} hold no new pair and are reused. The two
+        # rebuilt sets are the retry's only decided tests
+        module = importlib.import_module("fciplus.dsep_search")
+        real_hie, calls = module.hie, []
+
+        def counting_hie(seed, sepsets, closed=0):
+            calls.append((seed, closed))
+            return real_hie(seed, sepsets, closed)
+
+        monkeypatch.setattr(module, "hie", counting_hie)
+        g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        seps = SepsetMap()
+        seps.set(0, 2, mask({5, 6}))
+        oracle = _CountingOracle({(5, 6, mask({4, 7})): True}, 8)
+        _refute_one_sided(g, oracle, 1)
+        g2, _, log = dsep_search(g, seps, oracle, k=1)
+        assert not g2.has_edge(5, 6) and g2.has_edge(1, 2)
+        assert log["detected"] == [[[1, 2], [5, 6]], [[1, 2]]]
+        assert log["combos_tried"]["1,2"] == 8
+        asked_12 = {z: c for (x, y, z), c in oracle.asked.items()
+                    if (x, y) == (1, 2)}
+        assert asked_12 == {mask(zs): 1 for zs in
+                            [(0, 5, 6), (0, 3, 5, 6), (0, 4, 5, 6, 7),
+                             (0, 3, 4, 5, 6, 7)]}
+        low = [(seed, closed) for seed, closed in calls
+               if (seed | closed) & 0b1111]
+        first, retry = low[:4], low[4:]
+        assert [seed | closed for seed, closed in first] == \
+            [0b0110, 0b1110, 0b0111, 0b1101111]
+        assert retry == [(mask({0}), mask({1, 2})),
+                         (mask({3}), mask({0, 1, 2, 4, 5, 6, 7}))]
 
     @pytest.mark.parametrize("k", [None, 0, 1, 2, 3])
     def test_base_pair_count_matches_enumeration(self, k):
