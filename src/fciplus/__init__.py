@@ -15,9 +15,7 @@ from .sepsets import SepsetMap, hie
 from .pc import pc_adjacency_search
 from .dsep_search import dsep_search, find_possible_dsep_links, minimal_dsep
 from .orientation import apply_fci_rules, orient_v_structures
-from .reference import (
-    CapExceededError, exhaustive_skeleton, fci_reference, possible_dsep,
-)
+from .reference import fci_reference, possible_dsep
 from .generators import (
     CanonicalExample, ExampleValidationError, GenerationError,
     bidirected_chain, canonical_examples, has_dsep_link, random_sparse_dag,

@@ -16,9 +16,9 @@ and previously failed candidates are retried. A test the oracle has
 already decided, in this stage or any earlier one, is a memo hit and no
 query, so a retry pays only for the sets that the grown hierarchy changed,
 and a retry whose widest closure holds no newly stored pair is settled by
-that one closure. Each seed is closed once per search, by extending the
-closure of the seed minus one node, and a retry rebuilds only the closures
-that a newly stored pair lies inside.
+that one closure. Each seed is closed by extending the closure of the seed
+minus one node, and the closure is kept until a resolution stores a pair
+that lies inside it.
 """
 
 from itertools import combinations
@@ -89,6 +89,24 @@ def _base_pair_count(nx, ny, k):
     return subsets(nx) * subsets(ny)
 
 
+def _close(seed, ends, closures, sepsets):
+    """hie(seed) under the stored sets, from the cache closures (seed ->
+    closure) or closed from the closure of its prefix, the seed minus its
+    highest node outside ends, and cached."""
+    closure = closures.get(seed)
+    if closure is None:
+        rest = seed & ~ends
+        if rest:
+            top = 1 << rest.bit_length() - 1
+            closure = _close(seed ^ top, ends, closures, sepsets)
+            if not closure & top:
+                closure = hie(top, sepsets, closure)
+        else:
+            closure = hie(seed, sepsets)
+        closures[seed] = closure
+    return closure
+
+
 def dsep_search(skeleton, sepsets, oracle, k):
     """Resolve every candidate link of skeleton, a MixedGraph.
 
@@ -101,17 +119,16 @@ def dsep_search(skeleton, sepsets, oracle, k):
     after a pass in which no candidate resolves.
 
     Each piece of work is done once. The closure of a seed {x, y} + Zx +
-    Zy is cached by the seed's mask for the whole search; it depends on the
-    seed alone, so candidates that share a seed share it. A seed is closed
-    from the closure of its prefix, the seed minus its highest node outside
-    {x, y}, by adding that one node (hie with a closed base); the walk's
-    size order closes every prefix first. Each cached closure carries the
-    number of resolutions at which it was last known to be closed, and a
-    later lookup reuses it when no pair stored since then lies inside it.
-    This is exact: stored sets are only added and closures are monotone,
-    so the closure now contains the cached one, which is still closed, and
-    the two are equal. A cached closure that a new pair lies inside is
-    built again from its prefix. A test that the oracle has already
+    Zy is cached by the seed's mask; it depends on the seed alone, so
+    candidates that share a seed share it. A seed is closed from the
+    closure of its prefix, the seed minus its highest node outside {x, y},
+    by adding that one node (hie with a closed base); the walk's size order
+    closes every prefix first. Every cached closure is current: when a pair
+    resolves, each cached closure that holds the pair is dropped, and is
+    closed again from its prefix when next asked for. This is exact. Stored
+    sets are only added and closures are monotone, so a closure that holds
+    no new pair is still closed under every stored set, and equals the
+    closure now. A test that the oracle has already
     decided, in any stage, is a memo hit and costs no query, and
     "combos_tried" counts every base pair walked. The input skeleton and
     stored sets must be over the oracle's variables (ValueError
@@ -127,8 +144,8 @@ def dsep_search(skeleton, sepsets, oracle, k):
     a base pair's closure at the last attempt lies inside its closure now,
     which lies inside the widest one. The earlier closure thus holds no
     newly stored pair and is already closed under every stored set: the two
-    are equal, and the earlier one's set failed. No cache outlives the
-    call.
+    are equal, and the earlier one's set failed. The cache is a local of
+    the call and goes with it.
 
     Detection asks no queries. The search enters the oracle's
     "dsep_search" stage once, and minimal_dsep enters its own stage.
@@ -151,39 +168,9 @@ def dsep_search(skeleton, sepsets, oracle, k):
            "reactivations": 0, "failed_final": []}
     last_attempt = {}   # pair -> the number of resolutions at its last attempt
     stored = []   # the mask of each resolved pair, in resolution order
-    # seed -> hie(seed), and seed -> the number of resolutions at which
-    # that closure was last known to be closed: dicts of ints, which the
-    # garbage collector does not track, so a large cache triggers no
-    # collection
-    closures, closed_at = {}, {}
-
-    def close(seed, ends):
-        """hie(seed) under the current stored sets. A cached closure that
-        holds no pair stored since it was last known closed is still closed,
-        so it is reused; otherwise the seed is closed from the closure of
-        its prefix, the seed minus its highest node outside ends."""
-        now = len(stored)
-        closure = closures.get(seed)
-        if closure is not None:
-            at = closed_at[seed]
-            if at == now or all(p & closure != p for p in stored[at:]):
-                closed_at[seed] = now
-                return closure
-        rest = seed & ~ends
-        if rest:
-            top = 1 << rest.bit_length() - 1
-            closure = closures.get(seed ^ top)
-            # the common case: the prefix was closed since the last resolution
-            if closure is None or closed_at[seed ^ top] != now:
-                closure = close(seed ^ top, ends)
-            if not closure & top:
-                closure = hie(top, sepsets, closure)
-        else:
-            closure = hie(seed, sepsets)
-        closures[seed] = closure
-        closed_at[seed] = now
-        return closure
-
+    # seed -> hie(seed) under the current stored sets: a dict of ints,
+    # which the garbage collector does not track
+    closures = {}
     with oracle.stage("dsep_search"):
         while True:
             links = find_possible_dsep_links(g)
@@ -197,7 +184,7 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 since = last_attempt.get((x, y))
                 last_attempt[(x, y)] = len(stored)
                 if since is not None:
-                    widest = close(ends | ax | ay, ends)
+                    widest = _close(ends | ax | ay, ends, closures, sepsets)
                     if all(p & widest != p for p in stored[since:]):
                         log["combos_tried"][key] += _base_pair_count(
                             len(base_x), len(base_y), k)
@@ -206,7 +193,8 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 combos = 0
                 for zx, zy in _base_combinations(base_x, base_y, k):
                     combos += 1
-                    zstar = close(ends | zx | zy, ends) & ~ends
+                    zstar = _close(ends | zx | zy, ends, closures,
+                                   sepsets) & ~ends
                     if oracle.ask(x, y, zstar):
                         found = (zx, zy, zstar)
                         break
@@ -218,6 +206,9 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 sepsets.set(x, y, zmin)
                 g.remove_edge(x, y)
                 stored.append(ends)
+                # only a closure that holds the new pair can grow
+                closures = {seed: c for seed, c in closures.items()
+                            if c & ends != ends}
                 log["resolutions"].append({
                     "pair": [x, y], "sepset": _bits(zmin),
                     "base_x": _bits(zx), "base_y": _bits(zy),
@@ -228,10 +219,6 @@ def dsep_search(skeleton, sepsets, oracle, k):
                 break
             else:
                 break
-    # close refers to itself through its cell; deleting the name breaks
-    # that cycle, so the caches are freed here and not by the garbage
-    # collector, which the cycles left behind made run ten times as often
-    del close
     # the last pass resolved nothing: every candidate of it failed
     log["failed_final"] = [[x, y] for x, y in links]
     return g, sepsets, log

@@ -1,21 +1,14 @@
-"""Correctness oracles: classic FCI with the reachability superset search,
-and a fully exhaustive skeleton search.
+"""Correctness oracle: classic FCI with the reachability superset search.
 
-Both are exponential in the worst case; they exist to verify the
+It is exponential in the worst case; it exists to verify the
 query-efficient pipeline, not to replace it.
 """
 
 from collections import deque
-from itertools import combinations
 
-from .graphs import ARROW, CIRCLE, MixedGraph
+from .graphs import ARROW
 from .orientation import apply_fci_rules, orient_v_structures
 from .pc import _bit_list, pc_adjacency_search, separating_of_size
-from .sepsets import SepsetMap
-
-
-class CapExceededError(ValueError):
-    """Brute force requested above the configured size cap."""
 
 
 def possible_dsep(g, a, b):
@@ -45,49 +38,20 @@ def possible_dsep(g, a, b):
     return sum(1 << v for v in reach - {a, b})
 
 
-def _first_separating(oracle, a, b, aside, bside=()):
-    """The first mask that separates a and b among the combinations of
-    either side's bits, or None: separating_of_size over sizes ascending."""
-    for size in range(max(len(aside), len(bside)) + 1):
-        found = separating_of_size(oracle, a, b, aside, bside, size)
-        if found is not None:
-            return found
-    return None
-
-
-def exhaustive_skeleton(oracle, cap=14):
-    """Ground-truth skeleton: a pair is adjacent iff no subset of the other
-    observed variables separates it. Tests all subsets per pair, sizes
-    ascending, so stored sets are minimal. Refuses above the cap."""
-    n = oracle.n_vars
-    if n > cap:
-        raise CapExceededError(
-            "exhaustive search over %d variables exceeds the cap %d" % (n, cap))
-    sepsets = SepsetMap()
-    edges = []
-    with oracle.stage("reference"):
-        for x, y in combinations(range(n), 2):
-            rest = [1 << v for v in range(n) if v != x and v != y]
-            found = _first_separating(oracle, x, y, rest)
-            if found is not None:
-                sepsets.set(x, y, found)
-            else:
-                edges.append((x, y, CIRCLE, CIRCLE))
-    return MixedGraph(n, edges, names=oracle.names), sepsets
-
-
 def _pdsep_stage(pi0, sepsets, oracle):
     """Remove every edge separable by a subset of its reachability superset;
     subsets are tested sizes ascending, both endpoints' sets tried."""
     removed = []
     with oracle.stage("reference"):
         for a, b in pi0.edge_pairs():
-            found = _first_separating(oracle, a, b,
-                                      _bit_list(possible_dsep(pi0, a, b)),
-                                      _bit_list(possible_dsep(pi0, b, a)))
-            if found is not None:
-                sepsets.set(a, b, found)
-                removed.append((a, b))
+            aside = _bit_list(possible_dsep(pi0, a, b))
+            bside = _bit_list(possible_dsep(pi0, b, a))
+            for size in range(max(len(aside), len(bside)) + 1):
+                found = separating_of_size(oracle, a, b, aside, bside, size)
+                if found is not None:
+                    sepsets.set(a, b, found)
+                    removed.append((a, b))
+                    break
     return removed
 
 

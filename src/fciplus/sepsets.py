@@ -2,9 +2,17 @@
 hierarchy closure (`hie`) over the stored sets."""
 
 
+def _pair(x, y):
+    """The key of the unordered pair {x, y}: (x, y) with x < y."""
+    if x == y:
+        raise ValueError("sepset pairs must have distinct endpoints")
+    return (x, y) if x < y else (y, x)
+
+
 class SepsetMap:
     """Partial map from unordered pairs {x, y} to a stored separating set,
-    an int mask over the variable ids (bit v for variable v).
+    an int mask over the variable ids (bit v for variable v). Each pair is
+    kept once, under the key (x, y) with x < y.
 
     The invariant maintained by the callers: an entry exists iff the pair
     is nonadjacent in the current working graph, and the stored set
@@ -17,69 +25,60 @@ class SepsetMap:
     """
 
     def __init__(self):
-        self._partners = {}   # node -> {partner: stored set}, both ends
+        self._pairs = {}      # (x, y), x < y -> stored set
         self._groups = None   # see groups(); None until first asked for
 
-    @staticmethod
-    def _check(x, y):
-        if x == y:
-            raise ValueError("sepset pairs must have distinct endpoints")
-
     def set(self, x, y, zmask):
-        self._check(x, y)
-        xs = self._partners.setdefault(x, {})
-        old = xs.get(y)
-        xs[y] = zmask
-        self._partners.setdefault(y, {})[x] = zmask
+        key = _pair(x, y)
+        old = self._pairs.get(key)
+        self._pairs[key] = zmask
         if self._groups is not None:
-            for a, b in ((x, y), (y, x)):
-                sets = self._groups.setdefault(a, {})
-                if old:
-                    left = sets[old] & ~(1 << b)
-                    if left:
-                        sets[old] = left
-                    else:
-                        del sets[old]
-                if zmask:
-                    sets[zmask] = sets.get(zmask, 0) | 1 << b
+            self._group(x, y, old, zmask)
+
+    def _group(self, x, y, old, zmask):
+        """Move the pair {x, y} in the index from its group of the set old
+        (None or 0 for none) to that of zmask."""
+        for a, b in ((x, y), (y, x)):
+            sets = self._groups.setdefault(a, {})
+            if old:
+                left = sets[old] & ~(1 << b)
+                if left:
+                    sets[old] = left
+                else:
+                    del sets[old]
+            if zmask:
+                sets[zmask] = sets.get(zmask, 0) | 1 << b
 
     def get(self, x, y):
         """The stored separating set, or None if the pair has no entry (the
         empty set is the mask 0, so test the result with `is None`)."""
-        self._check(x, y)
-        return self._partners.get(x, {}).get(y)
+        return self._pairs.get(_pair(x, y))
 
     def groups(self):
         """The index `hie` reads: node -> {nonempty stored set: mask of the
-        partners that stored it with the node}. Empty sets add nothing to a
-        closure and are left out. Built on the first call and kept current
-        by `set` from then on."""
+        partners that stored it with the node}, with an entry for every
+        node of a stored pair. Empty sets add nothing to a closure and are
+        left out. Built on the first call and kept current by `set` from
+        then on."""
         if self._groups is None:
             self._groups = {}
-            for a, sets in self._partners.items():
-                grouped = {}
-                for b, zs in sets.items():
-                    if zs:
-                        grouped[zs] = grouped.get(zs, 0) | 1 << b
-                self._groups[a] = grouped
+            for (x, y), zs in self._pairs.items():
+                self._group(x, y, None, zs)
         return self._groups
 
     def items(self):
-        """List of ((x, y), set) tuples, x < y, in storage order, which is
-        deterministic but not sorted: x runs over the nodes in the order
-        they first entered a pair, y over x's partners in the order they
-        were stored."""
-        return [((x, y), zs) for x, sets in self._partners.items()
-                for y, zs in sets.items() if x < y]
+        """List of ((x, y), set) tuples, x < y, in the order the pairs were
+        first stored (an overwrite keeps its pair's place)."""
+        return list(self._pairs.items())
 
     def copy(self):
         """An independent map with the same entries and no index."""
         out = SepsetMap()
-        out._partners = {v: dict(p) for v, p in self._partners.items()}
+        out._pairs = dict(self._pairs)
         return out
 
     def __len__(self):
-        return sum(len(p) for p in self._partners.values()) // 2
+        return len(self._pairs)
 
     def __repr__(self):
         return "SepsetMap(%d pairs)" % len(self)

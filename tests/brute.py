@@ -251,6 +251,27 @@ def bf_separable(dag, a, b):
     return not bf_mag_adjacent(dag, a, b)
 
 
+def exhaustive_skeleton(oracle):
+    """Ground-truth skeleton and separating sets by subset enumeration: a
+    pair is adjacent iff no subset of the other variables separates it per
+    oracle.query. Subsets are tried sizes ascending, lexicographic within a
+    size, so each stored set is the first minimal one. Asks under the
+    oracle's "reference" stage; exponential in the number of variables."""
+    n = oracle.n_vars
+    seps, edges = SepsetMap(), []
+    with oracle.stage("reference"):
+        for x, y in combinations(range(n), 2):
+            rest = [v for v in range(n) if v != x and v != y]
+            found = next((zs for size in range(n - 1)
+                          for zs in combinations(rest, size)
+                          if oracle.query(x, y, zs)), None)
+            if found is None:
+                edges.append((x, y, CIRCLE, CIRCLE))
+            else:
+                seps.set(x, y, mask(found))
+    return MixedGraph(n, edges, names=oracle.names), seps
+
+
 def bf_possible_dsep(g, a, b):
     """Path-enumeration version of the reachability superset: v qualifies
     iff some path a..v has every intermediate vertex a collider or in a

@@ -10,7 +10,7 @@ from collections import Counter
 
 from fciplus import (
     ALGORITHM_STAGES, DsepOracle, IndependenceOracle, d_separated,
-    exhaustive_skeleton, pc_adjacency_search, random_sparse_dag, run_pipeline,
+    pc_adjacency_search, random_sparse_dag, run_pipeline,
 )
 from fciplus.pipelines import ALGORITHMS
 from fciplus import pc as pc_module
@@ -18,7 +18,7 @@ from fciplus.generators import bidirected_chain, canonical_examples
 from fciplus.report import compare_runs
 
 from .conftest import CORPUS_K
-from .brute import equivalence_class_pag, truth_pag
+from .brute import equivalence_class_pag, exhaustive_skeleton, truth_pag
 
 
 def _report(num, desc, ok, detail=""):
@@ -51,7 +51,7 @@ def test_criterion_2_ground_truth_skeleton(corpus_runs):
         checked += 1
         truth = sorted(inst.mag.edge_pairs())
         got = sorted(bundle.fciplus.pag.edge_pairs())
-        ex_skel, _ = exhaustive_skeleton(DsepOracle(inst.dag), cap=12)
+        ex_skel, _ = exhaustive_skeleton(DsepOracle(inst.dag))
         if got != truth or sorted(ex_skel.edge_pairs()) != truth:
             bad.append(inst.seed)
     ok = checked > 0 and not bad

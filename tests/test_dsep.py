@@ -15,7 +15,7 @@ from fciplus import (
     find_possible_dsep_links, hie, latent_project, minimal_dsep,
     pc_adjacency_search, run_pipeline,
 )
-from fciplus.dsep_search import _base_combinations, _base_pair_count
+from fciplus.dsep_search import _base_combinations, _base_pair_count, _close
 from fciplus.generators import canonical_examples, random_sparse_dag
 
 from .brute import (
@@ -97,6 +97,52 @@ class TestPatternDetection:
         g = skeleton(8, [(2, 3), (1, 2), (3, 4), (5, 6), (6, 7), (4, 5)])
         links = find_possible_dsep_links(g)
         assert links == sorted(links)
+
+
+class TestSepsetMap:
+    def test_get_reads_either_order(self):
+        seps = SepsetMap()
+        seps.set(3, 1, mask({2}))
+        seps.set(0, 4, 0)
+        assert seps.get(1, 3) == seps.get(3, 1) == mask({2})
+        assert seps.get(4, 0) == seps.get(0, 4) == 0
+        assert seps.get(0, 1) is None and seps.get(1, 0) is None
+
+    def test_items_list_each_pair_once_in_first_stored_order(self):
+        seps = SepsetMap()
+        for a, b, zs in [(5, 2, {0}), (0, 1, ()), (4, 3, {1}), (1, 6, {2})]:
+            seps.set(a, b, mask(zs))
+        assert seps.items() == [((2, 5), mask({0})), ((0, 1), 0),
+                                ((3, 4), mask({1})), ((1, 6), mask({2}))]
+
+    def test_overwrite_keeps_its_place_and_len(self):
+        seps = SepsetMap()
+        for a, b in [(0, 1), (2, 3), (1, 4)]:
+            seps.set(a, b, 0)
+        seps.set(3, 2, mask({5}))
+        assert len(seps) == 3
+        assert seps.items() == [((0, 1), 0), ((2, 3), mask({5})), ((1, 4), 0)]
+
+    def test_copy_shares_nothing_and_starts_with_no_index(self):
+        seps = SepsetMap()
+        seps.set(0, 1, mask({2}))
+        hie(0, seps)
+        twin = seps.copy()
+        assert twin._groups is None
+        twin.set(0, 1, mask({3}))
+        twin.set(2, 4, 0)
+        assert seps.items() == [((0, 1), mask({2}))] and len(seps) == 1
+        assert seps.groups() == {0: {mask({2}): mask({1})},
+                                 1: {mask({2}): mask({0})}}
+        assert len(twin) == 2 and twin.get(1, 0) == mask({3})
+
+    def test_a_pair_needs_two_endpoints(self):
+        seps = SepsetMap()
+        with pytest.raises(ValueError, match="distinct endpoints"):
+            seps.set(2, 2, 0)
+        with pytest.raises(ValueError, match="distinct endpoints"):
+            seps.get(2, 2)
+        assert len(seps) == 0
 
 
 class TestHierarchy:
@@ -436,8 +482,10 @@ class TestClosureCache:
         return log
 
     def test_cache_is_freed_on_return(self):
-        # the search leaves no reference cycle for the garbage collector:
-        # its cache goes when the call returns
+        # the cache is a dict of ints local to the call, and _close a
+        # module function that takes it as an argument, so the search
+        # leaves no reference cycle for the garbage collector: the cache
+        # goes when the call returns
         dag = motif_chain(3, 1)
         oracle = DsepOracle(dag)
         skel, seps = pc_adjacency_search(oracle, k=3)
@@ -464,12 +512,39 @@ class TestClosureCache:
         log = self._assert_same_asks(dag, 3)
         assert log["reactivations"] > 0
 
-    @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
     def test_motif_chains_with_rebuilt_closures(self, m, seed):
-        # several resolutions per run, so retries walk and rebuild some
-        # cached closures and reuse others
+        # several resolutions per run, each dropping the cached closures
+        # that hold its pair, so retries walk and rebuild some closures
+        # and reuse others
         log = self._assert_same_asks(motif_chain(m, seed), 3)
         assert len(log["resolutions"]) == m and log["reactivations"] > m
+
+
+    def test_close_equals_the_naive_closure(self):
+        # on the stored sets of the adjacency search, every base seed of
+        # every candidate closes to the naive fixpoint: alone from an
+        # empty cache, in walk order from one cache that its prefixes
+        # prime, and widest seed first, which closes the prefixes on the
+        # way down
+        for dag, k in replay_inputs():
+            skel, seps = pc_adjacency_search(DsepOracle(dag), k=k)
+            seeds = []
+            for x, y in find_possible_dsep_links(skel):
+                ends = mask({x, y})
+                base_x = [1 << v for v in skel.adj(x) if v != y]
+                base_y = [1 << v for v in skel.adj(y) if v != x]
+                seeds += [(ends | zx | zy, ends)
+                          for zx, zy in _base_combinations(base_x, base_y, k)]
+            walked, widest_first = {}, {}
+            for seed, ends in seeds:
+                want = mask(naive_closure(members(seed), seps))
+                assert _close(seed, ends, {}, seps) == want
+                assert _close(seed, ends, walked, seps) == want
+            for seed, ends in reversed(seeds):
+                assert _close(seed, ends, widest_first, seps) == \
+                    walked[seed]
+            assert walked == widest_first
 
 
 class _ScriptedOracle(IndependenceOracle):
@@ -629,6 +704,37 @@ class TestWorkListSemantics:
         assert asked_12 == {mask(zs): 1 for zs in
                             [(0, 5, 6), (0, 3, 5, 6), (0, 4, 5, 6, 7),
                              (0, 3, 4, 5, 6, 7)]}
+        low = [(seed, closed) for seed, closed in calls
+               if (seed | closed) & 0b1111]
+        first, retry = low[:4], low[4:]
+        assert [seed | closed for seed, closed in first] == \
+            [0b0110, 0b1110, 0b0111, 0b1101111]
+        assert retry == [(mask({0}), mask({1, 2})),
+                         (mask({3}), mask({0, 1, 2, 4, 5, 6, 7}))]
+
+    def test_retry_reuses_closures_holding_one_end_of_a_new_pair(
+            self, monkeypatch):
+        # as above, and (1, 3) stores {5}, so the closure of {1, 2, 3}
+        # holds 5 but not 6: the resolution of (5, 6) cannot grow it, so
+        # the retry reuses it and closes again only the two seeds whose
+        # closures hold both 5 and 6
+        module = importlib.import_module("fciplus.dsep_search")
+        real_hie, calls = module.hie, []
+
+        def counting_hie(seed, sepsets, closed=0):
+            calls.append((seed, closed))
+            return real_hie(seed, sepsets, closed)
+
+        monkeypatch.setattr(module, "hie", counting_hie)
+        g = skeleton(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        seps = SepsetMap()
+        seps.set(0, 2, mask({5, 6}))
+        seps.set(1, 3, mask({5}))
+        oracle = _CountingOracle({(5, 6, mask({4, 7})): True}, 8)
+        _refute_one_sided(g, oracle, 1)
+        g2, _, log = dsep_search(g, seps, oracle, k=1)
+        assert not g2.has_edge(5, 6) and g2.has_edge(1, 2)
+        assert log["detected"] == [[[1, 2], [5, 6]], [[1, 2]]]
         low = [(seed, closed) for seed, closed in calls
                if (seed | closed) & 0b1111]
         first, retry = low[:4], low[4:]

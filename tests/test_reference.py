@@ -1,5 +1,5 @@
-"""Reference verifiers: reachability supersets, exhaustive search, classic
-two-stage pipeline."""
+"""Reference verifiers: reachability supersets, the exhaustive search of
+tests/brute.py, classic two-stage pipeline."""
 
 import itertools
 import random
@@ -7,14 +7,15 @@ import random
 import pytest
 
 from fciplus import (
-    ARROW, CIRCLE, CausalDag, CapExceededError, DsepOracle, MixedGraph,
-    apply_fci_rules, exhaustive_skeleton, fci_reference, latent_project,
-    orient_v_structures, pc_adjacency_search, possible_dsep, run_pipeline,
-    compare_runs,
+    ARROW, CIRCLE, CausalDag, DsepOracle, MixedGraph, apply_fci_rules,
+    fci_reference, latent_project, orient_v_structures, pc_adjacency_search,
+    possible_dsep, run_pipeline, compare_runs,
 )
 from fciplus.generators import canonical_examples, random_sparse_dag
 
-from .brute import bf_possible_dsep, bf_true_dsep, mask, members
+from .brute import (
+    bf_possible_dsep, bf_true_dsep, exhaustive_skeleton, mask, members,
+)
 
 
 class TestPossibleDsep:
@@ -81,11 +82,6 @@ class TestExhaustiveSkeleton:
         dag = CausalDag(2, [(0, 1)], observed=range(2))
         skel, _ = exhaustive_skeleton(DsepOracle(dag))
         assert skel.edge_pairs() == [(0, 1)]
-
-    def test_cap_refusal(self):
-        dag = CausalDag(15, [], observed=range(15))
-        with pytest.raises(CapExceededError):
-            exhaustive_skeleton(DsepOracle(dag), cap=14)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_projection_adjacency(self, seed):
