@@ -13,9 +13,9 @@ DsepOracle answers from d-separation on a ground-truth causal DAG
 (conditioning on the selection set is implicit). GaussOracle answers from
 partial correlations of Gaussian samples via the Fisher z test
 `_fisher_z`; a degenerate test answers dependent and is counted in
-`n_test_errors` (the report's `test_errors`). It sweeps each conditioning
-set's covariance block, and each variable's row under that set, once per
-oracle and keeps them, in memory O(tests x |Z|).
+`n_test_errors` (the report's `test_errors`). It keeps one residual row,
+O(|Z|) floats, per (variable, set Z) asked, extended from Z minus its
+lowest member by the products of one sweep of the covariance submatrix.
 """
 
 from contextlib import contextmanager
@@ -24,7 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .graphs import _bits, default_names, dsep_reach
+from .graphs import default_names, dsep_reach
 
 # "augment" is never entered (candidate detection asks no queries); it stays
 # so that every report keeps the stage keys its readers index
@@ -229,50 +229,55 @@ class DsepOracle(IndependenceOracle):
         return separated
 
 
-def _sweep_set(cov, z):
-    """The Schur-complement sweep of the covariance block over z, last
-    member first, or None when a pivot is at most 1e-10 of its variable's
-    variance (a degenerate set). One (k, pivot, column above it) per step,
-    in sweep order: k is the member's position in z, and the pivot and the
-    column are as they stand when that member is swept out."""
-    m = len(z)
-    a = [[cov[i][j] for j in z] for i in z]
-    steps = []
-    for k in range(m - 1, -1, -1):
-        pivot = a[k][k]
-        if pivot <= _DEGENERATE * cov[z[k]][z[k]]:
-            return None
-        col = [row[k] for row in a[:k]]
-        for i, f in enumerate(col):
-            f /= pivot
-            row = a[i]
-            for j in range(i, k):
-                row[j] -= f * col[j]
-        steps.append((k, pivot, col))
-    return steps
+def _add_rows(cov, rows, zmask, need):
+    """Build and keep each row under zmask that `rows` lacks of the
+    variables in `need`; False when zmask is degenerate, which it marks.
+    It walks down one lowest member at a time to the first set holding
+    every row still needed, then extends the rows back up: no recursion,
+    so a set may hold more members than the recursion limit."""
+    chain = []   # (set, its lowest member, its rows, the rows it lacks)
+    z = zmask
+    while z:
+        have = rows.get(z)
+        if have is None:
+            if z in rows:   # degenerate, and so is every wider set
+                for wider, *_ in chain:
+                    rows[wider] = None
+                return False
+            have = rows[z] = {}
+        else:
+            need = [v for v in need if v not in have]
+            if not need:
+                break
+        w = (z & -z).bit_length() - 1
+        chain.append((z, w, have, need))
+        need = [*need, w]
+        z ^= 1 << w
+    else:
+        have = rows.setdefault(0, {})
+        for v in need:
+            if v not in have:
+                have[v] = (cov[v][v], (), ())
+    while chain:
+        z, w, have, need = chain.pop()
+        below = rows[z ^ 1 << w]
+        pivot, _, ew = below[w]
+        if pivot <= _DEGENERATE * cov[w][w]:
+            rows[z] = None
+            for wider, *_ in chain:
+                rows[wider] = None
+            return False
+        for v in need:
+            var, fv, ev = below[v]
+            e = cov[v][w]
+            for f, c in zip(fv, ew):
+                e -= f * c
+            f = e / pivot
+            have[v] = (var - f * e, fv + (f,), ev + (e,))
+    return True
 
 
-def _sweep_row(cov, v, z, steps):
-    """v's row swept by the steps of _sweep_set(cov, z): v's residual
-    variance given z, then per step the factor (entry / pivot) and the
-    entry of v's row at the swept member, as it stands at that step."""
-    cv = cov[v]
-    row = [cv[w] for w in z]
-    var = cv[v]
-    factors = []
-    entries = []
-    for k, pivot, col in steps:
-        e = row[k]
-        f = e / pivot
-        var -= f * e
-        factors.append(f)
-        entries.append(e)
-        for j, c in enumerate(col):
-            row[j] -= f * c
-    return var, factors, entries
-
-
-def _fisher_z(cov, sweeps, n_samples, x, y, zmask, crit):
+def _fisher_z(cov, rows, n_samples, x, y, zmask, crit):
     """Partial-correlation independence test for Gaussian data on a
     covariance given as nested lists: True iff independent, None for a
     degenerate test.
@@ -284,33 +289,28 @@ def _fisher_z(cov, sweeps, n_samples, x, y, zmask, crit):
     members, or of x or y given z) is at most 1e-10 of that variable's own
     variance, or when 1 - rho^2 <= 1e-10.
 
-    z is swept out of the submatrix over [x, y, *z], last to first, on its
-    upper triangle (a Schur complement): a[i][j] -= (a[i][k] / pivot) *
-    a[j][k] for i <= j < k. The pivots and the columns above them depend on
-    z alone, and row x (or y) on x (or y) and z alone, so `sweeps` keeps
-    them, keyed zmask -> (members, _sweep_set or None, {v: _sweep_row}), and
-    each is swept once. The one entry that needs both rows, a[0][1], is
-    combined from x's factors and y's entries in the same order, so every
-    statistic equals a sweep of the whole submatrix bit for bit.
+    The statistic is that of sweeping z out of the submatrix over [x, y,
+    *z], last member first, on its upper triangle (a Schur complement):
+    a[i][j] -= (a[i][k] / pivot) * a[j][k] for i <= j < k. v's row under z
+    holds v's residual variance given z and, per step, the factor (entry /
+    pivot) and v's entry at the swept member: O(|z|) floats, kept once per
+    (variable, set) in `rows`, zmask -> {v: row} or None if degenerate.
+    With w the lowest member of z, z's first steps are those of U = z - w,
+    and w's entries in them are w's row under U; so v's row under z is
+    v's row under U plus the step that sweeps w (pivot: w's variance given
+    U), and z is degenerate iff U is or that pivot is. These are the
+    products of one sweep, in its order: every statistic is bit-identical.
     """
     m = zmask.bit_count()
     if n_samples <= m + 3:
         return None
-    entry = sweeps.get(zmask)
-    if entry is None:
-        z = _bits(zmask)
-        entry = sweeps[zmask] = (z, _sweep_set(cov, z), {})
-    z, steps, rows = entry
-    if steps is None:
-        return None
-    rx = rows.get(x)
-    if rx is None:
-        rx = rows[x] = _sweep_row(cov, x, z, steps)
-    ry = rows.get(y)
-    if ry is None:
-        ry = rows[y] = _sweep_row(cov, y, z, steps)
-    sxx, fx, _ = rx
-    syy, _, ey = ry
+    have = rows.get(zmask)
+    if have is None or x not in have or y not in have:
+        if not _add_rows(cov, rows, zmask, [x, y]):
+            return None
+        have = rows[zmask]
+    sxx, fx, _ = have[x]
+    syy, _, ey = have[y]
     sxy = cov[x][y]
     for f, e in zip(fx, ey):
         sxy -= f * e
@@ -327,9 +327,9 @@ class GaussOracle(IndependenceOracle):
     Provided for running the pipelines on real data; no exactness guarantee.
     Non-finite values, constant columns and an alpha outside (0, 1) are
     rejected at load time; a degenerate test (see _fisher_z) answers
-    dependent and is counted in n_test_errors, never warned. The sweeps of
-    the conditioning sets and of the rows under them stay with the oracle,
-    one per set and one per (variable, set) asked.
+    dependent and is counted in n_test_errors, never warned. The rows of
+    _fisher_z stay with the oracle: O(|Z|) floats per (variable, set Z) that
+    a test or a wider set's row asked for, each bit-identical to a sweep's.
     """
 
     def __init__(self, data, names=None, alpha=0.01):
@@ -350,7 +350,7 @@ class GaussOracle(IndependenceOracle):
         self.n_samples = data.shape[0]
         self.cov = np.cov(data, rowvar=False).tolist()
         self.alpha = alpha
-        self._sweeps = {}   # the Fisher z sweeps (see _fisher_z)
+        self._rows = {}   # the Fisher z rows (see _fisher_z)
         super().__init__(data.shape[1], names=names)
 
     @classmethod
@@ -377,7 +377,7 @@ class GaussOracle(IndependenceOracle):
         return cls(data, names=names, alpha=alpha)
 
     def _decide(self, x, y, zmask):
-        result = _fisher_z(self.cov, self._sweeps, self.n_samples, x, y,
-                           zmask, self._crit)
+        result = _fisher_z(self.cov, self._rows, self.n_samples, x, y, zmask,
+                           self._crit)
         self.n_test_errors += result is None
         return bool(result)

@@ -3,9 +3,11 @@
 Everything here enumerates paths or subsets directly from the definitions,
 or (for the Fisher z test) regresses on the raw data; none of it shares code
 with the algorithms under test, except truth_pag, which orients a skeleton
-and separating sets read off the DAG with the package's complete rules, and
+and separating sets read off the DAG with the package's complete rules,
 reference_dsep_walk, which reuses the deep search's detection and
-minimal_dsep and closes every set from scratch.
+minimal_dsep and closes every set from scratch, and sweep_set and
+sweep_row, the package's former Fisher z sweeps, whose arithmetic its
+residual rows must reproduce bit for bit.
 """
 
 from itertools import combinations, product
@@ -18,6 +20,7 @@ from fciplus.dsep_search import find_possible_dsep_links, minimal_dsep
 from fciplus.graphs import (
     ARROW, CIRCLE, TAIL, MixedGraph, d_separated, latent_project,
 )
+from fciplus.oracles import _DEGENERATE
 from fciplus.orientation import apply_fci_rules, orient_v_structures
 from fciplus.sepsets import SepsetMap
 
@@ -515,3 +518,67 @@ def bf_fisher_z_margin(data, x, y, zs, alpha):
                                       * float(res[1] @ res[1]))
     stat = sqrt(n - len(zs) - 3) * abs(atanh(r))
     return NormalDist().inv_cdf(1 - alpha / 2) - stat
+
+
+def sweep_set(cov, z):
+    """The Schur-complement sweep of the covariance block over z, last
+    member first, or None when a pivot is at most 1e-10 of its variable's
+    variance (a degenerate set). One (k, pivot, column above it) per step,
+    in sweep order: k is the member's position in z, and the pivot and the
+    column are as they stand when that member is swept out."""
+    m = len(z)
+    a = [[cov[i][j] for j in z] for i in z]
+    steps = []
+    for k in range(m - 1, -1, -1):
+        pivot = a[k][k]
+        if pivot <= _DEGENERATE * cov[z[k]][z[k]]:
+            return None
+        col = [row[k] for row in a[:k]]
+        for i, f in enumerate(col):
+            f /= pivot
+            row = a[i]
+            for j in range(i, k):
+                row[j] -= f * col[j]
+        steps.append((k, pivot, col))
+    return steps
+
+
+def sweep_row(cov, v, z, steps):
+    """v's row swept by the steps of sweep_set(cov, z): v's residual
+    variance given z, then per step the factor (entry / pivot) and the
+    entry of v's row at the swept member, as it stands at that step."""
+    cv = cov[v]
+    row = [cv[w] for w in z]
+    var = cv[v]
+    factors = []
+    entries = []
+    for k, pivot, col in steps:
+        e = row[k]
+        f = e / pivot
+        var -= f * e
+        factors.append(f)
+        entries.append(e)
+        for j, c in enumerate(col):
+            row[j] -= f * c
+    return var, factors, entries
+
+
+def sweep_fisher_z(cov, n_samples, x, y, z, crit):
+    """The Fisher z test of x and y given the ascending ids z by one sweep
+    of the whole submatrix through sweep_set and sweep_row: True iff
+    independent, None for a degenerate test (see oracles._fisher_z)."""
+    m = len(z)
+    if n_samples <= m + 3:
+        return None
+    steps = sweep_set(cov, z)
+    if steps is None:
+        return None
+    sxx, fx, _ = sweep_row(cov, x, z, steps)
+    syy, _, ey = sweep_row(cov, y, z, steps)
+    sxy = cov[x][y]
+    for f, e in zip(fx, ey):
+        sxy -= f * e
+    if (sxx <= _DEGENERATE * cov[x][x] or syy <= _DEGENERATE * cov[y][y]
+            or sxx * syy - sxy * sxy <= _DEGENERATE * sxx * syy):
+        return None
+    return sqrt(n_samples - m - 3) * abs(atanh(sxy / sqrt(sxx * syy))) <= crit

@@ -3,9 +3,11 @@
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+import inspect
 import itertools
 import random
 from statistics import NormalDist
+import sys
 import warnings
 
 import numpy as np
@@ -18,7 +20,10 @@ from fciplus import (
 from fciplus import oracles
 from fciplus.report import RunReport
 
-from .brute import bf_fisher_z_margin, moral_d_separated, naive_components
+from .brute import (
+    bf_fisher_z_margin, moral_d_separated, naive_components, sweep_fisher_z,
+    sweep_row, sweep_set,
+)
 
 
 def fork_dag():
@@ -438,6 +443,92 @@ class TestFisherZ:
         assert min(answers.values()) > 200
         assert sizes == set(range(7))
 
+    def test_rows_equal_one_sweep_of_the_whole_submatrix(self):
+        # every row the cache composes from narrower sets must equal, float
+        # for float, the row that one sweep of the whole submatrix gives
+        # (brute.sweep_row), and a set must be degenerate exactly when that
+        # sweep is. Column 10 is 2 * column 3 plus 1e-9 noise, so a set
+        # holding both is degenerate; sets hold column 10 as their lowest,
+        # a middle and their highest member. The cache is filled afresh
+        # for each set, and shared with the narrowest or the widest set
+        # asked first
+        rng = np.random.default_rng(29)
+        n_vars, n_rows = 20, 400
+        data = rng.standard_normal((n_rows, n_vars))
+        for j in range(1, n_vars):
+            data[:, j] += data[:, :j] @ (rng.uniform(-1, 1, j)
+                                         * (rng.random(j) < 0.2))
+        data[:, 10] = 2 * data[:, 3] + 1e-9 * rng.standard_normal(n_rows)
+        cov = np.cov(data, rowvar=False).tolist()
+
+        def pick(ids, k):
+            return sorted(int(v) for v in rng.choice(ids, k, replace=False))
+
+        low, high = list(range(10)), list(range(11, n_vars))
+        sets = []
+        for size in range(10):
+            sets += [pick(n_vars, size) for _ in range(12)]
+            if size:
+                sets += [[10] + pick(high, size - 1),
+                         pick(low, size - 1) + [10]]
+            for k in range(1, size - 1):
+                sets.append(pick(low, k) + [10] + pick(high, size - 1 - k))
+
+        def reference(z):
+            steps = sweep_set(cov, z)
+            if steps is None:
+                return None
+            return {v: sweep_row(cov, v, z, steps)
+                    for v in range(n_vars) if v not in z}
+
+        want = [reference(z) for z in sets]
+        assert 0 < want.count(None) < len(sets) / 2
+        # a non-degenerate set can still leave a row almost no variance
+        assert any(r is not None and 3 in r and r[3][0] < 1e-12
+                   for r in want)
+
+        def composed(order, shared):
+            rows = {}
+            got = [None] * len(sets)
+            for i in order:
+                z = sets[i]
+                zmask = sum(1 << v for v in z)
+                outside = [v for v in range(n_vars) if v not in z]
+                if shared:
+                    random.Random(i).shuffle(outside)
+                    ok = all([oracles._add_rows(cov, rows, zmask, [v])
+                              for v in outside])
+                else:
+                    rows = {}
+                    ok = oracles._add_rows(cov, rows, zmask, outside)
+                assert ok is (rows[zmask] is not None)
+                if ok:
+                    got[i] = {v: (var, list(fs), list(es))
+                              for v, (var, fs, es) in rows[zmask].items()}
+            return got
+
+        by_size = sorted(range(len(sets)), key=lambda i: len(sets[i]))
+        assert composed(range(len(sets)), shared=False) == want
+        assert composed(by_size, shared=True) == want
+        assert composed(by_size[::-1], shared=True) == want
+
+    def test_set_beyond_the_recursion_limit(self):
+        # rows are built without recursion, so a conditioning set (say,
+        # from a wide CSV) may hold more members than the recursion limit
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((1000, 202))
+        data[:, 1:] += 0.3 * data[:, :-1]
+        o = GaussOracle(data, alpha=0.01)
+        z = list(range(2, 202))
+        want = sweep_fisher_z(o.cov, o.n_samples, 0, 1, z, o._crit)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            got = o.query(0, 1, z)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert want is False and got is False and o.n_test_errors == 0
+
     def test_direct_effect_rejected_at_high_rate(self):
         rng = np.random.default_rng(7)
         dependent = 0
@@ -473,22 +564,25 @@ class TestGaussOracle:
             GaussOracle(np.column_stack([live, np.arange(50.0)]))
 
     def test_sweep_caches_do_not_leak_between_tests(self, monkeypatch):
-        # one oracle caches the sweep of each conditioning set and of each
-        # (variable, set) row; a shuffled stream of tests that share sets
-        # must answer, and count degenerate tests, as a fresh oracle per
-        # test does. Column 5 is near-collinear with column 0, so every set
-        # holding both is degenerate, as is every test of one of them given
-        # a set holding the other
+        # one oracle caches each (variable, set) residual row and each
+        # degenerate set; a shuffled stream of tests that share sets must
+        # answer, and count degenerate tests, as a fresh oracle per test
+        # does. Column 5 is near-collinear with column 0 and column 6 with
+        # column 3, so every set holding both of a pair is degenerate, as
+        # is every test of one of them given a set holding the other; a set
+        # holding 3 and 6 above a lower member is degenerate through the
+        # set without that member
         rng = np.random.default_rng(17)
-        data = rng.standard_normal((300, 6))
+        data = rng.standard_normal((300, 7))
         data[:, 2] += 0.8 * data[:, 0] - 0.6 * data[:, 1]
         data[:, 3] += 0.7 * data[:, 2]
         data[:, 4] += 0.5 * data[:, 1] + 0.5 * data[:, 3]
         data[:, 5] = 2 * data[:, 0] + 1e-9 * rng.standard_normal(300)
-        stream = [(x, y, zs) for x, y in itertools.combinations(range(6), 2)
-                  for size in range(3)
+        data[:, 6] = -1.5 * data[:, 3] + 1e-9 * rng.standard_normal(300)
+        stream = [(x, y, zs) for x, y in itertools.combinations(range(7), 2)
+                  for size in range(5)
                   for zs in itertools.combinations(
-                      [v for v in range(6) if v not in (x, y)], size)]
+                      [v for v in range(7) if v not in (x, y)], size)]
         random.Random(3).shuffle(stream)
 
         def fresh(x, y, zs):
@@ -497,8 +591,9 @@ class TestGaussOracle:
 
         want = [fresh(*t) for t in stream]
 
-        def shared():
+        def shared(cache=dict):
             o = GaussOracle(data, alpha=0.2)
+            o._rows = cache()
             answers = [o.query(x, y, zs) for x, y, zs in stream]
             return answers, o.n_test_errors
 
@@ -506,17 +601,40 @@ class TestGaussOracle:
         assert 0 < sum(e for _, e in want) < len(stream)
         assert sum(a for a, _ in want) > 0 and not all(a for a, _ in want)
 
-        # mutant: rows cached by their set alone, not by (variable, set)
-        real_row = oracles._sweep_row
-        by_set = {}
+        # mutant: a row cached under its set alone, so that any row kept
+        # under a set answers for every variable
+        class FirstRow:
+            def __init__(self, have):
+                self.row = next(iter(have.values()))
 
-        def row_by_set_only(cov, v, z, steps):
-            key = (id(cov), tuple(z))
-            if key not in by_set:
-                by_set[key] = real_row(cov, v, z, steps)
-            return by_set[key]
+            def __contains__(self, v):
+                return True
 
-        monkeypatch.setattr(oracles, "_sweep_row", row_by_set_only)
+            def __getitem__(self, v):
+                return self.row
+
+        class BySetAlone(dict):
+            def get(self, z, default=None):
+                have = dict.get(self, z, default)
+                return FirstRow(have) if have else have
+
+            def __getitem__(self, z):
+                have = dict.__getitem__(self, z)
+                return FirstRow(have) if have else have
+
+        assert shared(BySetAlone) != (
+            [a for a, _ in want], sum(e for _, e in want))
+
+        # mutant: only the set a test asks checks its own pivot, so a
+        # degenerate set met below it is neither marked nor makes the wider
+        # sets degenerate
+        check = "        if pivot <= _DEGENERATE * cov[w][w]:\n"
+        source = inspect.getsource(oracles._add_rows)
+        assert source.count(check) == 1
+        scope = dict(vars(oracles))
+        exec(source.replace(check, check.replace("if ", "if not chain and ")),
+             scope)
+        monkeypatch.setattr(oracles, "_add_rows", scope["_add_rows"])
         assert shared() != ([a for a, _ in want], sum(e for _, e in want))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
