@@ -104,25 +104,43 @@ def _true_dsep_links(dag, mag):
     """{(x, y): adjacent ancestors, as an int mask} over the pairs
     nonadjacent in the truth that no subset of their adjacent pool
     adj(x) + adj(y), with the selection set S, separates; adjacent
-    ancestors are the pool members in An({x, y} + S). One walk per pair:
-    by Tian, Paz & Pearl ("Finding Minimal D-separators", 1998) some Z
-    with S <= Z <= pool + S separates x and y iff (pool + S) &
-    An({x, y} + S) does. A pair in different skeleton components of the
-    DAG is separated by every set, so it is skipped before its pool is
-    built.
+    ancestors are the pool members in An({x, y} + S). By Tian, Paz & Pearl
+    ("Finding Minimal D-separators", 1998) some Z with S <= Z <= pool + S
+    separates x and y iff (pool + S) & An({x, y} + S) does, so one walk
+    given that set settles a pair.
+
+    A pair is walked only when x and y share a skeleton component of the
+    DAG (else every set separates them) and each has a MAG neighbour in
+    An({x, y} + S) with an arrowhead at that neighbour. For if Z, the
+    pool's part in An({x, y} + S), fails to separate x and y, some
+    m-connecting path given Z joins them, and each node on it is an
+    ancestor of x, y, a collider or S, so in An({x, y} + Z + S) =
+    An({x, y} + S). Its first and last inner nodes, adjacent to x and y,
+    are thus in Z, so must be colliders: arrowheads at each.
     """
     back, an, comp = dag.observed, dag._an, dag._comp
+    # the DAG-id masks of each node's MAG neighbours, and of those with an
+    # arrowhead at the neighbour
+    pool, into = [0] * mag.n, [0] * mag.n
+    for a, b, ma, mb in mag.edges():
+        pool[a] |= 1 << back[b]
+        pool[b] |= 1 << back[a]
+        if mb == ARROW:
+            into[a] |= 1 << back[b]
+        if ma == ARROW:
+            into[b] |= 1 << back[a]
+    pos = {v: i for i, v in enumerate(back)}
     links = {}
-    for x, y in combinations(range(mag.n), 2):
+    for x, y in combinations([v for v in range(mag.n) if into[v]], 2):
         dx, dy = back[x], back[y]
-        if not comp[dx] >> dy & 1 or mag.has_edge(x, y):
-            continue
         up = an[dx] | an[dy] | dag._an_sel
+        if (not comp[dx] >> dy & 1 or not into[x] & up or not into[y] & up
+                or pool[x] >> dy & 1):
+            continue
         # x and y are nonadjacent, so neither is in the pool
-        aa = {v for v in mag.adj(x) + mag.adj(y) if up >> back[v] & 1}
-        if not dsep_reach(dag, dx, dy,
-                          sum(1 << back[v] for v in aa) | dag._sel)[0]:
-            links[(x, y)] = sum(1 << v for v in aa)
+        aa = (pool[x] | pool[y]) & up
+        if not dsep_reach(dag, dx, dy, aa | dag._sel)[0]:
+            links[(x, y)] = sum(1 << pos[v] for v in _bits(aa))
     return links
 
 

@@ -55,6 +55,8 @@ def random_sparse_dag(n_observed, k, n_latent=0, n_selection=0,
         raise GraphError("need at least 2 observed variables")
     if k < 1:
         raise GraphError("degree bound k must be >= 1")
+    if not 0 <= edge_density <= 1:
+        raise GraphError("edge_density %r is outside [0, 1]" % (edge_density,))
     if plant_dsep and (n_observed < 5 or n_latent < 2):
         raise GraphError("plant_dsep needs >= 5 observed and >= 2 latent variables")
     rng = random.Random(seed)

@@ -27,7 +27,7 @@ region An({x, y} + z), every descendant of which is d-connected to x.
 later queries without a walk. A pair in different components is
 d-separated by every set (a d-connecting trail needs a skeleton path) and
 a pair joined by an edge by none: `d_separated` answers the first without
-a walk, and `latent_project` and the oracle both.
+a walk, the oracle both, and `latent_project` more (see its docstring).
 
 Edge mark conventions: an edge {a, b} carries one mark per endpoint. A
 directed edge a -> b has TAIL at a and ARROW at b; a <-> b has ARROW at both
@@ -516,14 +516,24 @@ def latent_project(dag):
     separate them. The mark at a on edge {a, b} is TAIL iff a is in
     An({b} + S), S the selection set, else ARROW.
 
-    Only pairs in one skeleton component that no DAG edge joins need a
-    walk: a pair in different components is nonadjacent, and a pair joined
-    by an edge is adjacent.
+    A pair joined by a DAG edge is adjacent; of the other pairs only the
+    candidates below are walked. By the inducing-path theorem (Richardson
+    & Spirtes, "Ancestral graph Markov models", Ann. Statist. 2002,
+    Thm 4.2), observed a and b are adjacent iff a path joins them whose
+    inner nodes are each latent or a collider, every collider in
+    An({a, b} + S). Let H be the DAG skeleton plus an edge between the
+    parents of every node in An(observed + S). Each collider of such a
+    path has both its path neighbours as parents, so H joins them; two
+    colliders are never consecutive, so dropping the colliders leaves an
+    H-path from a to b whose inner nodes are all latent. Hence b is a
+    candidate of a only when it is an H-neighbour of a or of an H-connected
+    group of latents that a touches, and every other pair is nonadjacent.
+    The candidates are int masks, built without a walk.
 
-    The result is a MAG by construction (Richardson & Spirtes, "Ancestral
-    graph Markov models", Ann. Statist. 2002), so the table is handed over
-    without a check; pairs are visited in lexicographic order, so every
-    neighbour list fills ascending. It has no circles, and it is ancestral:
+    The result is a MAG by construction (Richardson & Spirtes), so the
+    table is handed over without a check; pairs are visited in
+    lexicographic order, so every neighbour list fills ascending. It has no
+    circles, and it is ancestral:
 
     (i) No arrowhead at a on an edge to b when a directed path
         a -> .. -> b exists. Each node after a has an arrowhead on the edge
@@ -539,13 +549,42 @@ def latent_project(dag):
     obs = dag.observed
     an, an_sel, pa, ch = dag._an, dag._an_sel, dag._pa, dag._ch
     obs_mask = sum(1 << v for v in obs)
+    lat_mask = sum(1 << v for v in dag.latent)
+    # h[v]: v's neighbours in H, the skeleton plus an edge between the
+    # parents of every node in An(observed + S)
+    h = [pa[v] | ch[v] for v in range(dag.n)]
+    up = an_sel
+    for v in obs:
+        up |= an[v]
+    for c in _bits(up):
+        if pa[c] & (pa[c] - 1):
+            for p in _bits(pa[c]):
+                h[p] |= pa[c] ^ 1 << p
+    # reach[l]: the observed H-neighbours of latent l's group, filled for
+    # the groups that touch an observed node, the only ones read below
+    reach = [0] * dag.n
+    for l in _bits(lat_mask):
+        if reach[l] or not h[l] & obs_mask:
+            continue
+        group = frontier = 1 << l
+        touched = 0
+        while frontier:
+            for u in _bits(frontier):
+                touched |= h[u]
+            frontier = touched & lat_mask & ~group
+            group |= frontier
+        for u in _bits(group):
+            reach[u] = touched & obs_mask
     pos = {v: i for i, v in enumerate(obs)}
     marks = {}
     adj = [[] for _ in obs]
     for i, a in enumerate(obs):
         up_a = an[a] | an_sel
-        # the observed nodes after a in a's component, ascending
-        for b in _bits(dag._comp[a] & obs_mask & -(2 << a)):
+        near = h[a]
+        for l in _bits(h[a] & lat_mask):
+            near |= reach[l]
+        # a's candidates after a, ascending
+        for b in _bits(near & obs_mask & -(2 << a)):
             up_b = an[b] | an_sel
             if not (pa[b] | ch[b]) >> a & 1:
                 canonical = (up_a | up_b) & obs_mask & ~(1 << a | 1 << b)

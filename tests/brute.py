@@ -249,6 +249,40 @@ def brute_projection(dag):
     return edges
 
 
+def relaxed_inducing_pairs(dag):
+    """Observed pairs (a, b), a < b in dag ids, joined by a path on which
+    every inner node is latent or is a collider in An(observed + S). An
+    inducing path also needs every collider, latent ones too, in
+    An({a, b} + S), so every pair adjacent in the projection is among
+    these. Depth-first over the path prefixes from each a, extending only
+    those whose inner nodes all qualify."""
+    lat, obs = set(dag.latent), set(dag.observed)
+    ancestral = naive_ancestors(dag, obs | set(dag.selection))
+    directed = set(dag.edges)
+    adj = {v: set() for v in range(dag.n)}
+    for u, v in dag.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out = set()
+    for a in dag.observed:
+        stack = [(a,)]
+        while stack:
+            path = stack.pop()
+            for w in adj[path[-1]]:
+                if w in path:
+                    continue
+                if len(path) > 1:
+                    u, v = path[-2:]
+                    if v not in lat and not ((u, v) in directed
+                                             and (w, v) in directed
+                                             and v in ancestral):
+                        continue
+                if w in obs and a < w:
+                    out.add((a, w))
+                stack.append(path + (w,))
+    return out
+
+
 def bf_separable(dag, a, b):
     """Some observed subset (plus selection) separates the observed pair."""
     return not bf_mag_adjacent(dag, a, b)

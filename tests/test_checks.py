@@ -1,5 +1,6 @@
 """Invariant checks against their exhaustive forms in tests/brute.py."""
 
+from collections import Counter
 import copy
 import importlib
 from itertools import combinations
@@ -10,6 +11,7 @@ from fciplus import (
     canonical_examples, dsep_search, latent_project, random_sparse_dag,
     run_pipeline,
 )
+from fciplus import checks, graphs
 from fciplus.checks import (
     _true_dsep_links, check_arrowhead_soundness, check_hierarchy_ancestry,
     check_query_bounds, check_resolved_links, check_tail_soundness,
@@ -17,9 +19,11 @@ from fciplus.checks import (
 from fciplus.generators import GenerationError
 
 from .brute import (
-    bf_hierarchy_ancestry, bf_true_dsep_links, mask, naive_ancestors,
+    bf_hierarchy_ancestry, bf_true_dsep_links, brute_projection, mask,
+    naive_ancestors,
 )
 from .test_dsep import _ScriptedOracle, _refute_one_sided
+from .test_replay_digest import replay_inputs
 
 
 def random_dags(count, seed=0):
@@ -58,6 +62,52 @@ class TestTrueDsepLinks:
             links += len(want)
             selected += bool(want and dag.selection)
         assert links >= 100 and selected >= 10
+
+    def test_matches_brute_forms_with_latents_and_selection(self):
+        # planted draws that each hold latents and selection variables:
+        # the projection and the links both equal their brute forms
+        rng = random.Random(29)
+        links = 0
+        while links < 500:
+            try:
+                dag = random_sparse_dag(
+                    rng.randint(7, 12), 3, n_latent=rng.randint(2, 4),
+                    n_selection=rng.randint(1, 2),
+                    edge_density=rng.choice([0.06, 0.1]),
+                    seed=rng.randrange(10 ** 6), plant_dsep=True,
+                    max_tries=250)
+            except GenerationError:
+                continue
+            mag = latent_project(dag)
+            assert mag.edges() == brute_projection(dag), dag.to_json()
+            want = bf_true_dsep_links(dag, mag)
+            assert _true_dsep_links(dag, mag) == want, dag.to_json()
+            links += len(want)
+
+    def test_check_walks_on_the_replay_inputs(self, monkeypatch):
+        # the walks the embedded checks make themselves, the projection's
+        # and the link search's (the oracle's are not counted): walking
+        # every same-component pair that no edge joins makes 475 and 402
+        inputs = list(replay_inputs())
+        links = sum(len(_true_dsep_links(dag, latent_project(dag)))
+                    for dag, _k in inputs)
+        walks = Counter()
+
+        def counted(name, real):
+            def walk(*args):
+                walks[name] += 1
+                return real(*args)
+            return walk
+
+        monkeypatch.setattr(graphs, "dsep_reach",
+                            counted("projection", graphs.dsep_reach))
+        monkeypatch.setattr(checks, "dsep_reach",
+                            counted("links", checks.dsep_reach))
+        for dag, k in inputs:
+            report = run_pipeline("fciplus", DsepOracle(dag), k=k)
+            assert all(c["ok"] for c in report.checks.values())
+        # each pair the link search walked is a link
+        assert walks == {"projection": 206, "links": links} and links == 15
 
 
 def random_sepsets(rng, dag, pairs):

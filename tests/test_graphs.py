@@ -16,7 +16,7 @@ from fciplus.graphs import ModelViolationError
 from .brute import (
     bf_d_separated, bf_m_separated, bf_mag_adjacent, brute_projection,
     is_ancestral, mag_ancestors, moral_d_separated, naive_ancestors,
-    naive_components,
+    naive_components, relaxed_inducing_pairs,
 )
 
 
@@ -64,17 +64,18 @@ def is_mag(g):
 
 def pair_kinds(dag):
     """{kind: count} over the observed pairs of dag, by how latent_project
-    can settle them: "cross" (different skeleton components), "edge" (a DAG
-    edge joins them) or "walk" (neither), from naive_components."""
-    comp = {v: frozenset(c) for c in naive_components(dag) for v in c}
-    kinds = {"cross": 0, "edge": 0, "walk": 0}
+    settles them: "edge" (a DAG edge joins them), "walk" (no edge, but a
+    relaxed inducing path does, from relaxed_inducing_pairs) or "apart"
+    (neither)."""
+    joined = relaxed_inducing_pairs(dag)
+    kinds = {"apart": 0, "edge": 0, "walk": 0}
     for a, b in itertools.combinations(dag.observed, 2):
-        if b not in comp[a]:
-            kinds["cross"] += 1
-        elif (a, b) in dag.edges or (b, a) in dag.edges:
+        if (a, b) in dag.edges or (b, a) in dag.edges:
             kinds["edge"] += 1
-        else:
+        elif (a, b) in joined:
             kinds["walk"] += 1
+        else:
+            kinds["apart"] += 1
     return kinds
 
 
@@ -287,7 +288,7 @@ class TestLatentProjection:
 
 
     def test_equals_brute_projection_on_sparse_dags(self):
-        kinds = {"cross": 0, "edge": 0, "walk": 0}
+        kinds = {"apart": 0, "edge": 0, "walk": 0}
         for dag in sparse_dags(40, 7):
             assert latent_project(dag).edges() == brute_projection(dag), \
                 dag.to_json()
@@ -295,6 +296,21 @@ class TestLatentProjection:
                 kinds[kind] += count
         # both shortcuts and the walk are exercised
         assert min(kinds.values()) >= 50, kinds
+
+    def test_equals_brute_projection_with_latents_and_selection(self):
+        # denser draws, each with latents and selection variables, so that
+        # inducing paths run through latent chains and colliders
+        rng = random.Random(29)
+        walked = 0
+        for seed in range(300):
+            n = rng.randint(5, 12)
+            dag = random_dag(n, rng.choice([1.5, 2.5, 4.0]) / n, seed + 500,
+                             n_latent=rng.randint(1, 4),
+                             n_selection=rng.randint(1, 2))
+            assert latent_project(dag).edges() == brute_projection(dag), \
+                dag.to_json()
+            walked += pair_kinds(dag)["walk"]
+        assert walked >= 500
 
 
 class TestComponents:
@@ -306,8 +322,9 @@ class TestComponents:
                 assert all(dag._comp[v] == mask for v in comp)
 
     def test_projection_walks_only_unsettled_pairs(self, corpus, monkeypatch):
-        # latent_project walks exactly the same-component pairs that no DAG
-        # edge joins; dropping either shortcut adds walks
+        # latent_project walks exactly the pairs that a relaxed inducing
+        # path joins and no DAG edge does; walking every candidate joined by
+        # an edge, or every same-component pair, adds walks
         walks = 0
         real = graphs.dsep_reach
 

@@ -49,6 +49,12 @@ class TestGenerator:
         with pytest.raises(GenerationError):
             random_sparse_dag(12, 1, 3, 0, 0.9, seed=0, max_tries=5)
 
+    def test_edge_density_outside_unit_interval(self):
+        for density in (-0.1, 1.5, 2.0, float("nan")):
+            with pytest.raises(GraphError, match="edge_density"):
+                random_sparse_dag(8, 3, 1, 0, density, seed=0)
+        random_sparse_dag(8, 3, 0, 0, 0.0, seed=0)
+
     def test_planted_requires_room(self):
         with pytest.raises(GraphError):
             random_sparse_dag(4, 3, 2, 0, 0.1, seed=0, plant_dsep=True)
@@ -226,6 +232,16 @@ class TestCli:
                                         "--alpha", alpha])
         assert res.exit_code == 2, res.output
         assert "alpha" in res.output
+
+    @pytest.mark.parametrize("density", ["2", "-0.5"])
+    def test_generate_rejects_density_outside_unit_interval(self, tmp_path,
+                                                            density):
+        res = CliRunner().invoke(main, ["generate", "--n", "8", "--k", "3",
+                                        "--density", density,
+                                        "--out", str(tmp_path / "g.json")])
+        assert res.exit_code == 2, res.output
+        assert "is outside [0, 1]" in res.output
+        assert not (tmp_path / "g.json").exists()
 
     def test_run_rejects_missing_values(self, tmp_path):
         csv = tmp_path / "d.csv"
