@@ -68,7 +68,7 @@ class TestTrueDsepLinks:
         # the projection and the links both equal their brute forms
         rng = random.Random(29)
         links = 0
-        while links < 500:
+        for _ in range(650):
             try:
                 dag = random_sparse_dag(
                     rng.randint(7, 12), 3, n_latent=rng.randint(2, 4),
@@ -83,6 +83,7 @@ class TestTrueDsepLinks:
             want = bf_true_dsep_links(dag, mag)
             assert _true_dsep_links(dag, mag) == want, dag.to_json()
             links += len(want)
+        assert links >= 500
 
     def test_check_walks_on_the_replay_inputs(self, monkeypatch):
         # the walks the embedded checks make themselves, the projection's
