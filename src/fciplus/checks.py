@@ -158,13 +158,13 @@ def check_hierarchy_separates_links(dag, mag, sepsets, oracle):
 
 
 def _minimal_dsep_budget(resolutions):
-    """Most queries minimal_dsep may ask for these resolutions. For a
-    candidate set Z* of m nodes it asks the precondition test and one test
-    per member in each elimination pass; a pass that removes nothing is the
-    last, so the passes hold at most m, m - 1, ..., 1 members: 1 +
-    m(m+1)/2 in all. Only the tests it decides count as queries, so it
-    asks fewer (under dsep_search the precondition is a memo hit)."""
-    return sum(1 + m * (m + 1) // 2
+    """Most queries minimal_dsep may decide for these resolutions. For a
+    candidate set Z* of m nodes it asks the precondition test, which
+    dsep_search has just decided, so it is a memo hit, and one test per
+    member in each elimination pass; a pass that removes nothing is the
+    last, so the passes hold at most m, m - 1, ..., 1 members: m(m+1)/2 in
+    all. Only the tests it decides count as queries, so it may ask fewer."""
+    return sum(m * (m + 1) // 2
                for m in (len(r["candidate"]) for r in resolutions))
 
 

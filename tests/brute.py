@@ -309,6 +309,55 @@ def exhaustive_skeleton(oracle):
     return MixedGraph(n, edges, names=oracle.names), seps
 
 
+def lexicographic_pc(oracle, k=None):
+    """The PC-stable adjacency search with every side tried in ascending
+    id order, the order-invariance reference for pc_adjacency_search:
+    level 0 asks each pair against the empty set; from level 1 on, each
+    level snapshots the adjacencies and, for the pairs x < y in
+    lexicographic order where either side holds more than `level` nodes,
+    asks the `level`-subsets of Adj(x) \\ {y} lexicographically, then those
+    of Adj(y) \\ {x} not inside Adj(x), until one separates. Stops when no
+    pair is tested, or after level k. Asks under the oracle's "reference"
+    stage. Returns (skeleton with circle marks, SepsetMap)."""
+    n = oracle.n_vars
+    adj = {v: set(range(n)) - {v} for v in range(n)}
+    seps = SepsetMap()
+
+    def remove(x, y, zs):
+        adj[x].discard(y)
+        adj[y].discard(x)
+        seps.set(x, y, mask(zs))
+
+    with oracle.stage("reference"):
+        for x, y in combinations(range(n), 2):
+            if oracle.query(x, y, ()):
+                remove(x, y, ())
+        level = 1
+        while k is None or level <= k:
+            snapshot = {v: sorted(adj[v]) for v in range(n)}
+            tested = False
+            for x, y in combinations(range(n), 2):
+                if y not in snapshot[x] or (len(snapshot[x]) <= level
+                                            and len(snapshot[y]) <= level):
+                    continue
+                tested = True
+                xside = [v for v in snapshot[x] if v != y]
+                yside = [v for v in snapshot[y] if v != x]
+                candidates = list(combinations(xside, level)) + [
+                    zs for zs in combinations(yside, level)
+                    if not set(zs) <= set(snapshot[x])]
+                found = next((zs for zs in candidates
+                              if oracle.query(x, y, zs)), None)
+                if found is not None:
+                    remove(x, y, found)
+            if not tested:
+                break
+            level += 1
+    edges = [(x, y, CIRCLE, CIRCLE) for x, y in combinations(range(n), 2)
+             if y in adj[x]]
+    return MixedGraph(n, edges, names=oracle.names), seps
+
+
 def bf_possible_dsep(g, a, b):
     """Path-enumeration version of the reachability superset: v qualifies
     iff some path a..v has every intermediate vertex a collider or in a

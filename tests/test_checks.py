@@ -8,8 +8,8 @@ import random
 
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
-    canonical_examples, dsep_search, latent_project, random_sparse_dag,
-    run_pipeline,
+    canonical_examples, dsep_search, latent_project, minimal_dsep,
+    random_sparse_dag, run_pipeline,
 )
 from fciplus import checks, graphs
 from fciplus.checks import (
@@ -274,7 +274,7 @@ class TestDeepSearchBudgets:
     def test_minimal_dsep_within_its_elimination_passes(self, monkeypatch):
         _dag, report = _hierarchical_run()
         sizes = [len(r["candidate"]) for r in report.dsep_log["resolutions"]]
-        budget = sum(1 + m * (m + 1) // 2 for m in sizes)
+        budget = sum(m * (m + 1) // 2 for m in sizes)
         stats = report.stats
         assert stats["minimal_dsep"]["queries"] <= budget
         doctored = copy.deepcopy(stats)
@@ -302,9 +302,42 @@ class TestDeepSearchBudgets:
                             "minimal_dsep", smallest_subset)
         ex = canonical_examples()["transitive_hierarchy"]
         mutated = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
-        budget = sum(1 + m * (m + 1) // 2 for m in
+        budget = sum(m * (m + 1) // 2 for m in
                      (len(r["candidate"])
                       for r in mutated.dsep_log["resolutions"]))
         assert mutated.checks["sepsets_minimal"]["ok"]
         assert not mutated.checks["query_bounds"]["ok"]
         assert mutated.stats["minimal_dsep"]["queries"] > budget
+
+    def test_minimal_dsep_budget_is_tight(self):
+        # Z* = {2, 3, 4} for the pair (0, 1), and each pass removes one
+        # member, the last in id order: the passes hold 3, 2 and 1 members
+        # and decide 3 + 2 + 1 = 6 tests, the whole budget. The
+        # precondition was decided by dsep_search, as in a run
+        z_star = mask({2, 3, 4})
+        log = {"combos_tried": {"0,1": 1},
+               "resolutions": [{"pair": [0, 1], "candidate": [2, 3, 4],
+                                "sepset": [2]}]}
+
+        def run(eliminate):
+            oracle = _ScriptedOracle({(0, 1, m): True for m in
+                                      (z_star, mask({2, 3}), mask({2}))}, 6)
+            with oracle.stage("dsep_search"):
+                assert oracle.query(0, 1, z_star)
+            assert eliminate(0, 1, z_star, oracle) == mask({2})
+            return check_query_bounds(oracle.stats.to_dict(), 6, None, log)
+
+        ok, detail = run(minimal_dsep)
+        assert ok and "dsep_search 1 <= 1 base pairs, minimal_dsep 6 <= 6" \
+            in detail
+
+        # mutant: one test more than its passes allow, such as a final
+        # check of the result against one node more
+        def one_more(x, y, z_star, oracle):
+            current = minimal_dsep(x, y, z_star, oracle)
+            with oracle.stage("minimal_dsep"):
+                oracle.ask(x, y, current | 1 << 5)
+            return current
+
+        ok, detail = run(one_more)
+        assert not ok and "minimal_dsep 7 <= 6" in detail

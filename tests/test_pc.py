@@ -6,10 +6,12 @@ import random
 import pytest
 
 from fciplus import (
-    CausalDag, DsepOracle, IndependenceOracle, pc_adjacency_search,
+    CausalDag, DsepOracle, GaussOracle, IndependenceOracle,
+    apply_fci_rules, orient_v_structures, pc_adjacency_search,
 )
 
-from .brute import mask, members, skeleton_pairs
+from .brute import lexicographic_pc, mask, members, skeleton_pairs
+from .test_replay_digest import SAMPLE_ALPHA, replay_inputs, sample_inputs
 
 
 def random_sufficient_dag(n, density, seed):
@@ -137,3 +139,77 @@ class TestPcSearch:
         pc_adjacency_search(oracle, k=3)
         st = oracle.stats.stages["pc_search"]
         assert st.queries and st.memo_hits == 0
+
+    def test_known_separator_asked_first(self):
+        # Only (0, 1 | {4}) is independent. At level 1 the pair (0, 1) asks
+        # {2}, {3}, {4} and is removed by {4}, so 4 is a known separator of
+        # 0 and 1; the next pair, (0, 2), asks {4} first on 0's side, then
+        # 0's other neighbours ascending, and finds nothing new on 2's
+        # side. At level 2, 0's side lists 4, 2, 3, 5 (1 is gone) and 2's
+        # side, which knows no separator, stays ascending
+        oracle = _RecordingOracle(6, {(0, 1, mask({4}))})
+        pc_adjacency_search(oracle, k=2)
+        asked = [z for x, y, z in oracle.asked if (x, y) == (0, 2)]
+        assert asked == [mask(zs) for zs in [
+            (),
+            (4,), (1,), (3,), (5,),
+            (3, 4), (4, 5), (3, 5), (1, 3), (1, 4), (1, 5)]]
+        # the pairs of each level are still visited in lexicographic order
+        level1 = [(x, y) for x, y, z in oracle.asked if z.bit_count() == 1]
+        assert level1 == sorted(level1)
+        assert len(set(oracle.asked)) == len(oracle.asked)
+
+
+def _same_search(oracle_a, oracle_b, k):
+    """Run pc_adjacency_search on oracle_a and lexicographic_pc on
+    oracle_b; return both (skeleton, sepsets) after asserting that they
+    keep the same edges and store sets for the same pairs."""
+    new = pc_adjacency_search(oracle_a, k)
+    lex = lexicographic_pc(oracle_b, k)
+    assert new[0].edge_pairs() == lex[0].edge_pairs()
+    assert sorted(p for p, _ in new[1].items()) == \
+        sorted(p for p, _ in lex[1].items())
+    return new, lex
+
+
+def _assert_same_exact_pag(dag, k):
+    """Under the exact oracle: the same skeleton and stored pairs as the
+    lexicographic search, every stored set separating and minimal, and the
+    same PAG from either search's skeleton and sets."""
+    oracle = DsepOracle(dag)
+    (skel, seps), (lskel, lseps) = _same_search(oracle, DsepOracle(dag), k)
+    for (x, y), zs in seps.items():
+        assert oracle.query(x, y, zs)
+        assert not any(oracle.query(x, y, zs & ~(1 << w))
+                       for w in members(zs))
+    pag = apply_fci_rules(orient_v_structures(skel, seps), seps)
+    lpag = apply_fci_rules(orient_v_structures(lskel, lseps), lseps)
+    assert pag.edges() == lpag.edges()
+    return seps, lseps
+
+
+class TestKnownFirstOrder:
+    """Known separators first changes which set is stored and how many
+    tests are asked, never which pairs are removed; under the exact oracle
+    it never changes the PAG either."""
+
+    def test_corpus(self, corpus):
+        changed = 0
+        for inst in corpus:
+            seps, lseps = _assert_same_exact_pag(inst.dag, 3)
+            changed += seps.items() != lseps.items()
+        assert changed  # the order is in effect
+
+    def test_replay_inputs(self):
+        for dag, k in replay_inputs():
+            _assert_same_exact_pag(dag, k)
+
+    def test_sample_inputs(self):
+        # Fisher z answers, the collinear dataset's degenerate tests too
+        changed = 0
+        for data in sample_inputs():
+            (_, seps), (_, lseps) = _same_search(
+                GaussOracle(data, alpha=SAMPLE_ALPHA),
+                GaussOracle(data, alpha=SAMPLE_ALPHA), 3)
+            changed += seps.items() != lseps.items()
+        assert changed

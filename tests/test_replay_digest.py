@@ -19,8 +19,8 @@ from fciplus import (
     random_sparse_dag, run_pipeline,
 )
 
-REPLAY_DIGEST = "8e4ff10e2e53c924038c4fa9f71afcd86ca37e74f6cf6ed2e5cf87b7c24369fa"
-SAMPLE_DIGEST = "8220ff89a32831df1df1661a9164b240580514e431ce53acadc0c6ec2342dd05"
+REPLAY_DIGEST = "33e485c9782643a5434bff3c3987b9a210f8735d90e10c083c2517db9c6e8e32"
+SAMPLE_DIGEST = "233f98b0827411798d66c42a3c38e4c1d62cc985647f85a50739942b62696463"
 SAMPLE_ALPHA = 0.01
 
 
