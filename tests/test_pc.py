@@ -141,22 +141,26 @@ class TestPcSearch:
         assert st.queries and st.memo_hits == 0
 
     def test_known_separator_asked_first(self):
-        # Only (0, 1 | {4}) is independent. At level 1 the pair (0, 1) asks
-        # {2}, {3}, {4} and is removed by {4}, so 4 is a known separator of
-        # 0 and 1; the next pair, (0, 2), asks {4} first on 0's side, then
-        # 0's other neighbours ascending, and finds nothing new on 2's
-        # side. At level 2, 0's side lists 4, 2, 3, 5 (1 is gone) and 2's
-        # side, which knows no separator, stays ascending
-        oracle = _RecordingOracle(6, {(0, 1, mask({4}))})
+        # Only (0, 1 | {4}) and (3, 5 | {4}) are independent. At level 1
+        # the pair (0, 1) asks {2}, {3}, {4} and is removed by {4}, so 4 is
+        # a known separator of 0 and 1; the next pair, (0, 2), asks {4}
+        # first on 0's side, then 0's other neighbours ascending, and finds
+        # nothing new on 2's side. At level 2, 0's side lists 4, 2, 3, 5
+        # (1 is gone) and 2's side, which knows no separator, stays
+        # ascending
+        oracle = _RecordingOracle(6, {(0, 1, mask({4})), (3, 5, mask({4}))})
         pc_adjacency_search(oracle, k=2)
         asked = [z for x, y, z in oracle.asked if (x, y) == (0, 2)]
         assert asked == [mask(zs) for zs in [
             (),
             (4,), (1,), (3,), (5,),
             (3, 4), (4, 5), (3, 5), (1, 3), (1, 4), (1, 5)]]
-        # the pairs of each level are still visited in lexicographic order
-        level1 = [(x, y) for x, y, z in oracle.asked if z.bit_count() == 1]
-        assert level1 == sorted(level1)
+        # the pairs of each level are still visited in lexicographic order,
+        # although 3 and 5 know a separator at level 2 and 2 does not
+        for level in (1, 2):
+            pairs = [(x, y) for x, y, z in oracle.asked
+                     if z.bit_count() == level]
+            assert pairs == sorted(pairs) and (2, 3) in pairs
         assert len(set(oracle.asked)) == len(oracle.asked)
 
 
