@@ -8,8 +8,7 @@ from .graphs import (
     d_separated, latent_project,
 )
 from .oracles import (
-    ALGORITHM_STAGES, STAGES, DsepOracle, GaussOracle, IndependenceOracle,
-    OracleError, OracleStats,
+    ALGORITHM_STAGES, DsepOracle, GaussOracle, IndependenceOracle, OracleError,
 )
 from .sepsets import SepsetMap, hie
 from .pc import pc_adjacency_search
@@ -17,8 +16,7 @@ from .dsep_search import dsep_search, find_possible_dsep_links, minimal_dsep
 from .orientation import apply_fci_rules, orient_v_structures
 from .reference import fci_reference, possible_dsep
 from .generators import (
-    CanonicalExample, ExampleValidationError, GenerationError,
-    bidirected_chain, canonical_examples, has_dsep_link, random_sparse_dag,
+    GenerationError, bidirected_chain, has_dsep_link, random_sparse_dag,
 )
 from .pipelines import run_pipeline
 from .report import RunReport, compare_runs

@@ -1,28 +1,20 @@
-"""Random instance generation and the canonical worked examples.
+"""Random instance generation: seeded sparse DAGs under a degree bound
+(optionally with the planted deep-link motif), the detector that tells
+whether a DAG holds a deep pair, and the bi-directed chain.
 
-The canonical examples reproduce the classic situations where the plain
-adjacency search fails: a pair separable only through a node nonadjacent to
-both endpoints, a nested/hierarchical variant, and transitive inclusion of
-deep separator nodes. Each example carries the list of independence facts
-that define it and is validated against the d-separation oracle at load
-time; a failing fact rejects the example rather than trusting the
-construction blindly.
+The paper's worked examples, with the facts that define them, are test data
+in tests/examples.py.
 """
 
 import random
 
-from .checks import _true_dsep_links
-from .graphs import CausalDag, GraphError, latent_project, d_separated
+from .graphs import CausalDag, GraphError, latent_project
 from .oracles import DsepOracle
 from .pc import pc_adjacency_search
 
 
 class GenerationError(RuntimeError):
     """Random generation exhausted its rejection budget."""
-
-
-class ExampleValidationError(GraphError):
-    """A canonical example failed one of its defining independence facts."""
 
 
 def random_sparse_dag(n_observed, k, n_latent=0, n_selection=0,
@@ -55,6 +47,9 @@ def random_sparse_dag(n_observed, k, n_latent=0, n_selection=0,
         raise GraphError("need at least 2 observed variables")
     if k < 1:
         raise GraphError("degree bound k must be >= 1")
+    if n_latent < 0 or n_selection < 0:
+        raise GraphError("variable counts must be >= 0, got %r latent and %r "
+                         "selection" % (n_latent, n_selection))
     if not 0 <= edge_density <= 1:
         raise GraphError("edge_density %r is outside [0, 1]" % (edge_density,))
     if plant_dsep and (n_observed < 5 or n_latent < 2):
@@ -200,147 +195,3 @@ def bidirected_chain(length):
     edges = [(length + i, j) for i in range(length - 1) for j in (i, i + 1)]
     return CausalDag(len(names), edges, range(length),
                      range(length, len(names)), names=names)
-
-
-class CanonicalExample:
-    """A named reconstructed instance plus its defining facts.
-
-    `facts` is a list of (label, predicate) pairs over the dag; `validate`
-    raises ExampleValidationError naming the first violated fact. `k` is the
-    degree bound of the projected graph, suitable for running the pipelines.
-    """
-
-    def __init__(self, name, dag, k, facts):
-        self.name = name
-        self.dag = dag
-        self.k = k
-        self.facts = facts
-
-    def obs_index(self):
-        """Map observed variable name -> oracle/projection id."""
-        return {self.dag.names[o]: i for i, o in enumerate(self.dag.observed)}
-
-    def validate(self):
-        for label, pred in self.facts:
-            if not pred(self.dag):
-                raise ExampleValidationError(
-                    "example %r violates fact: %s" % (self.name, label))
-        return self
-
-
-def _named_dag(names, edges, latent=(), selection=()):
-    index = {nm: i for i, nm in enumerate(names)}
-    e = [(index[u], index[v]) for u, v in edges]
-    lat = [index[v] for v in latent]
-    sel = [index[v] for v in selection]
-    obs = [i for i in range(len(names)) if i not in lat and i not in sel]
-    return CausalDag(len(names), e, obs, lat, sel, names=names)
-
-
-def _dsep_fact(label, x, y, zs, want=True):
-    def pred(dag):
-        index = {nm: i for i, nm in enumerate(dag.names)}
-        sel = set(dag.selection)
-        return d_separated(dag, index[x], index[y],
-                           {index[v] for v in zs} | sel) == want
-    return (label, pred)
-
-
-def _nonadjacent_fact(label, x, y):
-    def pred(dag):
-        mag = latent_project(dag)
-        names = [dag.names[o] for o in dag.observed]
-        return not mag.has_edge(names.index(x), names.index(y))
-    return (label, pred)
-
-
-def _no_adjacent_subset_separates_fact(label, x, y):
-    def pred(dag):
-        names = [dag.names[o] for o in dag.observed]
-        pair = tuple(sorted((names.index(x), names.index(y))))
-        return pair in _true_dsep_links(dag, latent_project(dag))
-    return (label, pred)
-
-
-def _five_node_example():
-    # A pair (X, Y) separable only by {U, V, Z} where Z ends up nonadjacent
-    # to both X and Y before the pair can be tested against it.
-    dag = _named_dag(
-        ["U", "V", "X", "Y", "Z", "L1", "L2"],
-        [("Z", "U"), ("Z", "V"), ("U", "Y"), ("V", "X"),
-         ("L1", "U"), ("L1", "X"), ("L2", "V"), ("L2", "Y")],
-        latent=["L1", "L2"],
-    )
-    facts = [
-        _dsep_fact("X _||_ Y | {U,V,Z}", "X", "Y", {"U", "V", "Z"}),
-        _nonadjacent_fact("Z not adjacent to X", "Z", "X"),
-        _nonadjacent_fact("Z not adjacent to Y", "Z", "Y"),
-        _nonadjacent_fact("X not adjacent to Y", "X", "Y"),
-        _no_adjacent_subset_separates_fact(
-            "no subset of Adj(X) u Adj(Y) separates X, Y", "X", "Y"),
-    ]
-    return CanonicalExample("five_node_deep_link", dag, 3, facts)
-
-
-def _hierarchical_example():
-    # Two nested gadgets sharing the deep node W: the pair (X, Z) needs
-    # {S, T, W}; the pair (X, Y) needs W as well, via {U, V, W}.
-    dag = _named_dag(
-        ["S", "T", "U", "V", "W", "X", "Y", "Z",
-         "D1", "D2", "D3", "D4"],
-        [("W", "S"), ("W", "T"), ("S", "Z"), ("T", "X"),
-         ("W", "U"), ("W", "V"), ("U", "Y"), ("V", "X"),
-         ("D1", "S"), ("D1", "X"), ("D2", "T"), ("D2", "Z"),
-         ("D3", "U"), ("D3", "X"), ("D4", "V"), ("D4", "Y")],
-        latent=["D1", "D2", "D3", "D4"],
-    )
-    facts = [
-        _dsep_fact("X _||_ Z | {S,T,W}", "X", "Z", {"S", "T", "W"}),
-        _dsep_fact("X _||_ Y | {S,T,U,V,W,Z}", "X", "Y",
-                   {"S", "T", "U", "V", "W", "Z"}),
-        # both pairs need the shared deep node W
-        _dsep_fact("X dependent on Y given {U,V}", "X", "Y", {"U", "V"},
-                   want=False),
-        _dsep_fact("X dependent on Z given {S,T}", "X", "Z", {"S", "T"},
-                   want=False),
-        _nonadjacent_fact("X not adjacent to Z", "X", "Z"),
-        _nonadjacent_fact("X not adjacent to Y", "X", "Y"),
-        _nonadjacent_fact("S not adjacent to T", "S", "T"),
-    ]
-    return CanonicalExample("hierarchical_links", dag, 4, facts)
-
-
-def _transitive_hierarchy_example():
-    # The deep node Z3 separates S from Z1, but also S from W; whichever of
-    # the two minimal sets the adjacency search stores, the hierarchy of
-    # {X, Y, S, T, U, V} reaches Z3 (directly or through W).
-    dag = _named_dag(
-        ["S", "T", "U", "V", "W", "X", "Y", "Z1", "Z2", "Z3",
-         "C1", "C2", "C3", "C4", "B2"],
-        [("Z2", "S"), ("Z2", "T"), ("S", "Y"), ("T", "X"),
-         ("Z1", "U"), ("Z1", "V"), ("U", "Y"), ("V", "X"),
-         ("W", "Z3"), ("Z3", "Z1"),
-         ("C1", "S"), ("C1", "X"), ("C2", "T"), ("C2", "Y"),
-         ("C3", "U"), ("C3", "X"), ("C4", "V"), ("C4", "Y"),
-         ("B2", "S"), ("B2", "W")],
-        latent=["C1", "C2", "C3", "C4", "B2"],
-    )
-    facts = [
-        _dsep_fact("X _||_ Y | {S,T,U,V,Z1,Z2,Z3}", "X", "Y",
-                   {"S", "T", "U", "V", "Z1", "Z2", "Z3"}),
-        _dsep_fact("S _||_ Z1 | {Z3}", "S", "Z1", {"Z3"}),
-        _dsep_fact("S dependent on Z1 marginally (minimality)",
-                   "S", "Z1", set(), want=False),
-        _dsep_fact("S _||_ Z1 | {W} (alternative minimal set)",
-                   "S", "Z1", {"W"}),
-        _nonadjacent_fact("S not adjacent to Z1", "S", "Z1"),
-        _nonadjacent_fact("X not adjacent to Y", "X", "Y"),
-    ]
-    return CanonicalExample("transitive_hierarchy", dag, 4, facts)
-
-
-def canonical_examples():
-    """Validated reconstructions of the canonical instances, by name."""
-    examples = [_five_node_example(), _hierarchical_example(),
-                _transitive_hierarchy_example()]
-    return {ex.name: ex.validate() for ex in examples}

@@ -48,7 +48,7 @@ def run_pipeline(algorithm, oracle, k=None, seed=None, with_checks=True):
     timings = {}
     dsep_log = None   # fciplus only: the deep-search log
     if algorithm == "fci":
-        pag, _, sepsets, removed = _timed(
+        pag, sepsets, removed = _timed(
             timings, "reference", lambda: fci_reference(oracle, k=k))
     else:
         final, sepsets = _timed(timings, "pc_search",

@@ -60,7 +60,7 @@ def fci_reference(oracle, k=None):
     orientation, exhaustive subset search over the reachability supersets,
     then re-orientation from scratch and the complete rule set.
 
-    Returns (pag, skeleton, sepsets, edges_removed_per_stage).
+    Returns (pag, sepsets, edges_removed_per_stage).
     """
     n = oracle.n_vars
     skeleton, sepsets = pc_adjacency_search(oracle, k)
@@ -71,4 +71,4 @@ def fci_reference(oracle, k=None):
         skeleton.remove_edge(a, b)
     stage_removals["reference"] = len(removed)
     pag = apply_fci_rules(orient_v_structures(skeleton, sepsets), sepsets)
-    return pag, skeleton, sepsets, stage_removals
+    return pag, sepsets, stage_removals

@@ -14,11 +14,12 @@ from fciplus import (
 )
 from fciplus.pipelines import ALGORITHMS
 from fciplus import pc as pc_module
-from fciplus.generators import bidirected_chain, canonical_examples
+from fciplus.generators import bidirected_chain
 from fciplus.report import compare_runs
 
 from .conftest import CORPUS_K
 from .brute import equivalence_class_pag, exhaustive_skeleton, truth_pag
+from .examples import EXAMPLES, obs_index
 
 
 def _report(num, desc, ok, detail=""):
@@ -60,16 +61,15 @@ def test_criterion_2_ground_truth_skeleton(corpus_runs):
 
 
 def test_criterion_3_canonical_example():
-    ex = canonical_examples()["five_node_deep_link"]
-    m = ex.obs_index()
+    dag, k, _ = EXAMPLES["five_node_deep_link"]
+    m = obs_index(dag)
     x, y = m["X"], m["Y"]
-    pc = run_pipeline("pc", DsepOracle(ex.dag), k=ex.k, with_checks=False)
-    fp = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
+    pc = run_pipeline("pc", DsepOracle(dag), k=k, with_checks=False)
+    fp = run_pipeline("fciplus", DsepOracle(dag), k=k)
     sep = None
     for r in fp.dsep_log["resolutions"]:
         if set(r["pair"]) == {x, y}:
             sep = set(r["sepset"])
-    mag = ex.obs_index()
     pool = fp.pag.adj(x) + fp.pag.adj(y)
     ok = (pc.pag.has_edge(x, y)
           and not fp.pag.has_edge(x, y)
@@ -180,11 +180,9 @@ def test_query_count_comparison_report(corpus_runs):
           "(fewer-or-equal on %d/%d)" % (n, plus_q, ref_q, fewer, n))
     # the saving shows where the reachability supersets grow: on the
     # canonical instances the exhaustive stage pays many times more
-    for name, ex in sorted(canonical_examples().items()):
-        a = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k,
-                         with_checks=False)
-        b = run_pipeline("fci", DsepOracle(ex.dag), k=ex.k,
-                         with_checks=False)
+    for name, (dag, k, _) in sorted(EXAMPLES.items()):
+        a = run_pipeline("fciplus", DsepOracle(dag), k=k, with_checks=False)
+        b = run_pipeline("fci", DsepOracle(dag), k=k, with_checks=False)
         assert compare_runs(a, b)["identical"]
         print("deep-stage query report (%s): hierarchy %d vs exhaustive %d"
               % (name, _deep_queries(a), _deep_queries(b)))

@@ -8,8 +8,8 @@ import random
 
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
-    canonical_examples, dsep_search, latent_project, minimal_dsep,
-    random_sparse_dag, run_pipeline,
+    dsep_search, latent_project, minimal_dsep, random_sparse_dag,
+    run_pipeline,
 )
 from fciplus import checks, graphs
 from fciplus.checks import (
@@ -22,6 +22,7 @@ from .brute import (
     bf_hierarchy_ancestry, bf_true_dsep_links, brute_projection, mask,
     naive_ancestors,
 )
+from .examples import EXAMPLES
 from .test_dsep import _ScriptedOracle, _refute_one_sided
 from .test_replay_digest import replay_inputs
 
@@ -196,8 +197,8 @@ class TestMarkSoundness:
 
 
 def _hierarchical_run():
-    ex = canonical_examples()["hierarchical_links"]
-    return ex.dag, run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
+    dag, k, _ = EXAMPLES["hierarchical_links"]
+    return dag, run_pipeline("fciplus", DsepOracle(dag), k=k)
 
 
 class TestDeepSearchChecks:
@@ -300,8 +301,8 @@ class TestDeepSearchBudgets:
 
         monkeypatch.setattr(importlib.import_module("fciplus.dsep_search"),
                             "minimal_dsep", smallest_subset)
-        ex = canonical_examples()["transitive_hierarchy"]
-        mutated = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
+        dag, k, _ = EXAMPLES["transitive_hierarchy"]
+        mutated = run_pipeline("fciplus", DsepOracle(dag), k=k)
         budget = sum(m * (m + 1) // 2 for m in
                      (len(r["candidate"])
                       for r in mutated.dsep_log["resolutions"]))

@@ -16,11 +16,12 @@ from fciplus import (
     pc_adjacency_search, run_pipeline,
 )
 from fciplus.dsep_search import _base_combinations, _base_pair_count, _close
-from fciplus.generators import canonical_examples, random_sparse_dag
+from fciplus.generators import random_sparse_dag
 
 from .brute import (
     bf_separable, mask, members, naive_closure, reference_dsep_walk,
 )
+from .examples import EXAMPLES, obs_index
 from .test_replay_digest import replay_inputs
 
 
@@ -71,10 +72,10 @@ class TestPatternDetection:
         assert find_possible_dsep_links(skeleton(3, pairs[:2])) == []
 
     def test_canonical_pattern_detected(self):
-        ex = canonical_examples()["hierarchical_links"]
-        oracle = DsepOracle(ex.dag)
-        skel, _ = pc_adjacency_search(oracle, k=ex.k)
-        m = ex.obs_index()
+        dag, k, _ = EXAMPLES["hierarchical_links"]
+        oracle = DsepOracle(dag)
+        skel, _ = pc_adjacency_search(oracle, k=k)
+        m = obs_index(dag)
         links = find_possible_dsep_links(skel)
         assert (min(m["X"], m["Z"]), max(m["X"], m["Z"])) in links
         assert oracle.stats.stages["augment"].queries == 0
@@ -176,10 +177,10 @@ class TestHierarchy:
         assert 6 in closure and 9 in closure
 
     def test_matches_canonical_reconstruction(self):
-        ex = canonical_examples()["transitive_hierarchy"]
-        oracle = DsepOracle(ex.dag)
-        _, seps = pc_adjacency_search(oracle, k=ex.k)
-        m = ex.obs_index()
+        dag, k, _ = EXAMPLES["transitive_hierarchy"]
+        oracle = DsepOracle(dag)
+        _, seps = pc_adjacency_search(oracle, k=k)
+        m = obs_index(dag)
         seed = mask(m[v] for v in ("X", "Y", "S", "T", "U", "V"))
         assert m["Z3"] in members(hie(seed, seps))
 
@@ -339,13 +340,13 @@ class TestMinimalDsep:
 
 class TestDsepSearch:
     def test_canonical_resolution(self):
-        ex = canonical_examples()["five_node_deep_link"]
-        oracle = DsepOracle(ex.dag)
-        skel, seps = pc_adjacency_search(oracle, k=ex.k)
-        m = ex.obs_index()
+        dag, k, _ = EXAMPLES["five_node_deep_link"]
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=k)
+        m = obs_index(dag)
         x, y = m["X"], m["Y"]
         assert skel.has_edge(x, y)
-        g2, seps2, log = dsep_search(skel, seps, oracle, k=ex.k)
+        g2, seps2, log = dsep_search(skel, seps, oracle, k=k)
         assert not g2.has_edge(x, y) and skel.has_edge(x, y)
         assert seps2.get(x, y) == mask({m["U"], m["V"], m["Z"]})
         assert m["Z"] not in g2.adj(x) + g2.adj(y)
@@ -384,16 +385,16 @@ class TestDsepSearch:
                 "edge left although some subset separates it"
 
     def test_both_canonical_links_resolve(self):
-        ex = canonical_examples()["hierarchical_links"]
-        oracle = DsepOracle(ex.dag)
-        skel, seps = pc_adjacency_search(oracle, k=ex.k)
-        g2, _, log = dsep_search(skel, seps, oracle, k=ex.k)
+        dag, k, _ = EXAMPLES["hierarchical_links"]
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=k)
+        g2, _, log = dsep_search(skel, seps, oracle, k=k)
         assert len(log["resolutions"]) == 2
         assert len(log["resolutions"]) <= skel.n_edges
         # every candidate left was tried and is an edge of the truth
         left = find_possible_dsep_links(g2)
         assert [tuple(p) for p in log["failed_final"]] == left
-        assert set(left) <= set(latent_project(ex.dag).edge_pairs())
+        assert set(left) <= set(latent_project(dag).edge_pairs())
 
     @pytest.mark.parametrize("source", [
         "five_node_deep_link", "hierarchical_links", "transitive_hierarchy",
@@ -403,8 +404,7 @@ class TestDsepSearch:
         # skeleton minus the pairs resolved so far; no pass adds one, since
         # edges are only removed, and the augment stage stays empty
         if isinstance(source, str):
-            ex = canonical_examples()[source]
-            dag, k = ex.dag, ex.k
+            dag, k, _ = EXAMPLES[source]
         else:
             dag, k = planted_dag(source), 3
         report = run_pipeline("fciplus", DsepOracle(dag), k=k,
@@ -422,9 +422,9 @@ class TestDsepSearch:
     def test_one_stage_entry_per_pass(self):
         # the search enters its own stage once and minimal_dsep once per
         # resolution; detection enters no stage
-        ex = canonical_examples()["transitive_hierarchy"]
-        oracle = DsepOracle(ex.dag)
-        skel, seps = pc_adjacency_search(oracle, k=ex.k)
+        dag, k, _ = EXAMPLES["transitive_hierarchy"]
+        oracle = DsepOracle(dag)
+        skel, seps = pc_adjacency_search(oracle, k=k)
         entries = collections.Counter()
         enter = oracle.stage
 
@@ -433,7 +433,7 @@ class TestDsepSearch:
             return enter(name)
 
         oracle.stage = counted
-        _, _, log = dsep_search(skel, seps, oracle, k=ex.k)
+        _, _, log = dsep_search(skel, seps, oracle, k=k)
         assert entries == {"dsep_search": 1,
                            "minimal_dsep": len(log["resolutions"])}
         assert oracle.stats.stages["augment"].queries == 0

@@ -1,4 +1,4 @@
-"""Harness: generation, canonical examples, pipelines, reports, CLI."""
+"""Harness: generation, worked-example facts, pipelines, reports, CLI."""
 
 import json
 import warnings
@@ -7,17 +7,18 @@ import pytest
 from click.testing import CliRunner
 
 from fciplus import (
-    CausalDag, DsepOracle, GraphError, compare_runs, has_dsep_link,
-    latent_project, random_sparse_dag, run_pipeline,
+    CausalDag, DsepOracle, GraphError, compare_runs, d_separated,
+    has_dsep_link, latent_project, random_sparse_dag, run_pipeline,
 )
+from fciplus.checks import _true_dsep_links
 from fciplus.cli import main
-from fciplus.generators import (
-    ExampleValidationError, GenerationError, CanonicalExample,
-    canonical_examples, _named_dag, _dsep_fact,
-)
+from fciplus.generators import GenerationError
 from fciplus.report import RunReport
 
 from .brute import skeleton_pairs
+from .examples import EXAMPLES, obs_index
+
+FIVE_NODE = EXAMPLES["five_node_deep_link"]
 
 
 class TestGenerator:
@@ -55,6 +56,11 @@ class TestGenerator:
                 random_sparse_dag(8, 3, 1, 0, density, seed=0)
         random_sparse_dag(8, 3, 0, 0, 0.0, seed=0)
 
+    def test_negative_variable_counts_rejected(self):
+        for latents, selection in ((-1, 0), (0, -1)):
+            with pytest.raises(GraphError, match="variable counts"):
+                random_sparse_dag(6, 3, latents, selection, seed=0)
+
     def test_planted_requires_room(self):
         with pytest.raises(GraphError):
             random_sparse_dag(4, 3, 2, 0, 0.1, seed=0, plant_dsep=True)
@@ -78,17 +84,22 @@ class TestGenerator:
 
 class TestCanonicalExamples:
     def test_all_examples_validate(self):
-        exs = canonical_examples()
-        assert set(exs) == {"five_node_deep_link", "hierarchical_links", "transitive_hierarchy"}
-        for ex in exs.values():
-            assert ex.validate() is ex
-
-    def test_broken_reconstruction_rejected(self):
-        dag = _named_dag(["A", "B"], [("A", "B")])
-        bad = CanonicalExample("broken", dag, 1,
-                               [_dsep_fact("A _||_ B", "A", "B", set())])
-        with pytest.raises(ExampleValidationError, match="A _||_ B"):
-            bad.validate()
+        assert set(EXAMPLES) == {"five_node_deep_link", "hierarchical_links",
+                                 "transitive_hierarchy"}
+        for name, (dag, _, facts) in EXAMPLES.items():
+            index = {nm: i for i, nm in enumerate(dag.names)}
+            obs, mag = obs_index(dag), latent_project(dag)
+            for kind, x, y, *zs in facts:
+                if kind == "deep":
+                    held = (tuple(sorted((obs[x], obs[y])))
+                            in _true_dsep_links(dag, mag))
+                elif kind == "nonadjacent":
+                    held = not mag.has_edge(obs[x], obs[y])
+                else:
+                    held = d_separated(dag, index[x], index[y],
+                                       {index[v] for v in zs[0]}) \
+                        == (kind == "dsep")
+                assert held, (name, kind, x, y, *zs)
 
 
 class TestRunPipeline:
@@ -99,15 +110,14 @@ class TestRunPipeline:
         assert compare_runs(a, b)["identical"]
 
     def test_canonical_edge_absent_from_output(self):
-        ex = canonical_examples()["five_node_deep_link"]
-        m = ex.obs_index()
-        rep = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
+        dag, k, _ = FIVE_NODE
+        m = obs_index(dag)
+        rep = run_pipeline("fciplus", DsepOracle(dag), k=k)
         assert not rep.pag.has_edge(m["X"], m["Y"])
         assert rep.checks and rep.checks_ok()
 
     def test_query_budget_embedded(self):
-        ex = canonical_examples()["five_node_deep_link"]
-        rep = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k)
+        rep = run_pipeline("fciplus", DsepOracle(FIVE_NODE.dag), k=FIVE_NODE.k)
         assert rep.checks["query_bounds"]["ok"]
 
     def test_replay_is_bit_identical(self):
@@ -144,11 +154,10 @@ class TestCompareRuns:
         assert not d["edges_only_in_a"] and not d["mark_diffs"]
 
     def test_canonical_diff_names_the_extra_edge(self):
-        ex = canonical_examples()["five_node_deep_link"]
-        m = ex.obs_index()
-        a = run_pipeline("pc", DsepOracle(ex.dag), k=ex.k, with_checks=False)
-        b = run_pipeline("fciplus", DsepOracle(ex.dag), k=ex.k,
-                         with_checks=False)
+        dag, k, _ = FIVE_NODE
+        m = obs_index(dag)
+        a = run_pipeline("pc", DsepOracle(dag), k=k, with_checks=False)
+        b = run_pipeline("fciplus", DsepOracle(dag), k=k, with_checks=False)
         d = compare_runs(a, b)
         assert not d["identical"]
         pair = (min(m["X"], m["Y"]), max(m["X"], m["Y"]))
@@ -189,9 +198,8 @@ class TestCli:
 
     def test_compare_flags_differences(self, tmp_path):
         runner = CliRunner()
-        ex = canonical_examples()["five_node_deep_link"]
         g = tmp_path / "g.json"
-        g.write_text(ex.dag.to_json())
+        g.write_text(FIVE_NODE.dag.to_json())
         r1, r2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert runner.invoke(main, ["run", "--alg", "pc", "--graph", str(g),
                                     "--k", "3", "--report", str(r1)]).exit_code == 0
@@ -204,7 +212,7 @@ class TestCli:
     def test_compare_rejects_report_without_stats(self, tmp_path):
         runner = CliRunner()
         g = tmp_path / "g.json"
-        g.write_text(canonical_examples()["five_node_deep_link"].dag.to_json())
+        g.write_text(FIVE_NODE.dag.to_json())
         good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
         assert runner.invoke(main, ["run", "--alg", "pc", "--graph", str(g),
                                     "--report", str(good)]).exit_code == 0
@@ -243,6 +251,15 @@ class TestCli:
         assert "is outside [0, 1]" in res.output
         assert not (tmp_path / "g.json").exists()
 
+    @pytest.mark.parametrize("count", ["--latents", "--selection"])
+    def test_generate_rejects_negative_variable_counts(self, tmp_path, count):
+        res = CliRunner().invoke(main, ["generate", "--n", "6", "--k", "3",
+                                        count, "-1",
+                                        "--out", str(tmp_path / "g.json")])
+        assert res.exit_code == 2, res.output
+        assert "variable counts" in res.output
+        assert not (tmp_path / "g.json").exists()
+
     def test_run_rejects_missing_values(self, tmp_path):
         csv = tmp_path / "d.csv"
         csv.write_text("x,y\n1,nan\n2,1\n3,5\n4,3\n")
@@ -278,7 +295,7 @@ class TestCli:
     def test_compare_rejects_wrong_shape(self, tmp_path):
         runner = CliRunner()
         g = tmp_path / "g.json"
-        g.write_text(canonical_examples()["five_node_deep_link"].dag.to_json())
+        g.write_text(FIVE_NODE.dag.to_json())
         good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
         assert runner.invoke(main, ["run", "--alg", "pc", "--graph", str(g),
                                     "--report", str(good)]).exit_code == 0

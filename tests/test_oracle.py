@@ -24,6 +24,7 @@ from .brute import (
     bf_fisher_z_margin, moral_d_separated, naive_components, sweep_fisher_z,
     sweep_row, sweep_set,
 )
+from .examples import EXAMPLES
 
 
 def fork_dag():
@@ -233,9 +234,8 @@ class TestReachEntries:
 
 class TestStats:
     def test_stage_partition_sums_to_total(self):
-        from fciplus.generators import canonical_examples
-        ex = canonical_examples()["five_node_deep_link"]
-        o = DsepOracle(ex.dag)
+        dag, k, _ = EXAMPLES["five_node_deep_link"]
+        o = DsepOracle(dag)
         calls = []
         ask = o.ask
 
@@ -245,7 +245,7 @@ class TestStats:
 
         # the searches call the trusted entry, and `query` answers through it
         o.ask = logged
-        run_pipeline("fciplus", o, k=ex.k)
+        run_pipeline("fciplus", o, k=k)
         stats = o.stats
         # every call is counted in exactly one stage, as the query that
         # decides its test or as a memo hit
@@ -279,10 +279,9 @@ class TestStats:
                                  (min(x, y), max(x, y), zmask)))
                 return super().ask(x, y, zmask)
 
-        from fciplus.generators import canonical_examples
-        ex = canonical_examples()["hierarchical_links"]
-        o = Logged(ex.dag)
-        report = run_pipeline("fciplus", o, k=ex.k)
+        dag, k, _ = EXAMPLES["hierarchical_links"]
+        o = Logged(dag)
+        report = run_pipeline("fciplus", o, k=k)
         want = {s: {"queries": 0, "memo_hits": 0, "max_cond_size": 0}
                 for s in o.stats.stages}
         stages_of = {}

@@ -11,11 +11,12 @@ from fciplus import (
     fci_reference, latent_project, orient_v_structures, pc_adjacency_search,
     possible_dsep, run_pipeline, compare_runs,
 )
-from fciplus.generators import canonical_examples, random_sparse_dag
+from fciplus.generators import random_sparse_dag
 
 from .brute import (
     bf_possible_dsep, bf_true_dsep, exhaustive_skeleton, mask, members,
 )
+from .examples import EXAMPLES, obs_index
 
 
 class TestPossibleDsep:
@@ -103,10 +104,10 @@ class TestFciReference:
         assert compare_runs(a, b)["identical"]
 
     def test_canonical_edge_removed(self):
-        ex = canonical_examples()["five_node_deep_link"]
-        m = ex.obs_index()
-        pag, skel, seps, removed = fci_reference(DsepOracle(ex.dag), k=ex.k)
-        assert not skel.has_edge(m["X"], m["Y"])
+        dag, k, _ = EXAMPLES["five_node_deep_link"]
+        m = obs_index(dag)
+        pag, seps, removed = fci_reference(DsepOracle(dag), k=k)
+        assert not pag.has_edge(m["X"], m["Y"])
         assert seps.get(m["X"], m["Y"]) is not None
         assert removed["reference"] == 1
 
@@ -117,7 +118,7 @@ class TestFciReference:
                                 n_selection=rng.choice([0, 1]),
                                 edge_density=0.09, seed=seed + 1200,
                                 plant_dsep=(seed % 2 == 0))
-        pag, _, _, _ = fci_reference(DsepOracle(dag), k=3)
+        pag, _, _ = fci_reference(DsepOracle(dag), k=3)
         skel, seps = exhaustive_skeleton(DsepOracle(dag))
         truth = apply_fci_rules(orient_v_structures(skel, seps), seps)
         assert pag == truth

@@ -1,7 +1,7 @@
 """Pinned replay digests: a change to any pipeline output fails here.
 
 REPLAY_DIGEST is the sha256 of the `replay_key()` lines of pc, fci and
-fciplus, with the embedded checks, over the canonical examples and 24 seeded
+fciplus, with the embedded checks, over the worked examples and 24 seeded
 `random_sparse_dag` draws, half of them with the planted motif.
 SAMPLE_DIGEST is the same over GaussOracle runs on seeded linear-Gaussian
 datasets, one of them with an exactly collinear column pair, so the Fisher z
@@ -15,9 +15,11 @@ import hashlib
 import numpy as np
 
 from fciplus import (
-    DsepOracle, GaussOracle, ModelViolationError, canonical_examples,
-    random_sparse_dag, run_pipeline,
+    DsepOracle, GaussOracle, ModelViolationError, random_sparse_dag,
+    run_pipeline,
 )
+
+from .examples import EXAMPLES
 
 REPLAY_DIGEST = "33e485c9782643a5434bff3c3987b9a210f8735d90e10c083c2517db9c6e8e32"
 SAMPLE_DIGEST = "233f98b0827411798d66c42a3c38e4c1d62cc985647f85a50739942b62696463"
@@ -25,10 +27,10 @@ SAMPLE_ALPHA = 0.01
 
 
 def replay_inputs():
-    """(dag, k) pairs: the canonical examples, then alternately a plain and
+    """(dag, k) pairs: the worked examples, then alternately a plain and
     a planted draw for each of 12 seeds."""
-    for _name, ex in sorted(canonical_examples().items()):
-        yield ex.dag, ex.k
+    for _name, (dag, k, _) in sorted(EXAMPLES.items()):
+        yield dag, k
     for seed in range(12):
         n = 8 + seed % 5
         yield random_sparse_dag(n, 3, seed % 4, 1 if seed % 4 == 3 else 0,
