@@ -8,13 +8,14 @@ import random
 
 from fciplus import (
     ARROW, CIRCLE, TAIL, CausalDag, DsepOracle, MixedGraph, SepsetMap,
-    dsep_search, latent_project, minimal_dsep, random_sparse_dag,
-    run_pipeline,
+    dsep_search, latent_project, minimal_dsep, pc_adjacency_search,
+    random_sparse_dag, run_pipeline,
 )
 from fciplus import checks, graphs
 from fciplus.checks import (
     _true_dsep_links, check_arrowhead_soundness, check_hierarchy_ancestry,
-    check_query_bounds, check_resolved_links, check_tail_soundness,
+    check_hierarchy_separates_links, check_query_bounds,
+    check_resolved_links, check_sepsets, check_tail_soundness,
 )
 from fciplus.generators import GenerationError
 
@@ -22,7 +23,7 @@ from .brute import (
     bf_hierarchy_ancestry, bf_true_dsep_links, brute_projection, mask,
     naive_ancestors,
 )
-from .examples import EXAMPLES
+from .examples import EXAMPLES, obs_index
 from .test_dsep import _ScriptedOracle, _refute_one_sided
 from .test_replay_digest import replay_inputs
 
@@ -130,6 +131,52 @@ def random_sepsets(rng, dag, pairs):
             zs.add(rng.choice(pool))
         seps.set(a, b, mask(zs))
     return seps
+
+
+class TestSepsetChecks:
+    def test_set_that_does_not_separate_fails(self):
+        # X and Y need the deep node Z: their adjacent nodes U, V alone
+        # leave them connected
+        dag = EXAMPLES["five_node_deep_link"].dag
+        ix = obs_index(dag)
+        seps = SepsetMap()
+        seps.set(ix["X"], ix["Y"], mask({ix["U"], ix["V"]}))
+        assert check_sepsets(seps, DsepOracle(dag)) == (
+            False, "sepset violations: [('not separating', %d, %d)]"
+            % (ix["X"], ix["Y"]))
+
+    def test_set_with_a_spare_member_fails(self):
+        # {Z3} and {W} each separate S from Z1, so {Z3, W} is not minimal:
+        # either member can go
+        dag = EXAMPLES["transitive_hierarchy"].dag
+        ix = obs_index(dag)
+        s, z1, w, z3 = ix["S"], ix["Z1"], ix["W"], ix["Z3"]
+        seps = SepsetMap()
+        seps.set(s, z1, mask({w}))
+        assert check_sepsets(seps, DsepOracle(dag)) == (
+            True, "1 sepsets separating and minimal")
+        seps.set(s, z1, mask({w, z3}))
+        assert check_sepsets(seps, DsepOracle(dag)) == (
+            False, "sepset violations: [('not minimal', %d, %d, %d), "
+            "('not minimal', %d, %d, %d)]" % (s, z1, w, s, z1, z3))
+
+    def test_hierarchy_without_the_deep_set_fails(self):
+        # the link X - Y has adjacent ancestors U, V; the hierarchy of
+        # {U, V} reaches Z only through the set stored for (U, V)
+        ex = EXAMPLES["five_node_deep_link"]
+        ix = obs_index(ex.dag)
+        oracle = DsepOracle(ex.dag)
+        mag = latent_project(ex.dag)
+        _, seps = pc_adjacency_search(oracle, k=ex.k)
+        assert seps.get(ix["U"], ix["V"]) == mask({ix["Z"]})
+        assert check_hierarchy_separates_links(ex.dag, mag, seps, oracle) == (
+            True, "hierarchy separates all 1 true candidate links")
+        doctored = seps.copy()
+        doctored.set(ix["U"], ix["V"], 0)
+        assert check_hierarchy_separates_links(
+            ex.dag, mag, doctored, oracle) == (
+            False, "hierarchy fails to separate: [(%d, %d)]"
+            % (ix["X"], ix["Y"]))
 
 
 class TestHierarchyAncestry:

@@ -196,6 +196,44 @@ class TestCli:
         res = runner.invoke(main, ["compare", "--a", str(r1), "--b", str(r2)])
         assert res.exit_code == 0, res.output
 
+    def test_run_reads_k_from_the_truth(self, tmp_path):
+        # fciplus without --k takes the projected graph's maximum degree
+        g, out = tmp_path / "g.json", tmp_path / "r.jsonl"
+        g.write_text(FIVE_NODE.dag.to_json())
+        res = CliRunner().invoke(main, ["run", "--alg", "fciplus", "--graph",
+                                        str(g), "--report", str(out)])
+        assert res.exit_code == 0, res.output
+        degree = latent_project(FIVE_NODE.dag).max_degree()
+        assert degree == FIVE_NODE.k
+        assert json.loads(out.read_text())["config"]["k"] == degree
+
+    def test_compare_rejects_different_line_counts(self, tmp_path):
+        runner = CliRunner()
+        g = tmp_path / "g.json"
+        g.write_text(FIVE_NODE.dag.to_json())
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        for path, runs in ((one, 1), (two, 2)):
+            for _ in range(runs):
+                assert runner.invoke(main, [
+                    "run", "--alg", "pc", "--graph", str(g),
+                    "--report", str(path)]).exit_code == 0
+        res = runner.invoke(main, ["compare", "--a", str(one), "--b", str(two)])
+        assert res.exit_code == 2, res.output
+        assert "different lengths (1 vs 2)" in res.output
+
+    def test_bench_rejects_unknown_algorithm(self, tmp_path):
+        (tmp_path / "g.json").write_text(FIVE_NODE.dag.to_json())
+        res = CliRunner().invoke(main, ["bench", "--corpus", str(tmp_path),
+                                        "--algs", "pc,nope"])
+        assert res.exit_code == 2, res.output
+        assert "unknown algorithm 'nope'" in res.output
+
+    def test_bench_rejects_corpus_without_graphs(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("no graphs here\n")
+        res = CliRunner().invoke(main, ["bench", "--corpus", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "no *.json graphs" in res.output
+
     def test_compare_flags_differences(self, tmp_path):
         runner = CliRunner()
         g = tmp_path / "g.json"

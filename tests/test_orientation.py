@@ -15,6 +15,14 @@ from fciplus.graphs import ModelViolationError
 from .brute import equivalence_class_pag
 
 
+def scan(rule, s, sepsets=None):
+    """One scan of rule over s, its marks set by the commit function: True
+    if any mark changed."""
+    if sepsets is None:
+        sepsets = SepsetMap()
+    return orientation._commit(s, rule(s, sepsets))
+
+
 class TestVStructures:
     def test_canonical_collider(self):
         dag = CausalDag(3, [(0, 2), (1, 2)], observed=range(3))
@@ -68,7 +76,7 @@ class TestRules:
         if shielded:
             edges.append((0, 2, CIRCLE, CIRCLE))
         s = MixedGraph(4, edges)
-        assert orientation._r3(s, SepsetMap()) is not shielded
+        assert scan(orientation._r3, s) is not shielded
         assert s.mark(1, 3) == (CIRCLE if shielded else ARROW)
 
     def test_two_node_graph_unchanged(self):
@@ -92,6 +100,10 @@ class TestRules:
         # R1 fires on its first call, then every rule runs idle once
         (MixedGraph(3, [(0, 1, CIRCLE, ARROW), (1, 2, CIRCLE, CIRCLE)]),
          None, 11),
+        # R1 orients 1 -> 2, then reads that arrowhead at 2 in the same
+        # scan and orients 2 -> 3: still one firing call
+        (MixedGraph(4, [(0, 1, CIRCLE, ARROW), (1, 2, CIRCLE, CIRCLE),
+                        (2, 3, CIRCLE, CIRCLE)]), None, 11),
     ])
     def test_loop_ends_after_one_idle_call_per_rule(self, monkeypatch, graph,
                                                     order, calls):
@@ -139,7 +151,7 @@ class TestRules:
         edges = [(u, v, CIRCLE, CIRCLE) for u, v in zip(cycle, cycle[1:])]
         edges.append((0, 1, CIRCLE, CIRCLE))
         s = MixedGraph(len(cycle), edges + ([chord] if chord else []))
-        assert orientation._r5(s, SepsetMap()) is fires
+        assert scan(orientation._r5, s) is fires
         want = TAIL if fires else CIRCLE
         assert all(s.mark(x, y) == want and s.mark(y, x) == want
                    for x, y, _, _ in edges)
@@ -159,7 +171,7 @@ class TestRules:
         if chord:
             edges.append(chord + (TAIL, ARROW))
         s = MixedGraph(len(path), edges)
-        assert orientation._r9(s, SepsetMap()) is fires
+        assert scan(orientation._r9, s) is fires
         assert s.mark(0, 1) == (TAIL if fires else CIRCLE)
 
     @pytest.mark.parametrize("shielded", [False, True])
@@ -174,8 +186,49 @@ class TestRules:
         if shielded:
             edges.append((4, 5, CIRCLE, CIRCLE))
         s = MixedGraph(6, edges)
-        assert orientation._r10(s, SepsetMap()) is not shielded
+        assert scan(orientation._r10, s) is not shielded
         assert s.mark(0, 1) == (CIRCLE if shielded else TAIL)
+
+    @pytest.mark.parametrize("shielded", [False, True])
+    def test_r7_needs_nonadjacent_ends(self, shielded):
+        # a -o b o-o c (a, b, c = 0, 1, 2): R7 puts a tail at b on b-c
+        # only when a and c are nonadjacent
+        edges = [(0, 1, TAIL, CIRCLE), (1, 2, CIRCLE, CIRCLE)]
+        if shielded:
+            edges.append((0, 2, CIRCLE, CIRCLE))
+        s = MixedGraph(3, edges)
+        assert scan(orientation._r7, s) is not shielded
+        assert s.mark(1, 2) == (CIRCLE if shielded else TAIL)
+        assert s.mark(2, 1) == CIRCLE
+
+    @pytest.mark.parametrize("first, second, fires", [
+        # a -> b -> c and a o-> c (a, b, c = 0, 1, 2): a -> c
+        ((TAIL, ARROW), (TAIL, ARROW), True),
+        # a -o b -> c and a o-> c: a -> c
+        ((TAIL, CIRCLE), (TAIL, ARROW), True),
+        # a -> b o-> c: b -> c is not known, so nothing
+        ((TAIL, ARROW), (CIRCLE, ARROW), False),
+    ])
+    def test_r8_needs_directed_second_edge(self, first, second, fires):
+        s = MixedGraph(3, [(0, 1) + first, (1, 2) + second,
+                           (0, 2, CIRCLE, ARROW)])
+        assert scan(orientation._r8, s) is fires
+        assert s.mark(0, 2) == (TAIL if fires else CIRCLE)
+        assert s.mark(2, 0) == ARROW
+
+    @pytest.mark.parametrize("at_v, fires", [(ARROW, True), (CIRCLE, False)])
+    def test_r4_needs_collider_interior(self, at_v, fires):
+        # the path <t, v, b, c> of the test below (t, v, b, c = 0, 1, 2,
+        # 3) with b in sepset(t, c): once the mark at v on t *-* v is a
+        # circle, v is no collider, the path does not discriminate and
+        # b o-o c stays as it was
+        g = MixedGraph(4, [(0, 1, CIRCLE, at_v), (1, 2, ARROW, ARROW),
+                           (1, 3, TAIL, ARROW), (2, 3, CIRCLE, CIRCLE)])
+        seps = SepsetMap()
+        seps.set(0, 3, 1 << 2)
+        assert scan(orientation._r4, g, seps) is fires
+        assert g.mark(2, 3) == (TAIL if fires else CIRCLE)
+        assert g.mark(3, 2) == (ARROW if fires else CIRCLE)
 
     def test_discriminating_path_endpoint_in_sepset(self):
         # path <t, v, b, c>: v a collider and a parent of c, t and c
